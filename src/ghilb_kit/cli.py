@@ -196,12 +196,12 @@ def _write_report(report, args) -> None:
 
 
 def _cluster_json(action: ActionData, ideal: MonomialIdeal, report, cap: Optional[int],
-                  staircase=None) -> dict:
+                  staircase=None, coinv=None) -> dict:
     if staircase is None:
         staircase = quotient_staircase(ideal, cap if cap is not None else 4 * action.group.order)
     tau = None
     if report.is_cluster:
-        point = tau_support(action, ideal)
+        point = tau_support(action, ideal, coinv)
         tau = [_scalar_json(v) for v in point.values]
     return {
         "generators": [g.to_text() for g in ideal.min_gens],
@@ -247,10 +247,11 @@ def cmd_coinv(action: ActionData, args) -> int:
 
 
 def cmd_clusters(action: ActionData, args) -> int:
-    clusters = enumerate_torus_fixed_clusters(action)
+    coinv = coinvariant_algebra(action)
+    clusters = enumerate_torus_fixed_clusters(action, coinv)
     report = [
         _cluster_json(action, c.ideal, verify_cluster(action, c.ideal, args.cap),
-                      args.cap, staircase=c.staircase)
+                      args.cap, staircase=c.staircase, coinv=coinv)
         for c in clusters
     ]
     _write_report(report, args)

@@ -270,91 +270,85 @@ def subspace_cluster(coinv: CoinvariantAlgebra, rows) -> GCluster:
     )
 
 
-def enumerate_torus_fixed_clusters(action: ActionData) -> list[GCluster]:
+def enumerate_torus_fixed_clusters(action: ActionData,
+                                   coinv: Optional[CoinvariantAlgebra] = None) -> list[GCluster]:
     """All monomial G-clusters supported at the origin, canonically sorted.
 
     The staircase of such a cluster avoids every invariant monomial, so it is
     a downward-closed subset of the coinvariant basis hitting each character
     exactly once.  The search extends staircases in ascending graded-lex
     order, which visits every staircase exactly once; output is sorted by the
-    graded-lex keys of the minimal generator lists.
+    graded-lex keys of the minimal generator lists.  Pass the action's
+    coinvariant algebra as coinv to reuse it; otherwise it is built here.
     """
-    coinv = coinvariant_algebra(action)
-    basis = coinv.basis
-    weights = coinv.weights
+    if coinv is None:
+        coinv = coinvariant_algebra(action)
+    exps = [m.exponents for m in coinv.basis]
+    dim = len(exps)
     order = action.group.order
     num_vars = action.num_variables
 
-    suffix: list[frozenset] = [frozenset()] * (len(basis) + 1)
-    for i in range(len(basis) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | {weights[i]}
-
-    all_chars = frozenset(action.group.characters())
-    staircases: list[list[Monomial]] = []
-    chosen: list[Monomial] = []
-    chosen_set: set[Monomial] = set()
-    used: set[Character] = set()
-
-    def closed_under_division(m: Monomial) -> bool:
-        for i, a in enumerate(m.exponents):
+    # the basis is downward closed, so every m/x_i of a basis monomial m is in it;
+    # missing[i] counts the divisors m/x_i of basis[i] not yet in the staircase
+    index = {e: i for i, e in enumerate(exps)}
+    ups: list[list[int]] = [[] for _ in range(dim)]
+    missing = [0] * dim
+    for i, e in enumerate(exps):
+        for v, a in enumerate(e):
             if a:
-                down = list(m.exponents)
-                down[i] -= 1
-                if Monomial(tuple(down)) not in chosen_set:
-                    return False
-        return True
+                ups[index[e[:v] + (a - 1,) + e[v + 1:]]].append(i)
+                missing[i] += 1
+    char_id = {chi: k for k, chi in enumerate(action.group.characters())}
+    chars = [char_id[w] for w in coinv.weights]
+    suffix: list[frozenset] = [frozenset()] * (dim + 1)
+    for i in range(dim - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | {chars[i]}
+
+    staircases: list[list[int]] = []
+    chosen: list[int] = []
+    unused = set(range(order))
 
     def extend(start: int) -> None:
-        if len(chosen) == order:
+        if not unused:
             staircases.append(list(chosen))
             return
-        if not (all_chars - used) <= suffix[start]:
+        if not unused <= suffix[start]:
             return
-        for idx in range(start, len(basis)):
-            m = basis[idx]
-            if weights[idx] in used or not closed_under_division(m):
+        for idx in range(start, dim):
+            c = chars[idx]
+            if missing[idx] or c not in unused:
                 continue
-            chosen.append(m)
-            chosen_set.add(m)
-            used.add(weights[idx])
+            chosen.append(idx)
+            unused.remove(c)
+            for u in ups[idx]:
+                missing[u] -= 1
             extend(idx + 1)
+            for u in ups[idx]:
+                missing[u] += 1
             chosen.pop()
-            chosen_set.remove(m)
-            used.remove(weights[idx])
+            unused.add(c)
 
     extend(0)
 
-    variables = coinv.variables()
     clusters = []
     for stair in staircases:
-        stair_set = set(stair)
-        gen_cands = set()
-        for m in stair:
-            for v in variables:
-                gen_cands.add(m * v)
-        gens = []
-        for m in sorted(gen_cands, key=lambda m: m.grlex_key):
-            if m in stair_set:
-                continue
-            ok = True
-            for i, a in enumerate(m.exponents):
-                if a:
-                    down = list(m.exponents)
-                    down[i] -= 1
-                    if Monomial(tuple(down)) not in stair_set:
-                        ok = False
-                        break
-            if ok:
-                gens.append(m)
-        ideal = MonomialIdeal(num_vars, tuple(gens))
+        stair_exps = {exps[i] for i in stair}
+        corners = set()
+        for e in stair_exps:
+            for v in range(num_vars):
+                up = e[:v] + (e[v] + 1,) + e[v + 1:]
+                if up not in stair_exps and all(
+                    up[:w] + (a - 1,) + up[w + 1:] in stair_exps for w, a in enumerate(up) if a
+                ):
+                    corners.add(up)
         clusters.append(
             GCluster(
                 kind="monomial",
                 action=action,
-                ideal=ideal,
-                staircase=tuple(stair),
+                ideal=MonomialIdeal(num_vars, tuple(Monomial(g) for g in corners)),
+                staircase=tuple(coinv.basis[i] for i in stair),
                 quotient_dim=order,
-                characters=tuple(sorted(weight_of_monomial(action, m.exponents) for m in stair)),
+                characters=tuple(sorted(coinv.weights[i] for i in stair)),
             )
         )
     clusters.sort(key=lambda c: tuple(g.grlex_key for g in c.ideal.min_gens))
@@ -613,6 +607,7 @@ def tau_support(action: ActionData, cluster, coinv: Optional[CoinvariantAlgebra]
                 )
             values.append(Fraction(0))
 
-    if not satisfies_invariant_relations(gens, values):
+    # every relation mixes signs, so all-zero values satisfy it on both sides
+    if any(values) and not satisfies_invariant_relations(gens, values):
         raise IntegrityError("tau values violate a relation among the invariant generators")
     return QuotientPoint(gens, tuple(values))

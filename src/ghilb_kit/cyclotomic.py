@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from ghilb_kit.exact_linalg import solve_rows
 from ghilb_kit.group_rep import Character, FiniteAbelianGroup
 
 Q0 = Fraction(0)
@@ -243,9 +244,11 @@ class CyclotomicNumber:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # equal numbers may carry different conductors: hash the canonical form
         if self.is_rational():
             return hash(self.coeffs[0])
-        return hash((self.conductor, self.coeffs))
+        low = _minimal_conductor_form(self)
+        return hash((low.conductor, low.coeffs))
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({to_text(self)!r})"
@@ -303,6 +306,32 @@ def embed_to_conductor(a: CyclotomicNumber, new_conductor: int) -> CyclotomicNum
         if c:
             out[i * k] += c
     return CyclotomicNumber(new_conductor, _reduce_mod_phi(out, new_conductor))
+
+
+@functools.lru_cache(maxsize=None)
+def _embedding_rows(d: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Matrix of Q(zeta_d) -> Q(zeta_m) in the power bases: phi(m) rows, phi(d) columns."""
+    columns = [
+        embed_to_conductor(CyclotomicNumber.root_of_unity(d, j), m).coeffs
+        for j in range(euler_phi(d))
+    ]
+    return tuple(zip(*columns))
+
+
+def _minimal_conductor_form(a: CyclotomicNumber) -> CyclotomicNumber:
+    """a rewritten in Q(zeta_d) for the least d with a in Q(zeta_d).
+
+    The fields containing a are closed under intersection, Q(zeta_d) and
+    Q(zeta_e) meeting in Q(zeta_gcd(d, e)), so the least such d divides every
+    conductor a can be written in and the form is the same for all of them.
+    """
+    m = a.conductor
+    for d in range(1, m + 1):
+        if m % d == 0:
+            coeffs = solve_rows(_embedding_rows(d, m), a.coeffs)
+            if coeffs is not None:
+                return CyclotomicNumber(d, tuple(coeffs))
+    raise AssertionError("a number always lies in its own conductor's field")
 
 
 def common_conductor(values: Sequence[CyclotomicNumber]) -> int:

@@ -161,11 +161,13 @@ def weight_of_monomial(action: ActionData, exponents: Sequence[int]) -> Characte
         raise ValueError(
             f"exponent tuple has length {len(exponents)}, expected {action.num_variables}"
         )
-    chi = action.group.trivial_character
+    divisors = action.group.elementary_divisors
+    comps = [0] * len(divisors)
     for a, w in zip(exponents, action.weights):
         if a:
-            chi = chi + w.times(a)
-    return chi
+            for k, c in enumerate(w.components):
+                comps[k] += a * c
+    return Character(divisors, tuple(comps))
 
 
 def regular_rep_multiset(group: FiniteAbelianGroup) -> Counter:

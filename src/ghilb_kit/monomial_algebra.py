@@ -3,8 +3,8 @@
 For a finite abelian group acting diagonally on S = K[x_1,...,x_n], the ideal
 generated by all invariant monomials of positive degree is a monomial ideal,
 so the quotient (the coinvariant algebra S-bar) has a canonical monomial basis
-and an exact multiplication table: a product of basis monomials is either
-again a basis monomial or zero.  Everything here is finite combinatorics; no
+and exact multiplication: a product of basis monomials is either again a
+basis monomial or zero.  Everything here is finite combinatorics; no
 Groebner machinery is used anywhere.
 
 The canonical monomial order throughout is graded lexicographic with
@@ -128,6 +128,29 @@ def monomials_of_degree(num_vars: int, degree: int) -> Iterator[Monomial]:
         yield Monomial(exps)
 
 
+def _staircase_levels(num_vars: int, is_generator) -> Iterator[list[tuple[int, ...]]]:
+    """Exponent tuples outside a monomial ideal, one ascending degree level at a time.
+
+    The complement of a monomial ideal is downward closed, so every member of
+    degree d + 1 is x_i times a member of degree d.  A monomial whose divisors
+    m/x_i all lie outside the ideal is inside it exactly when it is a minimal
+    generator, so is_generator is the only test needed.  The levels end at
+    the first empty one.
+    """
+    unit = (0,) * num_vars
+    level = [] if is_generator(unit) else [unit]
+    outside = set(level)
+    while level:
+        yield level
+        ups = {e[:v] + (e[v] + 1,) + e[v + 1:] for e in level for v in range(num_vars)}
+        level = sorted(
+            up for up in ups
+            if all(up[:v] + (a - 1,) + up[v + 1:] in outside for v, a in enumerate(up) if a)
+            and not is_generator(up)
+        )
+        outside.update(level)
+
+
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal given by its minimal generators (an antichain)."""
@@ -167,34 +190,38 @@ def quotient_staircase(ideal: MonomialIdeal, cap: int) -> Optional[list[Monomial
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    found: list[Monomial] = []
-    degree = 0
-    while True:
-        level = [m for m in monomials_of_degree(ideal.num_vars, degree) if not ideal.contains(m)]
-        if not level:
-            return found
+    gens = {g.exponents for g in ideal.min_gens}
+    found: list[tuple[int, ...]] = []
+    for level in _staircase_levels(ideal.num_vars, gens.__contains__):
         found.extend(level)
         if len(found) > cap:
             return None
-        degree += 1
+    return [Monomial(e) for e in found]
+
+
+def _invariant_staircase(action: ActionData) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Exponents of the minimal invariant generators and of the coinvariant basis.
+
+    Both lists are in graded-lex order.  The basis is walked upward level by
+    level; a candidate whose divisors m/x_i are all basis monomials is a
+    minimal generator exactly when it is invariant.
+    """
+    gens: list[tuple[int, ...]] = []
+
+    def invariant(e: tuple[int, ...]) -> bool:
+        if any(e) and weight_of_monomial(action, e).is_trivial:
+            gens.append(e)
+            return True
+        return False
+
+    basis = [e for level in _staircase_levels(action.num_variables, invariant) for e in level]
+    gens.sort(key=lambda e: (sum(e), e))
+    return gens, basis
 
 
 def invariant_generators(action: ActionData) -> list[Monomial]:
-    """Minimal monomial generators of the ideal of positive-degree invariants.
-
-    Any invariant monomial of degree > |G| contains a proper invariant
-    submonomial (pigeonhole on partial weight sums along its exponent word),
-    so searching total degrees 1..|G| and discarding multiples is exhaustive.
-    """
-    order = action.group.order
-    gens: list[Monomial] = []
-    for degree in range(1, order + 1):
-        for m in monomials_of_degree(action.num_variables, degree):
-            if any(g.divides(m) for g in gens):
-                continue
-            if weight_of_monomial(action, m.exponents).is_trivial:
-                gens.append(m)
-    return gens
+    """Minimal monomial generators of the ideal of positive-degree invariants."""
+    return [Monomial(g) for g in _invariant_staircase(action)[0]]
 
 
 def taylor_syzygies(ideal: MonomialIdeal) -> list[dict[int, tuple[int, Monomial]]]:
@@ -219,10 +246,11 @@ def taylor_syzygies(ideal: MonomialIdeal) -> list[dict[int, tuple[int, Monomial]
 class CoinvariantAlgebra:
     """The quotient of S by the ideal of positive-degree invariant monomials.
 
-    The basis consists of the monomials outside that ideal; it is finite
-    because x_i^(order of weight_i) is invariant, so basis exponents live in a
-    box.  Products of basis monomials multiply exactly: the product monomial
-    when it stays in the basis, zero when it falls into the ideal.
+    The basis consists of the monomials outside that ideal, in graded-lex
+    order; it is finite because x_i^(order of weight_i) is invariant.
+    Products of basis monomials multiply exactly: the product monomial when it
+    stays in the basis, zero when it falls into the ideal.  Products are
+    looked up on demand (mult_index); no multiplication table is stored.
     """
 
     def __init__(self, action: ActionData) -> None:
@@ -232,33 +260,21 @@ class CoinvariantAlgebra:
                 "the action is not faithful and the basis cannot carry every character"
             )
         self.action = action
-        self.invariant_gens: tuple[Monomial, ...] = tuple(invariant_generators(action))
+        gen_exps, basis_exps = _invariant_staircase(action)
+        self.invariant_gens: tuple[Monomial, ...] = tuple(Monomial(g) for g in gen_exps)
         self.ideal = MonomialIdeal(action.num_variables, self.invariant_gens)
-
-        box = [weight_of_monomial(action, m.exponents).order() for m in _unit_monomials(action.num_variables)]
-        basis = []
-        for m in _box_monomials(box):
-            if not self.ideal.contains(m):
-                basis.append(m)
-        basis.sort(key=lambda m: m.grlex_key)
-        self.basis: tuple[Monomial, ...] = tuple(basis)
+        self.basis: tuple[Monomial, ...] = tuple(Monomial(e) for e in basis_exps)
         self._index = {m: i for i, m in enumerate(self.basis)}
         self.weights: tuple[Character, ...] = tuple(
-            weight_of_monomial(action, m.exponents) for m in self.basis
+            weight_of_monomial(action, e) for e in basis_exps
         )
 
         if not self.basis or not self.basis[0].is_one:
             raise AssertionError("coinvariant basis must contain the unit monomial")
-        missing = [c for c in action.group.characters() if c not in set(self.weights)]
+        present = set(self.weights)
+        missing = [c for c in action.group.characters() if c not in present]
         if missing:
             raise AssertionError(f"characters missing from the basis: {missing}")
-
-        self.mult_table: dict[tuple[int, int], Optional[int]] = {}
-        for i, a in enumerate(self.basis):
-            for j in range(i, len(self.basis)):
-                k = self._index.get(a * self.basis[j])
-                self.mult_table[(i, j)] = k
-                self.mult_table[(j, i)] = k
 
     @property
     def dim(self) -> int:
@@ -275,7 +291,7 @@ class CoinvariantAlgebra:
 
     def mult_index(self, i: int, j: int) -> Optional[int]:
         """Basis index of basis[i]*basis[j], or None when the product is zero."""
-        return self.mult_table[(i, j)]
+        return self._index.get(self.basis[i] * self.basis[j])
 
     def variables(self) -> list[Monomial]:
         return _unit_monomials(self.action.num_variables)
@@ -317,18 +333,6 @@ def _unit_monomials(num_vars: int) -> list[Monomial]:
         Monomial(tuple(1 if j == i else 0 for j in range(num_vars)))
         for i in range(num_vars)
     ]
-
-
-def _box_monomials(box: list[int]) -> Iterator[Monomial]:
-    def rec(prefix: tuple[int, ...], i: int):
-        if i == len(box):
-            yield prefix
-            return
-        for a in range(box[i]):
-            yield from rec(prefix + (a,), i + 1)
-
-    for exps in rec((), 0):
-        yield Monomial(exps)
 
 
 def coinvariant_algebra(action: ActionData) -> CoinvariantAlgebra:

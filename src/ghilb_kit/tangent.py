@@ -384,7 +384,7 @@ def mckay_table(action: ActionData) -> McKayTable:
     group is covered at least once.
     """
     coinv = coinvariant_algebra(action)
-    clusters = tuple(enumerate_torus_fixed_clusters(action))
+    clusters = tuple(enumerate_torus_fixed_clusters(action, coinv))
     per_cluster = []
     appearances: dict[Character, set[int]] = {}
     for idx, cluster in enumerate(clusters):

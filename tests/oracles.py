@@ -112,6 +112,27 @@ def oracle_staircases(action, basis):
     return results
 
 
+def oracle_min_gens(staircase):
+    """Minimal generators of the monomials outside a finite staircase.
+
+    Every minimal generator has exponent at most one more than the staircase
+    maximum in each variable, so the search runs over that box: in ascending
+    degree, a monomial outside the staircase is kept unless a kept one divides
+    it.
+    """
+    n = len(staircase[0].exponents)
+    bounds = [max(m.exponents[i] for m in staircase) + 2 for i in range(n)]
+    inside = {m.exponents for m in staircase}
+    box = sorted(itertools.product(*(range(b) for b in bounds)), key=lambda e: (sum(e), e))
+    gens = []
+    for e in box:
+        if e in inside:
+            continue
+        if not any(all(a <= b for a, b in zip(g, e)) for g in gens):
+            gens.append(e)
+    return tuple(Monomial(g) for g in gens)
+
+
 # --- brute-force Hom spaces ----------------------------------------------
 
 

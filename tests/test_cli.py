@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -283,6 +284,29 @@ class TestOutputFormats:
         lines = dict(line.split("\t", 1) for line in out.splitlines())
         assert lines["0.generators"] == "x2,x1^2"
         assert lines["1.generators"] == "x1,x2^2"
+
+
+class TestGoldenOutput:
+    """sha256 of the default JSON stdout, pinned so later changes keep it byte-identical."""
+
+    @pytest.mark.parametrize("command,spec,digest", [
+        ("clusters", "cyclic:5:1,4",
+         "34c8b28ca69c7e14751d7b14e233e5648e2f0d969665391173c745b083be9ccc"),
+        ("clusters", "cyclic:7:1,2,4",
+         "35e93c43721c8825c901fc054c13109ea5d35981b35677fd51f3b8602c9fb104"),
+        ("clusters", "2x2 ; 1,0 | 0,1 | 1,1",
+         "5b2009834e966e07e4e6bc4e34ea2177e47af9b2ebdbec97fea68e14221c0c99"),
+        ("coinv", "cyclic:5:1,4",
+         "a8c825d5661dd6ec40ec33fb4ea7ddd7fab0f2737cfb780315e657c270b2fe29"),
+        ("coinv", "cyclic:7:1,2,4",
+         "98d68236955d2c539d3cfcfbb5c67d10bdcdbd0bedd6d9eeb67c20bfc26f63a7"),
+        ("coinv", "2x2 ; 1,0 | 0,1 | 1,1",
+         "29bacc9f446ba8fb3f14264724adbd7296474ecc373481c7bcca38a6d40e4fe4"),
+    ])
+    def test_stdout_digest(self, command, spec, digest, capsys):
+        code, out, _ = run(command, spec, capsys=capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestModuleInvocation:

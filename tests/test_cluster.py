@@ -26,7 +26,7 @@ from ghilb_kit.cluster import (
 from ghilb_kit.cyclotomic import CyclotomicNumber
 from ghilb_kit.group_rep import is_regular_representation, weight_of_monomial
 from ghilb_kit.monomial_algebra import Monomial, MonomialIdeal, coinvariant_algebra
-from oracles import oracle_eval, oracle_staircases
+from oracles import oracle_eval, oracle_min_gens, oracle_staircases
 
 F = Fraction
 
@@ -194,6 +194,23 @@ class TestEnumerate:
                 expected = oracle_staircases(action, coinv.basis)
                 got = {frozenset(c.staircase) for c in enumerate_torus_fixed_clusters(action)}
                 assert got == expected
+
+    def test_matches_exhaustive_oracle_three_variables(self):
+        rng = random.Random(23)
+        actions = [product_action((2, 2), ((1, 0), (0, 1), (1, 1)))]
+        while len(actions) < 7:
+            r = rng.randint(2, 6)
+            action = cyclic_action(r, [rng.randrange(1, r) for _ in range(3)])
+            if action.is_faithful() and coinvariant_algebra(action).dim <= 20:
+                actions.append(action)
+        for action in actions:
+            coinv = coinvariant_algebra(action)
+            clusters = enumerate_torus_fixed_clusters(action, coinv)
+            assert clusters == enumerate_torus_fixed_clusters(action)
+            expected = oracle_staircases(action, coinv.basis)
+            assert {frozenset(c.staircase) for c in clusters} == expected, action
+            for c in clusters:
+                assert c.ideal.min_gens == oracle_min_gens(c.staircase)
 
     def test_staircases_downward_closed(self):
         for cluster in enumerate_torus_fixed_clusters(sl2_action(6)):

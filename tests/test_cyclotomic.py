@@ -184,6 +184,26 @@ class TestEmbedding:
         assert a == b
         assert hash(a) == hash(b)
 
+    def test_hash_agrees_across_conductors(self):
+        z3 = CyclotomicNumber.root_of_unity(3)
+        z3_in_6 = embed_to_conductor(z3, 6)
+        assert z3 == z3_in_6
+        assert hash(z3) == hash(z3_in_6)
+        assert len({z3, z3_in_6}) == 1
+
+    def test_hash_agrees_after_random_embeddings(self):
+        rng = random.Random(11)
+        for m in (3, 4, 5, 6, 8, 9, 12):
+            for _ in range(5):
+                a = CyclotomicNumber.from_polynomial(
+                    [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(euler_phi(m))], m)
+                for k in (2, 3, 4):
+                    b = embed_to_conductor(a, k * m)
+                    assert a == b and hash(a) == hash(b)
+        # zeta_12^4 = zeta_3 and zeta_12^3 = i have smaller conductors than 12
+        assert hash(CyclotomicNumber.root_of_unity(12, 4)) == hash(CyclotomicNumber.root_of_unity(3))
+        assert hash(CyclotomicNumber.root_of_unity(12, 3)) == hash(CyclotomicNumber.root_of_unity(4))
+
 
 class TestCharacterValue:
     def test_identity_element(self):

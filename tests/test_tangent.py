@@ -89,6 +89,19 @@ class TestTangentSpace:
                 want = oracle_tangent_dim(action, cluster.ideal, cluster.staircase)
                 assert got == want, (action, cluster.ideal)
 
+    def test_abelian_sl3_counts_and_smoothness(self):
+        # Bridgeland-King-Reid: for abelian G in SL(3) the G-Hilbert scheme is a
+        # crepant resolution; its torus-fixed points number |G| and are smooth
+        for action in (cyclic_action(7, (1, 2, 4)), cyclic_action(13, (1, 3, 9)),
+                       cyclic_action(21, (1, 4, 16)),
+                       product_action((3, 3), ((1, 0), (0, 1), (2, 2))),
+                       product_action((4, 4), ((1, 0), (0, 1), (3, 3)))):
+            assert action.is_sl_action()
+            clusters = enumerate_torus_fixed_clusters(action)
+            assert len(clusters) == action.group.order
+            for cluster in clusters:
+                assert tangent_space(action, cluster).dimension == 3
+
     def test_trivial_group(self, trivial):
         hom = tangent_space(trivial, ideal(1, (1,)))
         assert hom.dimension == 1
