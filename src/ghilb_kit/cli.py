@@ -20,7 +20,6 @@ from ghilb_kit.cluster import (
     enumerate_torus_fixed_clusters,
     monomial_cluster,
     orbit_cluster,
-    subspace_rows_of_monomial_cluster,
     tau_support,
     verify_cluster,
 )
@@ -32,7 +31,7 @@ from ghilb_kit.monomial_algebra import (
     parse_monomial,
     quotient_staircase,
 )
-from ghilb_kit.tangent import eq8_map, mckay_table, relative_tangent_space, \
+from ghilb_kit.tangent import eq8_map, mckay_table, relative_data, relative_tangent_space, \
     stratification_rep, tangent_space
 
 
@@ -335,11 +334,11 @@ def cmd_tangent_report(action: ActionData, args) -> int:
         return 1
     cluster = monomial_cluster(action, ideal, args.cap)
     coinv = coinvariant_algebra(action)
-    rows = subspace_rows_of_monomial_cluster(coinv, cluster)
+    shared = relative_data(coinv, cluster)
     tangent = tangent_space(action, cluster, args.cap)
-    relative = relative_tangent_space(coinv, rows)
-    strat = stratification_rep(coinv, rows)
-    eq8 = eq8_map(coinv, rows)
+    relative = relative_tangent_space(coinv, shared)
+    strat = stratification_rep(coinv, shared)
+    eq8 = eq8_map(coinv, shared)
     combined = {
         "action": canonical_action_text(action),
         "ideal": [g.to_text() for g in ideal.min_gens],

@@ -42,6 +42,7 @@ from ghilb_kit.monomial_algebra import (
     Monomial,
     MonomialIdeal,
     coinvariant_algebra,
+    colength,
     invariant_generators,
     quotient_staircase,
 )
@@ -163,9 +164,15 @@ def is_ideal_subspace(coinv: CoinvariantAlgebra, subspace) -> bool:
 
 def _monomial_report(action: ActionData, ideal: MonomialIdeal, cap: Optional[int]):
     order = action.group.order
-    staircase = quotient_staircase(ideal, cap if cap is not None else 4 * order)
+    cap = cap if cap is not None else 4 * order
+    staircase = quotient_staircase(ideal, cap)
     if staircase is None:
-        return ClusterReport(False, None, None, "quotient not finite"), None
+        dim = colength(ideal)
+        if dim is None:
+            return ClusterReport(False, None, None, "quotient not finite"), None
+        if dim == order:
+            return ClusterReport(False, dim, None, f"dimension {dim} exceeds the cap {cap}"), None
+        return ClusterReport(False, dim, None, f"dimension {dim} ≠ {order}"), None
     chars = tuple(sorted(weight_of_monomial(action, m.exponents) for m in staircase))
     dim = len(staircase)
     if dim != order:
@@ -224,7 +231,8 @@ def verify_cluster(action: ActionData, target, cap: Optional[int] = None,
     Accepts a MonomialIdeal (checked in the full polynomial ring through its
     staircase), a matrix of rows spanning a subspace of the coinvariant
     algebra, or a GCluster of any kind.  A non-finite quotient is reported as
-    a failure, not raised.
+    a failure, not raised; so is a finite one past the staircase cap, with
+    its exact dimension.
     """
     if isinstance(target, GCluster):
         if target.kind == "monomial":
@@ -288,16 +296,10 @@ def enumerate_torus_fixed_clusters(action: ActionData,
     order = action.group.order
     num_vars = action.num_variables
 
-    # the basis is downward closed, so every m/x_i of a basis monomial m is in it;
     # missing[i] counts the divisors m/x_i of basis[i] not yet in the staircase
-    index = {e: i for i, e in enumerate(exps)}
-    ups: list[list[int]] = [[] for _ in range(dim)]
-    missing = [0] * dim
-    for i, e in enumerate(exps):
-        for v, a in enumerate(e):
-            if a:
-                ups[index[e[:v] + (a - 1,) + e[v + 1:]]].append(i)
-                missing[i] += 1
+    up, down = coinv.variable_steps()
+    ups = [[k for k in row if k is not None] for row in up]
+    missing = [sum(d is not None for d in row) for row in down]
     char_id = {chi: k for k, chi in enumerate(action.group.characters())}
     chars = [char_id[w] for w in coinv.weights]
     suffix: list[frozenset] = [frozenset()] * (dim + 1)

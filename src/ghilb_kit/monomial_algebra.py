@@ -185,8 +185,7 @@ def quotient_staircase(ideal: MonomialIdeal, cap: int) -> Optional[list[Monomial
 
     The staircase is enumerated degree by degree; it is downward closed, so an
     empty degree level means it is exhausted.  When more than `cap` monomials
-    accumulate the staircase is reported as infinite (None) without deciding
-    finiteness exactly.
+    accumulate it returns None; colength decides finiteness exactly.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
@@ -197,6 +196,34 @@ def quotient_staircase(ideal: MonomialIdeal, cap: int) -> Optional[list[Monomial
         if len(found) > cap:
             return None
     return [Monomial(e) for e in found]
+
+
+def colength(ideal: MonomialIdeal) -> Optional[int]:
+    """Dimension of S/I, or None when the quotient is not finite.
+
+    The quotient is finite exactly when the minimal generators hold a pure
+    power of every variable.  The count slices the staircase by the exponent
+    of the last variable: the slice at height k is the staircase of the ideal
+    in one variable fewer generated by the generators of height at most k, so
+    it only changes at generator heights.  Nothing is enumerated.
+    """
+    gens = [g.exponents for g in ideal.min_gens]
+    n = ideal.num_vars
+    for v in range(n):
+        if not any(all(a == 0 for w, a in enumerate(g) if w != v) for g in gens):
+            return None
+
+    def count(gens: list[tuple[int, ...]], n: int) -> int:
+        if n == 0:
+            return 0 if gens else 1
+        heights = sorted({0} | {g[n - 1] for g in gens})
+        # the top slice holds the pure power of x_n, so it is empty
+        return sum(
+            (hi - lo) * count([g[:n - 1] for g in gens if g[n - 1] <= lo], n - 1)
+            for lo, hi in zip(heights, heights[1:])
+        )
+
+    return count(gens, n)
 
 
 def _invariant_staircase(action: ActionData) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -265,6 +292,7 @@ class CoinvariantAlgebra:
         self.ideal = MonomialIdeal(action.num_variables, self.invariant_gens)
         self.basis: tuple[Monomial, ...] = tuple(Monomial(e) for e in basis_exps)
         self._index = {m: i for i, m in enumerate(self.basis)}
+        self._steps: Optional[tuple] = None
         self.weights: tuple[Character, ...] = tuple(
             weight_of_monomial(action, e) for e in basis_exps
         )
@@ -292,6 +320,29 @@ class CoinvariantAlgebra:
     def mult_index(self, i: int, j: int) -> Optional[int]:
         """Basis index of basis[i]*basis[j], or None when the product is zero."""
         return self._index.get(self.basis[i] * self.basis[j])
+
+    def variable_steps(self) -> tuple[list[list[Optional[int]]], list[list[Optional[int]]]]:
+        """Index tables of multiplication and division by the variables.
+
+        up[i][v] is the basis index of x_v * basis[i], or None when that
+        product is zero; down[i][v] is the index of basis[i] / x_v, or None
+        when x_v does not divide basis[i] (the basis is downward closed, so
+        every other quotient is a basis monomial).  Built on first use.
+        """
+        if self._steps is None:
+            n = self.action.num_variables
+            index = {m.exponents: i for i, m in enumerate(self.basis)}
+            up: list[list[Optional[int]]] = [[None] * n for _ in self.basis]
+            down: list[list[Optional[int]]] = [[None] * n for _ in self.basis]
+            for i, m in enumerate(self.basis):
+                e = m.exponents
+                for v in range(n):
+                    k = index.get(e[:v] + (e[v] + 1,) + e[v + 1:])
+                    if k is not None:
+                        up[i][v] = k
+                        down[k][v] = i
+            self._steps = (up, down)
+        return self._steps
 
     def variables(self) -> list[Monomial]:
         return _unit_monomials(self.action.num_variables)

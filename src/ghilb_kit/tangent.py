@@ -15,6 +15,17 @@ minimal generators, the restriction-to-generators map from the relative
 tangent space into the weight-preserving linear maps out of it, and the
 per-action McKay table aggregating stratification characters over all
 torus-fixed clusters.
+
+The three relative operations share one RelativeData (see relative_data),
+which takes one of two paths:
+
+* a monomial cluster or MonomialIdeal works on coinvariant basis indices:
+  the spanning set is the basis monomials in the ideal, the minimal
+  generators are those with no quotient by a variable in the ideal, and
+  the Hom-space equations equate or kill single unknowns, so a union-find
+  over the unknowns replaces elimination;
+* raw rows (and subspace clusters) take the dense path over the rationals,
+  which is also the test oracle of the index path.
 """
 
 from __future__ import annotations
@@ -23,13 +34,13 @@ import bisect
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from ghilb_kit.cluster import (
     GCluster,
     enumerate_torus_fixed_clusters,
     is_ideal_subspace,
-    subspace_rows_of_monomial_cluster,
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber
 from ghilb_kit.exact_linalg import kernel_basis_rows, reduce_vector, rref_rows
@@ -39,6 +50,7 @@ from ghilb_kit.monomial_algebra import (
     Monomial,
     MonomialIdeal,
     coinvariant_algebra,
+    colength,
     quotient_staircase,
     taylor_syzygies,
 )
@@ -117,7 +129,9 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal],
         ideal = cluster
         found = quotient_staircase(ideal, cap if cap is not None else 4 * action.group.order)
         if found is None:
-            raise ValueError("quotient is not finite-dimensional")
+            if colength(ideal) is None:
+                raise ValueError("quotient is not finite-dimensional")
+            raise ValueError("quotient staircase exceeds the cap")
         staircase = found
 
     stair_index = {m: t for t, m in enumerate(staircase)}
@@ -174,14 +188,9 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal],
 
 def _subspace_rows(coinv: CoinvariantAlgebra, subspace) -> list[list[Fraction]]:
     if isinstance(subspace, GCluster):
-        if subspace.kind == "monomial":
-            rows = subspace_rows_of_monomial_cluster(coinv, subspace)
-        elif subspace.kind == "subspace":
-            rows = subspace.rows
-        else:
+        if subspace.kind != "subspace":
             raise ValueError("orbit clusters have no subspace presentation in S-bar")
-    elif isinstance(subspace, MonomialIdeal):
-        rows = subspace_rows_of_monomial_cluster(coinv, subspace)
+        rows = subspace.rows
     else:
         rows = subspace
     out = []
@@ -208,10 +217,52 @@ def _echelon_insert(rows: list, pivots: list, vec: list) -> bool:
     return True
 
 
-class _RelativeData:
-    """Shared computation behind the relative tangent operations."""
+class RelativeData:
+    """One relative tangent computation, shared by the public operations.
 
-    def __init__(self, coinv: CoinvariantAlgebra, subspace, need_hom: bool) -> None:
+    Build it with relative_data and pass it in place of the subspace to
+    relative_tangent_space, stratification_rep and eq8_map; each part is
+    computed on first use.  The spanning rows of the ideal subspace are
+    indexed by j (row_weights), the quotient columns by c (qcols, qweights),
+    and the unknowns of the Hom space are the weight-compatible slots (j, c).
+    Subclasses provide row, generator_indices and kernel.
+    """
+
+    coinv: CoinvariantAlgebra
+    row_weights: list[Character]
+    qcols: list[int]
+
+    @cached_property
+    def qweights(self) -> list[Character]:
+        return [self.coinv.weights[q] for q in self.qcols]
+
+    @cached_property
+    def slots(self) -> list[tuple[int, int]]:
+        cols_of: dict[Character, list[int]] = {}
+        for c, w in enumerate(self.qweights):
+            cols_of.setdefault(w, []).append(c)
+        return [(j, c) for j, w in enumerate(self.row_weights) for c in cols_of.get(w, ())]
+
+    @cached_property
+    def slot_index(self) -> dict[tuple[int, int], int]:
+        return {s: i for i, s in enumerate(self.slots)}
+
+    def hom_matrices(self) -> list[tuple[tuple[Fraction, ...], ...]]:
+        out = []
+        for vec in self.kernel:
+            matrix = [[Q0] * len(self.qcols) for _ in self.row_weights]
+            for si, value in enumerate(vec):
+                if value:
+                    j, c = self.slots[si]
+                    matrix[j][c] = value
+            out.append(tuple(tuple(r) for r in matrix))
+        return out
+
+
+class _DenseRelative(RelativeData):
+    """Relative data of a row span, by exact elimination over the rationals."""
+
+    def __init__(self, coinv: CoinvariantAlgebra, subspace) -> None:
         self.coinv = coinv
         rows = _subspace_rows(coinv, subspace)
         self.rref, self.pivots = rref_rows(rows)
@@ -221,42 +272,28 @@ class _RelativeData:
             self.row_weights = [coinv.vector_weight(r) for r in self.rref]
         except ValueError:
             raise ValueError("subspace is not weight-graded") from None
-
         pivot_set = set(self.pivots)
         self.qcols = [i for i in range(coinv.dim) if i not in pivot_set]
-        self.qweights = [coinv.weights[q] for q in self.qcols]
 
-        self.slots = [
-            (j, c)
-            for j in range(len(self.rref))
-            for c in range(len(self.qcols))
-            if self.row_weights[j] == self.qweights[c]
-        ]
-        self.slot_index = {s: i for i, s in enumerate(self.slots)}
+    def row(self, j: int) -> tuple[Fraction, ...]:
+        return tuple(self.rref[j])
 
-        self._find_minimal_generators()
-        if need_hom:
-            self._solve()
-
-    def _find_minimal_generators(self) -> None:
-        coinv = self.coinv
-        mrows: list[list[Fraction]] = []
-        for b in coinv.basis:
-            if b.is_one:
-                continue
+    @cached_property
+    def generator_indices(self) -> list[int]:
+        # the subspace is an ideal, so products by the variables span mbar*Ibar
+        mrows = []
+        for var in self.coinv.variables():
             for r in self.rref:
-                prod = coinv.monomial_times_vector(b, r)
+                prod = self.coinv.monomial_times_vector(var, r)
                 if any(prod):
                     mrows.append(prod)
         work, work_pivots = rref_rows(mrows)
         work = [list(r) for r in work]
         work_pivots = list(work_pivots)
-        self.generator_indices = []
-        for j, row in enumerate(self.rref):
-            if _echelon_insert(work, work_pivots, row):
-                self.generator_indices.append(j)
+        return [j for j, row in enumerate(self.rref) if _echelon_insert(work, work_pivots, row)]
 
-    def _solve(self) -> None:
+    @cached_property
+    def kernel(self) -> list[list[Fraction]]:
         coinv = self.coinv
         nq = len(self.qcols)
         equations: list[list[Fraction]] = []
@@ -294,18 +331,122 @@ class _RelativeData:
                             row_vec[s] = coeff
                         if any(row_vec):
                             equations.append(row_vec)
-        self.kernel = kernel_basis_rows(equations, len(self.slots))
+        return kernel_basis_rows(equations, len(self.slots))
 
-    def hom_matrices(self) -> list[tuple[tuple[Fraction, ...], ...]]:
-        out = []
-        for vec in self.kernel:
-            matrix = [[Q0] * len(self.qcols) for _ in self.rref]
-            for si, value in enumerate(vec):
-                if value:
-                    j, c = self.slots[si]
-                    matrix[j][c] = value
-            out.append(tuple(tuple(r) for r in matrix))
-        return out
+
+class _MonomialRelative(RelativeData):
+    """Relative data of a monomial ideal, on coinvariant basis indices.
+
+    The image of the ideal in S-bar is spanned by the basis monomials it
+    contains (the pivots), so every step is a lookup in the variable-step
+    tables: no coefficient row of the coinvariant dimension is formed
+    except the unit rows the public results return.
+    """
+
+    def __init__(self, coinv: CoinvariantAlgebra, ideal: MonomialIdeal) -> None:
+        self.coinv = coinv
+        up, down = coinv.variable_steps()
+        gens = {g.exponents for g in ideal.min_gens}
+        # graded-lex order lists every divisor m/x_v before m
+        inside = [False] * coinv.dim
+        for i, m in enumerate(coinv.basis):
+            inside[i] = m.exponents in gens or any(d is not None and inside[d] for d in down[i])
+        self.inside = inside
+        self.pivots = [i for i in range(coinv.dim) if inside[i]]
+        self.qcols = [i for i in range(coinv.dim) if not inside[i]]
+        # ideal closure: x_v * b_p is zero or again a pivot
+        if any(k is not None and not inside[k] for p in self.pivots for k in up[p]):
+            raise AssertionError("ideal closure failed on basis indices")
+        self.row_weights = [coinv.weights[p] for p in self.pivots]
+
+    def row(self, j: int) -> tuple[Fraction, ...]:
+        row = [Q0] * self.coinv.dim
+        row[self.pivots[j]] = Q1
+        return tuple(row)
+
+    @cached_property
+    def generator_indices(self) -> list[int]:
+        """Pivots p with no b_p / x_v among the pivots: the minimal generators."""
+        down = self.coinv.variable_steps()[1]
+        inside = self.inside
+        return [j for j, p in enumerate(self.pivots)
+                if not any(d is not None and inside[d] for d in down[p])]
+
+    @cached_property
+    def kernel(self) -> list[list[Fraction]]:
+        """The Hom space, from equations a[l, c2] = a[j, c] and a[s] = 0.
+
+        For a variable x_v and a pivot b_p (row j), compatibility reads, at
+        each quotient column c2: a[l, c2] - a[j, c] = 0, where b_l = x_v*b_p
+        (no term when that product is zero) and b_q(c2) = x_v*b_q(c) (no term
+        when the product is zero or lies in the ideal).  So every equation is
+        a +-1 row with at most two terms, and its kernel is spanned by the
+        indicators of the slot classes that the equalities join and no
+        single-term equation kills.  Listed by descending largest slot, these
+        are exactly the canonical kernel basis of kernel_basis_rows.
+        """
+        up = self.coinv.variable_steps()[0]
+        nslots = len(self.slots)
+        row_of = {p: j for j, p in enumerate(self.pivots)}
+        qpos = {q: c for c, q in enumerate(self.qcols)}
+        slots_of_row: list[list[tuple[int, int]]] = [[] for _ in self.pivots]
+        for s, (j, c) in enumerate(self.slots):
+            slots_of_row[j].append((c, s))
+
+        parent = list(range(nslots))
+        killed = [False] * nslots
+
+        def find(s: int) -> int:
+            while parent[s] != s:
+                parent[s] = parent[parent[s]]
+                s = parent[s]
+            return s
+
+        for v in range(self.coinv.action.num_variables):
+            for j, p in enumerate(self.pivots):
+                terms: dict[int, list[int]] = {}
+                l = up[p][v]
+                if l is not None:
+                    for c2, s in slots_of_row[row_of[l]]:
+                        terms.setdefault(c2, []).append(s)
+                for c, s in slots_of_row[j]:
+                    c2 = qpos.get(up[self.qcols[c]][v])
+                    if c2 is not None:
+                        terms.setdefault(c2, []).append(s)
+                for eq in terms.values():
+                    roots = [find(s) for s in eq]
+                    parent[roots[-1]] = roots[0]
+                    killed[roots[0]] = killed[roots[0]] or killed[roots[-1]] or len(eq) == 1
+
+        classes: dict[int, list[int]] = {}
+        for s in range(nslots):
+            classes.setdefault(find(s), []).append(s)
+        kernel = []
+        for root, members in sorted(classes.items(), key=lambda kv: -kv[1][-1]):
+            if not killed[root]:
+                vec = [Q0] * nslots
+                for s in members:
+                    vec[s] = Q1
+                kernel.append(vec)
+        return kernel
+
+
+def relative_data(coinv: CoinvariantAlgebra, subspace) -> RelativeData:
+    """The shared relative tangent computation for an ideal subspace of S-bar.
+
+    A monomial GCluster or a MonomialIdeal takes the index path; rows (or a
+    subspace GCluster) take the dense path.  A RelativeData built for the
+    same coinvariant algebra is returned as it is.
+    """
+    if isinstance(subspace, RelativeData):
+        if subspace.coinv is not coinv:
+            raise ValueError("relative data was built for another coinvariant algebra")
+        return subspace
+    if isinstance(subspace, GCluster) and subspace.kind == "monomial":
+        return _MonomialRelative(coinv, subspace.ideal)
+    if isinstance(subspace, MonomialIdeal):
+        return _MonomialRelative(coinv, subspace)
+    return _DenseRelative(coinv, subspace)
 
 
 def relative_tangent_space(coinv: CoinvariantAlgebra, subspace) -> EquivariantHomSpace:
@@ -314,11 +455,12 @@ def relative_tangent_space(coinv: CoinvariantAlgebra, subspace) -> EquivariantHo
     Unknowns are the weight-compatible images of the echelon spanning rows;
     the constraints force compatibility with multiplication by each variable,
     which pins down a module homomorphism (the variables generate the
-    algebra, and a homomorphism is determined on a spanning set).
+    algebra, and a homomorphism is determined on a spanning set).  The
+    subspace is anything relative_data accepts.
     """
-    data = _RelativeData(coinv, subspace, need_hom=True)
+    data = relative_data(coinv, subspace)
     return EquivariantHomSpace(
-        source_generators=tuple(tuple(r) for r in data.rref),
+        source_generators=tuple(data.row(j) for j in range(len(data.row_weights))),
         generator_weights=tuple(data.row_weights),
         target_basis=tuple(coinv.basis[q] for q in data.qcols),
         target_weights=tuple(data.qweights),
@@ -331,11 +473,11 @@ def stratification_rep(coinv: CoinvariantAlgebra, subspace) -> StratRep:
     """Basis and characters of Ibar/(mbar Ibar) on the minimal generators.
 
     The minimal generators are the echelon spanning rows that survive modulo
-    the span of all products (positive-degree basis monomial) * (row); their
-    count is the number of minimal generators of Ibar as a module.
+    mbar*Ibar, the span of the products (variable) * (row); their count is
+    the number of minimal generators of Ibar as a module.
     """
-    data = _RelativeData(coinv, subspace, need_hom=False)
-    gens = tuple(tuple(data.rref[j]) for j in data.generator_indices)
+    data = relative_data(coinv, subspace)
+    gens = tuple(data.row(j) for j in data.generator_indices)
     chars = tuple(sorted(data.row_weights[j] for j in data.generator_indices))
     return StratRep(generators=gens, characters=chars)
 
@@ -348,7 +490,7 @@ def eq8_map(coinv: CoinvariantAlgebra, subspace) -> Eq8Report:
     (multiplicity in the generators) * (multiplicity in the quotient).
     Reports whether the restriction is injective and an isomorphism.
     """
-    data = _RelativeData(coinv, subspace, need_hom=True)
+    data = relative_data(coinv, subspace)
     gen_weights = [data.row_weights[j] for j in data.generator_indices]
     strat_mult = Counter(gen_weights)
     quot_mult = Counter(data.qweights)
@@ -388,7 +530,7 @@ def mckay_table(action: ActionData) -> McKayTable:
     per_cluster = []
     appearances: dict[Character, set[int]] = {}
     for idx, cluster in enumerate(clusters):
-        strat = stratification_rep(coinv, subspace_rows_of_monomial_cluster(coinv, cluster))
+        strat = stratification_rep(coinv, cluster)
         per_cluster.append(strat.characters)
         for chi in set(strat.characters):
             appearances.setdefault(chi, set()).add(idx)

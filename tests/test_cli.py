@@ -94,6 +94,20 @@ class TestExitCodes:
         assert report["reason"] == "dimension 1 ≠ 2"
         assert report["tau"] is None
 
+    def test_finite_past_cap_reports_dimension(self, capsys):
+        code, out, _ = run("verify", "cyclic:2:1,1", "--ideal", "x1^9,x2", capsys=capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["reason"] == "dimension 9 ≠ 2"
+        assert report["staircase"] is None
+
+    def test_infinite_quotient_reported(self, capsys):
+        code, out, _ = run("verify", "cyclic:2:1,1", "--ideal", "x1^2", capsys=capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["reason"] == "quotient not finite"
+        assert report["staircase"] is None
+
     def test_domain_failure_non_faithful(self, capsys):
         code, _, err = run("coinv", "cyclic:4:2,2", capsys=capsys)
         assert code == 1
@@ -302,9 +316,30 @@ class TestGoldenOutput:
          "98d68236955d2c539d3cfcfbb5c67d10bdcdbd0bedd6d9eeb67c20bfc26f63a7"),
         ("coinv", "2x2 ; 1,0 | 0,1 | 1,1",
          "29bacc9f446ba8fb3f14264724adbd7296474ecc373481c7bcca38a6d40e4fe4"),
+        ("mckay", "cyclic:5:1,2",
+         "396d4854397402f562bf513dfc2a1a3903f44a42e423813ac371c3721b9f4d86"),
+        ("mckay", "cyclic:7:1,2,4",
+         "99fd60e153aa2f6c9ca58aa479fd0e59a94dafcf774d7e788e62b476d5f3dea7"),
+        ("mckay", "2x2 ; 1,0 | 0,1 | 1,1",
+         "ca8903e77d17f0e6f79f495a205cae47ef696cc7522dc3dd7fcc4e8cabcd5791"),
     ])
     def test_stdout_digest(self, command, spec, digest, capsys):
         code, out, _ = run(command, spec, capsys=capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("spec,ideal,digest", [
+        ("cyclic:5:1,2", "x1^2,x2^3,x1*x2^2",
+         "f1cd70dfb161cba5916830bf85d732001b41d41db012f991d3b261b02b24c2be"),
+        ("cyclic:5:1,2", "x2,x1^5",
+         "9ed36309c9ff9db01639c35006633758f1b2e63b277c6592b6f42313e491f544"),
+        ("cyclic:7:1,2,4", "x3^2,x2^2,x1^2,x1*x2*x3",
+         "6e377d985a44b8fed0da6f9424d24d1ded6a3b6db178a0d61bbaea151adec8a4"),
+        ("cyclic:7:1,2,4", "x2,x3^2,x1^3*x3,x1^4",
+         "d5b5b57ebd7b8acc81eb9ddf6783c077634d70d8a106e025d662da0ed42a8d15"),
+    ])
+    def test_tangent_digest(self, spec, ideal, digest, capsys):
+        code, out, _ = run("tangent", spec, "--ideal", ideal, capsys=capsys)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

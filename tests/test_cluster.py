@@ -71,10 +71,26 @@ class TestVerifyMonomial:
 
     def test_cap_override(self, z2):
         big = ideal(2, (5, 0), (0, 5))  # staircase size 25 > 4*|G| = 8
-        assert verify_cluster(z2, big).failure_reason == "quotient not finite"
+        past_cap = verify_cluster(z2, big)
+        assert past_cap.failure_reason == "dimension 25 ≠ 2"
+        assert past_cap.quotient_dim == 25
+        assert past_cap.characters is None
         report = verify_cluster(z2, big, cap=25)
         assert report.quotient_dim == 25
         assert report.failure_reason == "dimension 25 ≠ 2"
+
+
+    def test_finite_past_cap_gets_dimension_reason(self, z2):
+        report = verify_cluster(z2, ideal(2, (9, 0), (0, 1)))
+        assert not report.is_cluster
+        assert report.quotient_dim == 9
+        assert report.failure_reason == "dimension 9 ≠ 2"
+
+    def test_cluster_past_a_small_cap(self, z2):
+        report = verify_cluster(z2, ideal(2, (2, 0), (0, 1)), cap=1)
+        assert not report.is_cluster
+        assert report.quotient_dim == 2
+        assert report.failure_reason == "dimension 2 exceeds the cap 1"
 
 
 class TestVerifySubspace:

@@ -16,6 +16,7 @@ from ghilb_kit.monomial_algebra import (
     Monomial,
     MonomialIdeal,
     coinvariant_algebra,
+    colength,
     invariant_generators,
     monomials_of_degree,
     parse_monomial,
@@ -119,6 +120,33 @@ class TestQuotientStaircase:
         assert quotient_staircase(ideal, 3) is None
         with pytest.raises(ValueError):
             quotient_staircase(ideal, 0)
+
+    def test_colength_pinned_examples(self):
+        assert colength(MonomialIdeal(2, (mono(9, 0), mono(0, 1)))) == 9
+        assert colength(MonomialIdeal(2, (mono(2, 0),))) is None
+        assert colength(MonomialIdeal(2, (mono(2, 0), mono(1, 1)))) is None
+        assert colength(MonomialIdeal(3, (mono(0, 0, 0),))) == 0
+        assert colength(MonomialIdeal(1, (mono(5),))) == 5
+        # the full staircase would hold 10^12 monomials
+        assert colength(MonomialIdeal(2, (mono(10 ** 6, 0), mono(0, 10 ** 6)))) == 10 ** 12
+
+    def test_colength_matches_staircase(self):
+        rng = random.Random(61)
+        finite = 0
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            gens = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.7:
+                gens += [tuple(rng.randint(1, 6) if w == v else 0 for w in range(n))
+                         for v in range(n)]
+            ideal = MonomialIdeal(n, tuple(Monomial(g) for g in gens))
+            stair = quotient_staircase(ideal, 300)
+            if stair is not None:
+                finite += 1
+                assert colength(ideal) == len(stair), ideal
+            elif colength(ideal) is not None:
+                assert colength(ideal) > 300, ideal
+        assert finite > 100
 
     def test_graded_lex_output(self):
         ideal = MonomialIdeal(2, (mono(3, 0), mono(0, 3), mono(1, 1)))

@@ -21,6 +21,7 @@ from ghilb_kit.monomial_algebra import Monomial, MonomialIdeal, coinvariant_alge
 from ghilb_kit.tangent import (
     eq8_map,
     mckay_table,
+    relative_data,
     relative_tangent_space,
     stratification_rep,
     tangent_space,
@@ -270,6 +271,62 @@ class TestRelativeTangentSpace:
         assert hom.dimension == 0
 
 
+class TestMonomialPath:
+    """The index path for monomial clusters against the dense path on unit rows."""
+
+    @staticmethod
+    def random_actions(seed: int, count: int) -> list:
+        rng = random.Random(seed)
+        actions = [product_action((2, 2), ((1, 0), (0, 1), (1, 1))),
+                   product_action((2, 4), ((1, 0), (0, 1))),
+                   product_action((3, 3), ((1, 0), (0, 1), (2, 2))),
+                   cyclic_action(4, (1, 0, 2))]
+        while len(actions) < count:
+            n = rng.choice((2, 3))
+            r = rng.randint(2, 9)
+            action = cyclic_action(r, [rng.randrange(1, r) for _ in range(n)])
+            if action.is_faithful() and coinvariant_algebra(action).dim <= 30:
+                actions.append(action)
+        return actions
+
+    def test_equals_dense_path(self):
+        checked = 0
+        for action in self.random_actions(71, 24):
+            coinv = coinvariant_algebra(action)
+            for cluster in enumerate_torus_fixed_clusters(action, coinv):
+                rows = subspace_rows_of_monomial_cluster(coinv, cluster)
+                for fn in (relative_tangent_space, stratification_rep, eq8_map):
+                    dense = fn(coinv, rows)
+                    assert fn(coinv, cluster) == dense, (fn.__name__, action, cluster.ideal)
+                    assert fn(coinv, cluster.ideal) == dense, (fn.__name__, action, cluster.ideal)
+                checked += 1
+        assert checked > 60
+
+    def test_non_cluster_ideals_equal_dense_path(self):
+        # images in S-bar of monomial ideals that are not clusters
+        action = cyclic_action(5, (1, 2))
+        coinv = coinvariant_algebra(action)
+        for gens in (((1, 0),), ((0, 1), (2, 0)), ((2, 0), (1, 1), (0, 2)), ((0, 0),)):
+            target = ideal(2, *gens)
+            rows = subspace_rows_of_monomial_cluster(coinv, target)
+            for fn in (relative_tangent_space, stratification_rep, eq8_map):
+                assert fn(coinv, target) == fn(coinv, rows), (fn.__name__, gens)
+
+    def test_shared_data_matches_fresh_calls(self):
+        action = cyclic_action(7, (1, 2, 4))
+        coinv = coinvariant_algebra(action)
+        for cluster in enumerate_torus_fixed_clusters(action, coinv):
+            shared = relative_data(coinv, cluster)
+            for fn in (relative_tangent_space, stratification_rep, eq8_map):
+                assert fn(coinv, shared) == fn(coinv, cluster)
+
+    def test_shared_data_tied_to_its_algebra(self, z3):
+        coinv = coinvariant_algebra(z3)
+        shared = relative_data(coinv, enumerate_torus_fixed_clusters(z3, coinv)[0])
+        with pytest.raises(ValueError, match="another coinvariant algebra"):
+            stratification_rep(coinvariant_algebra(z3), shared)
+
+
 class TestStratification:
     def test_z2_example(self, z2):
         coinv = coinvariant_algebra(z2)
@@ -400,6 +457,19 @@ class TestMcKay:
         assert table.incidence == ()
         assert table.all_nontrivial_covered
         assert table.missing == ()
+
+    def test_type_a_incidence_scale_free(self):
+        # G-Hilb of C^2/Z_r (weights 1, r-1) resolves the A_(r-1) singularity:
+        # r torus-fixed points on a chain of r-1 exceptional curves, each
+        # nontrivial character on exactly the two fixed points of its curve
+        for r in (2, 5, 11, 25, 40):
+            action = sl2_action(r)
+            table = mckay_table(action)
+            assert len(table.clusters) == r
+            assert table.all_nontrivial_covered
+            nontrivial = sorted(c for c in action.group.characters() if not c.is_trivial)
+            assert [chi for chi, _ in table.incidence] == nontrivial
+            assert all(len(idxs) == 2 for _, idxs in table.incidence), r
 
     def test_stable_across_runs(self, z3):
         a = mckay_table(z3)
