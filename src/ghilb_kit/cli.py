@@ -416,6 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     needs_ideal = {"verify", "tau", "tangent", "fiber-tangent", "stratify", "eq8-check"}
     ideal_required = needs_ideal - {"tau"}
     needs_point = {"tau", "orbit"}
+    reads_cap = needs_ideal | {"clusters"}
 
     for name, help_text in helps.items():
         sp = sub.add_parser(name, help=help_text)
@@ -424,8 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "tsv"), default="json",
                         help="output format (default json)")
         sp.add_argument("--out", default=None, help="write the report to this path")
-        sp.add_argument("--cap", type=int, default=None,
-                        help="staircase size cap (default 4*|G|); orbit evaluation degree seed")
+        if name in reads_cap:
+            sp.add_argument("--cap", type=int, default=None,
+                            help="staircase size cap (default 4*|G|)")
         if name in needs_ideal:
             sp.add_argument("--ideal", default=None, required=name in ideal_required,
                             help='comma-separated monomial generators, e.g. "y,x^2"')
@@ -441,7 +443,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.cap is not None and args.cap < 1:
+    if getattr(args, "cap", None) is not None and args.cap < 1:
         print("ghilb: error: --cap must be positive", file=sys.stderr)
         return 2
     try:

@@ -216,7 +216,7 @@ def _subspace_report(action: ActionData, coinv: CoinvariantAlgebra, rows) -> Clu
 def _orbit_report(action: ActionData, points, conductor: int) -> ClusterReport:
     order = action.group.order
     dim = len(points)
-    chars = _orbit_characters(action, points, conductor)
+    chars = _orbit_characters(action.group, _fixed_point_counts(action, points, conductor), dim)
     if dim != order:
         return ClusterReport(False, dim, chars, f"dimension {dim} ≠ {order}")
     if not is_regular_representation(action.group, chars):
@@ -428,22 +428,23 @@ def _group_scalars(action: ActionData, g, conductor: int) -> tuple[CyclotomicNum
     )
 
 
-def _orbit_characters(action: ActionData, points, conductor: int) -> tuple[Character, ...]:
-    """Character multiset of the functions on an orbit, via fixed-point counts."""
-    group = action.group
-    m = group.exponent
-    counts = {}
-    for g in group.elements():
+def _fixed_point_counts(action: ActionData, points, conductor: int):
+    """Pairs (g, number of the points that g fixes), in group element order."""
+    counts = []
+    for g in action.group.elements():
         scalars = _group_scalars(action, g, conductor)
-        fixed = 0
-        for p in points:
-            if all(s * c == c for s, c in zip(scalars, p)):
-                fixed += 1
-        counts[g] = fixed
+        fixed = sum(1 for p in points if all(s * c == c for s, c in zip(scalars, p)))
+        counts.append((g, fixed))
+    return tuple(counts)
+
+
+def _orbit_characters(group, counts, size: int) -> tuple[Character, ...]:
+    """Character multiset of the functions on an orbit, from its fixed-point counts."""
+    m = group.exponent
     chars = []
     for chi in group.characters():
         total = CyclotomicNumber.zero(m)
-        for g, fixed in counts.items():
+        for g, fixed in counts:
             if fixed:
                 neg = tuple((-gi) % d for gi, d in zip(g, group.elementary_divisors))
                 total = total + fixed * character_value(group, neg, chi)
@@ -451,7 +452,7 @@ def _orbit_characters(action: ActionData, points, conductor: int) -> tuple[Chara
         if not value.is_rational() or value.rational_value().denominator != 1:
             raise IntegrityError("orbit character multiplicity is not an integer")
         chars.extend([chi] * int(value.rational_value()))
-    if len(chars) != len(points):
+    if len(chars) != size:
         raise IntegrityError("orbit character multiplicities do not sum to the orbit size")
     return tuple(sorted(chars))
 
@@ -478,13 +479,14 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
 
     Freeness is decided by orbit cardinality and, independently, by the trace
     criterion (no non-identity element fixes an orbit point); the two must
-    agree and both are reported.  The evaluation-kernel rank certifies the
-    quotient dimension.
+    agree and both are reported.  The quotient dimension is the orbit size:
+    cyclotomic coefficients are canonical at one conductor, so the orbit
+    points are pairwise distinct, and distinct points are interpolated by
+    products of univariate separators, so their functions are independent.
     """
     group = action.group
     order = group.order
     conductor, base = _coerce_point(action, point)
-    one = CyclotomicNumber.one(conductor)
 
     seen = {}
     stabilizer = []
@@ -495,14 +497,7 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
         if image == base:
             stabilizer.append(g)
     points = tuple(seen[k] for k in sorted(seen))
-
-    counts = []
-    for g in group.elements():
-        scalars = _group_scalars(action, g, conductor)
-        fixed = sum(
-            1 for p in points if all(s * c == c for s, c in zip(scalars, p))
-        )
-        counts.append((g, fixed))
+    counts = _fixed_point_counts(action, points, conductor)
 
     size = len(points)
     identity = group.identity
@@ -516,21 +511,15 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
         criteria_agree=free_by_size == free_by_trace,
         is_free=free_by_size and free_by_trace,
         stabilizer=tuple(stabilizer),
-        fixed_point_counts=tuple(counts),
+        fixed_point_counts=counts,
     )
-
-    monomials, kernel = evaluation_kernel(action, points, conductor)
-    rank = len(monomials) - len(kernel)
-    if rank != size:
-        raise IntegrityError("evaluation rank does not match the orbit size")
-
     cluster = GCluster(
         kind="orbit",
         action=action,
         conductor=conductor,
         points=points,
         quotient_dim=size,
-        characters=_orbit_characters(action, points, conductor),
+        characters=_orbit_characters(group, counts, size),
     )
     return cluster, report
 
@@ -566,10 +555,9 @@ def evaluation_kernel(action: ActionData, points_or_cluster, conductor: Optional
         ]
         monomials.sort(key=lambda m: m.grlex_key)
         rows = [[_evaluate(m, p, one) for m in monomials] for p in points]
-        rref, _ = rref_rows(rows, zero, one)
-        rank = len(rref)
+        kernel = kernel_basis_rows(rows, len(monomials), zero, one)
+        rank = len(monomials) - len(kernel)
         if rank == len(points) or rank == prev_rank:
-            kernel = kernel_basis_rows(rows, len(monomials), zero, one)
             return monomials, kernel
         prev_rank = rank
         cap = max(2 * cap, 1)

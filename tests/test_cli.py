@@ -145,6 +145,33 @@ class TestExitCodes:
         assert code == 2
         assert "--cap" in err
 
+    @pytest.mark.parametrize("command,args", [
+        ("orbit", ("--point", "1,1")),
+        ("mckay", ()),
+        ("coinv", ()),
+    ])
+    def test_cap_rejected_where_unread(self, command, args, capsys):
+        code, out, err = run(command, "cyclic:2:1,1", *args, "--cap", "3", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert "--cap" in err
+
+    def test_verify_cap(self, capsys):
+        code, out, _ = run("verify", "cyclic:2:1,1", "--ideal", "x1^2,x2", "--cap", "1",
+                           capsys=capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["reason"] == "dimension 2 exceeds the cap 1"
+        assert report["staircase"] is None
+        code, out, _ = run("verify", "cyclic:2:1,1", "--ideal", "x1^2,x2", "--cap", "2",
+                           capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["staircase"] == ["1", "x1"]
+        code, _, err = run("verify", "cyclic:2:1,1", "--ideal", "x1^2,x2", "--cap", "0",
+                           capsys=capsys)
+        assert code == 2
+        assert "--cap must be positive" in err
+
     def test_unknown_subcommand(self, capsys):
         assert main(["nosuch", "cyclic:2:1,1"]) == 2
         capsys.readouterr()
@@ -326,6 +353,25 @@ class TestGoldenOutput:
     def test_stdout_digest(self, command, spec, digest, capsys):
         code, out, _ = run(command, spec, capsys=capsys)
         assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv,code,digest", [
+        (("orbit", "cyclic:4:1,3", "--point", "cyclo(4): z, 1"), 0,
+         "6daafc3b9b53e2860e486cad52d617f4bff8760da39fa636bff25772423fa659"),
+        (("orbit", "cyclic:7:1,2,4", "--point", "1,2,3"), 0,
+         "fe1aa1b6d6e3b6599f7cbd0e98f10ed0add4b5ce878545e70c71177466dd6f64"),
+        (("orbit", "cyclic:4:1,2", "--point", "0,1"), 1,
+         "580780c7ca85715c4194d15bb7ce97c9d6d662081d3076daed9f9b7aeedd6e22"),
+        (("orbit", "2x2 ; 1,0 | 0,1", "--point", "1,-1/2"), 0,
+         "c12a6bd85b02fab8ac4794fa813440eb0326732b68969b9351715022e6ef4ff4"),
+        (("tau", "cyclic:3:1,2", "--point", "1,0"), 0,
+         "54fd0b2645eccd5128b71e8ae828495b0d1a307c742bdfeebf2f25d74a1eb479"),
+        (("tau", "cyclic:6:1,5", "--point", "cyclo(3): z, 2"), 0,
+         "ef601459b60903fbccd7820fee9abad613fefe9d7cdbd7880e4ed186007d6ba8"),
+    ])
+    def test_orbit_digest(self, argv, code, digest, capsys):
+        exit_code, out, _ = run(*argv, capsys=capsys)
+        assert exit_code == code
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize("spec,ideal,digest", [

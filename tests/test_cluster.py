@@ -345,6 +345,37 @@ class TestOrbit:
         assert a.points == b.points
 
 
+def _rank_cases():
+    """Seeded rational, cyclotomic and on-axis orbit points, one param each."""
+    rng = random.Random(4)
+    actions = [
+        *(("z%d-1,%d" % (r, r - 1), sl2_action(r)) for r in range(2, 7)),
+        ("z4-1,2", cyclic_action(4, (1, 2))),
+        ("z6-2,3", cyclic_action(6, (2, 3))),
+        ("z3-1,1,1", cyclic_action(3, (1, 1, 1))),
+        ("z2xz2", product_action((2, 2), ((1, 0), (0, 1)))),
+    ]
+    cases = [pytest.param(sl2_action(3), (F(1), F(1)), id="z3-1,2-(1,1)")]
+    for name, action in actions:
+        n = action.num_variables
+
+        def rational():
+            return F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+
+        def cyclotomic():
+            root = CyclotomicNumber.root_of_unity(rng.choice((3, 4)), rng.randint(0, 3))
+            return root * rng.randint(1, 3)
+
+        points = {
+            "rational": tuple(rational() for _ in range(n)),
+            "cyclotomic": tuple(cyclotomic() for _ in range(n)),
+            "origin": (F(0),) * n,
+            **{f"axis{k}": tuple(F(0) if i == k else rational() for i in range(n)) for k in range(n)},
+        }
+        cases.extend(pytest.param(action, p, id=f"{name}-{kind}") for kind, p in points.items())
+    return cases
+
+
 class TestEvaluationKernel:
     def test_kernel_vanishes_on_points(self, z3):
         cluster, _ = orbit_cluster(z3, (F(2), F(1)))
@@ -357,10 +388,30 @@ class TestEvaluationKernel:
                         total = total + coeff * oracle_eval(m, p)
                 assert total == 0
 
-    def test_rank_certificate(self, z3):
-        cluster, _ = orbit_cluster(z3, (F(1), F(1)))
-        monomials, kernel = evaluation_kernel(z3, cluster)
-        assert len(monomials) - len(kernel) == len(cluster.points)
+    @pytest.mark.parametrize("action,point", _rank_cases())
+    def test_rank_certificate(self, action, point):
+        """The facts that make an orbit a cluster of dimension its size."""
+        group = action.group
+        cluster, freeness = orbit_cluster(action, point)
+        size = len(cluster.points)
+        assert len(set(cluster.points)) == size == freeness.orbit_size
+        stabilizer = set(freeness.stabilizer)
+        assert size * len(stabilizer) == group.order
+        counts = dict(freeness.fixed_point_counts)
+        assert set(counts) == set(group.elements())
+        assert all(counts[g] == (size if g in stabilizer else 0) for g in counts)
+        m = group.exponent
+
+        def trivial_on_stabilizer(chi):
+            return all(
+                sum((m // d) * h_i * c for h_i, c, d in zip(h, chi.components, chi.divisors)) % m == 0
+                for h in stabilizer
+            )
+
+        assert cluster.characters == tuple(sorted(filter(trivial_on_stabilizer, group.characters())))
+        assert verify_cluster(action, cluster).characters == cluster.characters
+        monomials, kernel = evaluation_kernel(action, cluster)
+        assert len(monomials) - len(kernel) == size
 
 
 class TestTau:
