@@ -15,22 +15,17 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ghilb_kit.cluster import (
+    ClusterReport,
     GCluster,
     IntegrityError,
     enumerate_torus_fixed_clusters,
-    monomial_cluster,
     orbit_cluster,
     tau_support,
     verify_cluster,
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber, parse_cyclotomic, to_text as cyclo_text
 from ghilb_kit.group_rep import ActionData, Character, FiniteAbelianGroup
-from ghilb_kit.monomial_algebra import (
-    MonomialIdeal,
-    coinvariant_algebra,
-    parse_monomial,
-    quotient_staircase,
-)
+from ghilb_kit.monomial_algebra import MonomialIdeal, coinvariant_algebra, parse_monomial
 from ghilb_kit.tangent import eq8_map, mckay_table, relative_data, relative_tangent_space, \
     stratification_rep, tangent_space
 
@@ -194,14 +189,12 @@ def _write_report(report, args) -> None:
 # --- per-command report builders ---------------------------------------
 
 
-def _cluster_json(action: ActionData, ideal: MonomialIdeal, report, cap: Optional[int],
-                  staircase=None, coinv=None) -> dict:
-    if staircase is None:
-        staircase = quotient_staircase(ideal, cap if cap is not None else 4 * action.group.order)
+def _cluster_json(action: ActionData, ideal: MonomialIdeal, report, coinv=None) -> dict:
     tau = None
     if report.is_cluster:
         point = tau_support(action, ideal, coinv)
         tau = [_scalar_json(v) for v in point.values]
+    staircase = report.staircase
     return {
         "generators": [g.to_text() for g in ideal.min_gens],
         "staircase": [m.to_text() for m in staircase] if staircase is not None else None,
@@ -249,8 +242,8 @@ def cmd_clusters(action: ActionData, args) -> int:
     coinv = coinvariant_algebra(action)
     clusters = enumerate_torus_fixed_clusters(action, coinv)
     report = [
-        _cluster_json(action, c.ideal, verify_cluster(action, c.ideal, args.cap),
-                      args.cap, staircase=c.staircase, coinv=coinv)
+        _cluster_json(action, c.ideal, ClusterReport.from_quotient(
+            action.group, c.quotient_dim, c.characters, c.staircase), coinv)
         for c in clusters
     ]
     _write_report(report, args)
@@ -260,7 +253,7 @@ def cmd_clusters(action: ActionData, args) -> int:
 def cmd_verify(action: ActionData, args) -> int:
     ideal = _parse_ideal(action, args.ideal)
     report = verify_cluster(action, ideal, args.cap)
-    _write_report(_cluster_json(action, ideal, report, args.cap), args)
+    _write_report(_cluster_json(action, ideal, report), args)
     return 0 if report.is_cluster else 1
 
 
@@ -271,7 +264,7 @@ def cmd_tau(action: ActionData, args) -> int:
         ideal = _parse_ideal(action, args.ideal)
         report = verify_cluster(action, ideal, args.cap)
         if not report.is_cluster:
-            _write_report(_cluster_json(action, ideal, report, args.cap), args)
+            _write_report(_cluster_json(action, ideal, report), args)
             return 1
         point = tau_support(action, ideal)
         source = {"ideal": [g.to_text() for g in ideal.min_gens]}
@@ -279,7 +272,7 @@ def cmd_tau(action: ActionData, args) -> int:
         coords = _parse_point(action, args.point)
         cluster, freeness = orbit_cluster(action, coords)
         if not freeness.is_free:
-            report = verify_cluster(action, cluster)
+            report = ClusterReport.from_quotient(action.group, cluster.quotient_dim, cluster.characters)
             _write_report({
                 "point": [_scalar_json(c) for c in coords],
                 "orbit_size": freeness.orbit_size,
@@ -302,7 +295,7 @@ def cmd_tau(action: ActionData, args) -> int:
 def cmd_orbit(action: ActionData, args) -> int:
     coords = _parse_point(action, args.point)
     cluster, freeness = orbit_cluster(action, coords)
-    report_check = verify_cluster(action, cluster)
+    report_check = ClusterReport.from_quotient(action.group, cluster.quotient_dim, cluster.characters)
     tau = None
     if report_check.is_cluster:
         tau = [_scalar_json(v) for v in tau_support(action, cluster).values]
@@ -330,9 +323,10 @@ def cmd_tangent_report(action: ActionData, args) -> int:
     ideal = _parse_ideal(action, args.ideal)
     report = verify_cluster(action, ideal, args.cap)
     if not report.is_cluster:
-        _write_report(_cluster_json(action, ideal, report, args.cap), args)
+        _write_report(_cluster_json(action, ideal, report), args)
         return 1
-    cluster = monomial_cluster(action, ideal, args.cap)
+    cluster = GCluster(kind="monomial", action=action, ideal=ideal, staircase=report.staircase,
+                       quotient_dim=report.quotient_dim, characters=report.characters)
     coinv = coinvariant_algebra(action)
     shared = relative_data(coinv, cluster)
     tangent = tangent_space(action, cluster, args.cap)
@@ -408,28 +402,23 @@ def build_parser() -> argparse.ArgumentParser:
         "tau": "quotient-space support of a cluster (from --ideal or --point)",
         "orbit": "orbit cluster and freeness report of a point",
         "tangent": "tangent report of a monomial cluster",
-        "fiber-tangent": "tangent report of a monomial cluster",
-        "stratify": "tangent report of a monomial cluster",
-        "eq8-check": "tangent report of a monomial cluster",
         "mckay": "stratification characters across all torus-fixed clusters",
     }
-    needs_ideal = {"verify", "tau", "tangent", "fiber-tangent", "stratify", "eq8-check"}
-    ideal_required = needs_ideal - {"tau"}
+    needs_ideal = {"verify", "tau", "tangent"}
     needs_point = {"tau", "orbit"}
-    reads_cap = needs_ideal | {"clusters"}
 
     for name, help_text in helps.items():
-        sp = sub.add_parser(name, help=help_text)
+        aliases = ["fiber-tangent", "stratify", "eq8-check"] if name == "tangent" else []
+        sp = sub.add_parser(name, help=help_text, aliases=aliases)
         sp.add_argument("action",
                         help="action spec: cyclic:r:a1,...,an or 'd1x...xdk ; w1 | ... | wn'")
         sp.add_argument("--format", choices=("json", "tsv"), default="json",
                         help="output format (default json)")
         sp.add_argument("--out", default=None, help="write the report to this path")
-        if name in reads_cap:
+        if name in needs_ideal:
             sp.add_argument("--cap", type=int, default=None,
                             help="staircase size cap (default 4*|G|)")
-        if name in needs_ideal:
-            sp.add_argument("--ideal", default=None, required=name in ideal_required,
+            sp.add_argument("--ideal", default=None, required=name != "tau",
                             help='comma-separated monomial generators, e.g. "y,x^2"')
         if name in needs_point:
             sp.add_argument("--point", default=None, required=name == "orbit",

@@ -56,12 +56,31 @@ class IntegrityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClusterReport:
-    """Outcome of verify_cluster."""
+    """Outcome of verify_cluster.
+
+    staircase is the staircase the verdict of a monomial ideal was read from,
+    or None when there is none (past the cap, or not a monomial ideal).
+    """
 
     is_cluster: bool
     quotient_dim: Optional[int]
     characters: Optional[tuple[Character, ...]]
     failure_reason: Optional[str]
+    staircase: Optional[tuple[Monomial, ...]] = None
+
+    @classmethod
+    def from_quotient(cls, group, dim: int, chars, staircase=None) -> "ClusterReport":
+        """The verdict on a quotient of dimension dim carrying the characters chars.
+
+        It is a cluster exactly when dim is |G| and chars is the regular
+        representation; chars is read only when the dimension matches.
+        """
+        if dim != group.order:
+            return cls(False, dim, chars, f"dimension {dim} ≠ {group.order}", staircase)
+        if not is_regular_representation(group, chars):
+            reason = "character multiset is not the regular representation"
+            return cls(False, dim, chars, reason, staircase)
+        return cls(True, dim, chars, None, staircase)
 
 
 @dataclass(frozen=True)
@@ -140,6 +159,22 @@ def _field_context(rows):
     return zero, one, [[coerce(e) for e in row] for row in rows]
 
 
+def _echelon(coinv: CoinvariantAlgebra, rows):
+    """Reduced echelon rows and pivots of a row span of the coinvariant algebra."""
+    rows = [list(r) for r in rows]
+    for r in rows:
+        if len(r) != coinv.dim:
+            raise ValueError(f"subspace rows must have {coinv.dim} columns")
+    zero, one, rows = _field_context(rows)
+    return rref_rows(rows, zero, one)
+
+
+def _closed_under_variables(coinv: CoinvariantAlgebra, rref, pivots) -> bool:
+    """Whether the span of reduced echelon rows is closed under every variable."""
+    return all(row_space_contains(rref, pivots, coinv.monomial_times_vector(var, row))
+               for var in coinv.variables() for row in rref)
+
+
 def is_ideal_subspace(coinv: CoinvariantAlgebra, subspace) -> bool:
     """Whether a row span inside the coinvariant algebra is an ideal.
 
@@ -148,80 +183,45 @@ def is_ideal_subspace(coinv: CoinvariantAlgebra, subspace) -> bool:
     variables generate the algebra, so closure under them is equivalent to
     closure under every basis monomial.
     """
-    rows = [list(r) for r in subspace]
-    for r in rows:
-        if len(r) != coinv.dim:
-            raise ValueError(f"subspace rows must have {coinv.dim} columns")
-    zero, one, rows = _field_context(rows)
-    rref, pivots = rref_rows(rows, zero, one)
-    for var in coinv.variables():
-        for row in rref:
-            product = coinv.monomial_times_vector(var, row)
-            if not row_space_contains(rref, pivots, product):
-                return False
-    return True
+    return _closed_under_variables(coinv, *_echelon(coinv, subspace))
 
 
-def _monomial_report(action: ActionData, ideal: MonomialIdeal, cap: Optional[int]):
+def _monomial_report(action: ActionData, ideal: MonomialIdeal, cap: Optional[int]) -> ClusterReport:
     order = action.group.order
     cap = cap if cap is not None else 4 * order
     staircase = quotient_staircase(ideal, cap)
     if staircase is None:
         dim = colength(ideal)
         if dim is None:
-            return ClusterReport(False, None, None, "quotient not finite"), None
+            return ClusterReport(False, None, None, "quotient not finite")
         if dim == order:
-            return ClusterReport(False, dim, None, f"dimension {dim} exceeds the cap {cap}"), None
-        return ClusterReport(False, dim, None, f"dimension {dim} ≠ {order}"), None
+            return ClusterReport(False, dim, None, f"dimension {dim} exceeds the cap {cap}")
+        return ClusterReport.from_quotient(action.group, dim, None)
     chars = tuple(sorted(weight_of_monomial(action, m.exponents) for m in staircase))
-    dim = len(staircase)
-    if dim != order:
-        return ClusterReport(False, dim, chars, f"dimension {dim} ≠ {order}"), staircase
-    if not is_regular_representation(action.group, chars):
-        reason = "character multiset is not the regular representation"
-        return ClusterReport(False, dim, chars, reason), staircase
-    return ClusterReport(True, dim, chars, None), staircase
+    return ClusterReport.from_quotient(action.group, len(staircase), chars, tuple(staircase))
 
 
-def _subspace_report(action: ActionData, coinv: CoinvariantAlgebra, rows) -> ClusterReport:
-    rows = [list(r) for r in rows]
-    for r in rows:
-        if len(r) != coinv.dim:
-            raise ValueError(f"subspace rows must have {coinv.dim} columns")
-    order = action.group.order
-    zero, one, rows = _field_context(rows)
-    rref, pivots = rref_rows(rows, zero, one)
+def _subspace_report(action: ActionData, coinv: CoinvariantAlgebra, rref, pivots) -> ClusterReport:
     dim = coinv.dim - len(rref)
-    graded = True
     try:
         for row in rref:
             coinv.vector_weight(row)
     except ValueError:
-        graded = False
-    chars: Optional[tuple[Character, ...]] = None
-    if graded:
-        pivot_set = set(pivots)
-        chars = tuple(sorted(w for i, w in enumerate(coinv.weights) if i not in pivot_set))
-    if dim != order:
-        return ClusterReport(False, dim, chars, f"dimension {dim} ≠ {order}")
-    if not graded:
-        return ClusterReport(False, dim, None, "subspace is not weight-graded")
-    if not is_regular_representation(action.group, chars):
-        return ClusterReport(False, dim, chars, "character multiset is not the regular representation")
-    if not is_ideal_subspace(coinv, rref):
+        if dim == action.group.order:
+            return ClusterReport(False, dim, None, "subspace is not weight-graded")
+        return ClusterReport.from_quotient(action.group, dim, None)
+    pivot_set = set(pivots)
+    chars = tuple(sorted(w for i, w in enumerate(coinv.weights) if i not in pivot_set))
+    report = ClusterReport.from_quotient(action.group, dim, chars)
+    if report.is_cluster and not _closed_under_variables(coinv, rref, pivots):
         return ClusterReport(False, dim, chars, "subspace fails the ideal-closure test")
-    return ClusterReport(True, dim, chars, None)
+    return report
 
 
 def _orbit_report(action: ActionData, points, conductor: int) -> ClusterReport:
-    order = action.group.order
-    dim = len(points)
-    chars = _orbit_characters(action.group, _fixed_point_counts(action, points, conductor), dim)
-    if dim != order:
-        return ClusterReport(False, dim, chars, f"dimension {dim} ≠ {order}")
-    if not is_regular_representation(action.group, chars):
-        return ClusterReport(False, dim, chars, "character multiset is not the regular representation")
-    return ClusterReport(True, dim, chars, None)
+    counts = _fixed_point_counts(_group_scalars(action, conductor), points)
+    chars = _orbit_characters(action.group, counts, len(points))
+    return ClusterReport.from_quotient(action.group, len(points), chars)
 
 
 def verify_cluster(action: ActionData, target, cap: Optional[int] = None,
@@ -232,31 +232,34 @@ def verify_cluster(action: ActionData, target, cap: Optional[int] = None,
     staircase), a matrix of rows spanning a subspace of the coinvariant
     algebra, or a GCluster of any kind.  A non-finite quotient is reported as
     a failure, not raised; so is a finite one past the staircase cap, with
-    its exact dimension.
+    its exact dimension.  The staircase of a monomial ideal within the cap
+    comes back on the report.  Everything is derived from the target: the
+    cached quotient data of a GCluster is not read.
     """
     if isinstance(target, GCluster):
         if target.kind == "monomial":
-            return _monomial_report(action, target.ideal, cap)[0]
-        if target.kind == "subspace":
-            return _subspace_report(action, coinv or coinvariant_algebra(action), target.rows)
-        return _orbit_report(action, target.points, target.conductor)
-    if isinstance(target, MonomialIdeal):
-        return _monomial_report(action, target, cap)[0]
-    return _subspace_report(action, coinv or coinvariant_algebra(action), target)
+            return _monomial_report(action, target.ideal, cap)
+        if target.kind == "orbit":
+            return _orbit_report(action, target.points, target.conductor)
+        target = target.rows
+    elif isinstance(target, MonomialIdeal):
+        return _monomial_report(action, target, cap)
+    coinv = coinv or coinvariant_algebra(action)
+    return _subspace_report(action, coinv, *_echelon(coinv, target))
 
 
 def monomial_cluster(action: ActionData, ideal, cap: Optional[int] = None) -> GCluster:
     """Build a verified monomial-ideal cluster; raises when it is not one."""
     if not isinstance(ideal, MonomialIdeal):
         ideal = MonomialIdeal(action.num_variables, tuple(ideal))
-    report, staircase = _monomial_report(action, ideal, cap)
+    report = _monomial_report(action, ideal, cap)
     if not report.is_cluster:
         raise ValueError(f"not a G-cluster: {report.failure_reason}")
     return GCluster(
         kind="monomial",
         action=action,
         ideal=ideal,
-        staircase=tuple(staircase),
+        staircase=report.staircase,
         quotient_dim=report.quotient_dim,
         characters=report.characters,
     )
@@ -264,11 +267,10 @@ def monomial_cluster(action: ActionData, ideal, cap: Optional[int] = None) -> GC
 
 def subspace_cluster(coinv: CoinvariantAlgebra, rows) -> GCluster:
     """Build a verified subspace cluster from spanning rows; raises otherwise."""
-    report = _subspace_report(coinv.action, coinv, rows)
+    rref, pivots = _echelon(coinv, rows)
+    report = _subspace_report(coinv.action, coinv, rref, pivots)
     if not report.is_cluster:
         raise ValueError(f"not a G-cluster: {report.failure_reason}")
-    zero, one, coerced = _field_context([list(r) for r in rows])
-    rref, _ = rref_rows(coerced, zero, one)
     return GCluster(
         kind="subspace",
         action=coinv.action,
@@ -421,21 +423,21 @@ def _evaluate(m: Monomial, point, one: CyclotomicNumber) -> CyclotomicNumber:
     return result
 
 
-def _group_scalars(action: ActionData, g, conductor: int) -> tuple[CyclotomicNumber, ...]:
+def _group_scalars(action: ActionData, conductor: int):
+    """Pairs (g, the scalars g multiplies the coordinates by), in group element order."""
     return tuple(
-        embed_to_conductor(character_value(action.group, g, w), conductor)
-        for w in action.weights
+        (g, tuple(embed_to_conductor(character_value(action.group, g, w), conductor)
+                  for w in action.weights))
+        for g in action.group.elements()
     )
 
 
-def _fixed_point_counts(action: ActionData, points, conductor: int):
+def _fixed_point_counts(group_scalars, points):
     """Pairs (g, number of the points that g fixes), in group element order."""
-    counts = []
-    for g in action.group.elements():
-        scalars = _group_scalars(action, g, conductor)
-        fixed = sum(1 for p in points if all(s * c == c for s, c in zip(scalars, p)))
-        counts.append((g, fixed))
-    return tuple(counts)
+    return tuple(
+        (g, sum(1 for p in points if all(s * c == c for s, c in zip(scalars, p))))
+        for g, scalars in group_scalars
+    )
 
 
 def _orbit_characters(group, counts, size: int) -> tuple[Character, ...]:
@@ -488,16 +490,16 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
     order = group.order
     conductor, base = _coerce_point(action, point)
 
+    group_scalars = _group_scalars(action, conductor)
     seen = {}
     stabilizer = []
-    for g in group.elements():
-        scalars = _group_scalars(action, g, conductor)
+    for g, scalars in group_scalars:
         image = tuple(s * c for s, c in zip(scalars, base))
         seen[tuple(c.coeffs for c in image)] = image
         if image == base:
             stabilizer.append(g)
     points = tuple(seen[k] for k in sorted(seen))
-    counts = _fixed_point_counts(action, points, conductor)
+    counts = _fixed_point_counts(group_scalars, points)
 
     size = len(points)
     identity = group.identity

@@ -39,8 +39,8 @@ from typing import Optional, Union
 
 from ghilb_kit.cluster import (
     GCluster,
+    _closed_under_variables,
     enumerate_torus_fixed_clusters,
-    is_ideal_subspace,
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber
 from ghilb_kit.exact_linalg import kernel_basis_rows, reduce_vector, rref_rows
@@ -266,7 +266,7 @@ class _DenseRelative(RelativeData):
         self.coinv = coinv
         rows = _subspace_rows(coinv, subspace)
         self.rref, self.pivots = rref_rows(rows)
-        if not is_ideal_subspace(coinv, self.rref):
+        if not _closed_under_variables(coinv, self.rref, self.pivots):
             raise ValueError("subspace is not an ideal in the coinvariant algebra")
         try:
             self.row_weights = [coinv.vector_weight(r) for r in self.rref]

@@ -6,6 +6,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,8 @@ from ghilb_kit.cli import (
     main,
     parse_action_spec,
 )
+import ghilb_kit.cli as cli_module
+import ghilb_kit.cluster as cluster_module
 from ghilb_kit.group_rep import ActionData
 
 
@@ -149,6 +152,7 @@ class TestExitCodes:
         ("orbit", ("--point", "1,1")),
         ("mckay", ()),
         ("coinv", ()),
+        ("clusters", ()),
     ])
     def test_cap_rejected_where_unread(self, command, args, capsys):
         code, out, err = run(command, "cyclic:2:1,1", *args, "--cap", "3", capsys=capsys)
@@ -242,6 +246,14 @@ class TestReportSchemas:
             assert code == 0
             outputs.append(out)
         assert len(set(outputs)) == 1
+
+    def test_tangent_aliases_are_parser_aliases(self, capsys):
+        code, out, err = run("stratify", "cyclic:3:1,2", capsys=capsys)
+        assert code == 2 and out == ""
+        assert "ghilb tangent: error:" in err
+        code, out, _ = run("--help", capsys=capsys)
+        assert code == 0
+        assert "tangent (fiber-tangent, stratify, eq8-check)" in out
 
     def test_tangent_on_non_cluster_reports_verify(self, capsys):
         code, out, _ = run("tangent", "cyclic:3:1,2", "--ideal", "x1,x2", capsys=capsys)
@@ -388,6 +400,77 @@ class TestGoldenOutput:
         code, out, _ = run("tangent", spec, "--ideal", ideal, capsys=capsys)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv,code,digest", [
+        (("verify", "cyclic:3:1,2", "--ideal", "x2,x1^3"), 0,
+         "44971e96f2695d7ef1d289243793e2752ba9243c02778e13ef3e996001e964d3"),
+        (("verify", "cyclic:3:1,2", "--ideal", "x1^2,x2^2"), 1,
+         "c7120f6deb475e6e4352fed8b4ac30a60813f4ebac6aa08bdaa08191f2d6809d"),
+        (("verify", "cyclic:2:1,1", "--ideal", "x1^9,x2"), 1,
+         "23a21b51cb218b7853ab73467b5ef8f95d6bc42b6d416c8d9fa0fd86057adfec"),
+        (("verify", "cyclic:2:1,1", "--ideal", "x1^2"), 1,
+         "100a8fbb903689fb2ba6ed85a97ed95df45875518d528f82e66994f993d96d8c"),
+        (("tau", "cyclic:5:1,2", "--ideal", "x2,x1^5"), 0,
+         "ecb167ad0652c95dea7151047d135087797c54defc43bd5dab1ca5e05c391979"),
+        (("tau", "cyclic:2:1,1", "--ideal", "x1^3,x2"), 1,
+         "06d8033ddf433181c6de5c7383c18f3a38224285ffef1b27d875b76d3823b4b9"),
+        (("tau", "cyclic:3:1,2", "--point", "0,0"), 1,
+         "e6338588695c3b9eebd22494f76457a4ff098343ffdd701aaa78ee1d5fadf004"),
+        (("tangent", "cyclic:3:1,2", "--ideal", "x1,x2"), 1,
+         "c062a9908070bb7f5d5ff32a94ad8f31e52733341e29ea34359540b402a4bbfd"),
+    ])
+    def test_verdict_digest(self, argv, code, digest, capsys):
+        exit_code, out, _ = run(*argv, capsys=capsys)
+        assert exit_code == code
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+class TestEachQueryOnce:
+    """Every command reaches its verdict once and reuses what the library returned."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        # every namespace that holds quotient_staircase, so no copy goes uncounted
+        staircase = cluster_module.quotient_staircase
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ghilb_kit") and getattr(module, "quotient_staircase", None) is staircase:
+                monkeypatch.setattr(module, "quotient_staircase",
+                                    counting("quotient_staircase", staircase))
+        monkeypatch.setattr(cluster_module, "_fixed_point_counts",
+                            counting("_fixed_point_counts", cluster_module._fixed_point_counts))
+        monkeypatch.setattr(cli_module, "verify_cluster",
+                            counting("verify_cluster", cli_module.verify_cluster))
+        return calls
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("verify", "cyclic:3:1,2", "--ideal", "x2,x1^3"), {"quotient_staircase": 1}),
+        (("verify", "cyclic:3:1,2", "--ideal", "x1^2,x2^2"), {"quotient_staircase": 1}),
+        (("tau", "cyclic:5:1,2", "--ideal", "x2,x1^5"), {"quotient_staircase": 1}),
+        (("tau", "cyclic:2:1,1", "--ideal", "x1^3,x2"), {"quotient_staircase": 1}),
+        (("tangent", "cyclic:3:1,2", "--ideal", "x2,x1^3"), {"quotient_staircase": 1}),
+        (("eq8-check", "cyclic:7:1,2,4", "--ideal", "x2,x3^2,x1^3*x3,x1^4"),
+         {"quotient_staircase": 1}),
+        (("tangent", "cyclic:3:1,2", "--ideal", "x1,x2"), {"quotient_staircase": 1}),
+        (("clusters", "cyclic:7:1,2,4"), {"quotient_staircase": 0, "verify_cluster": 0}),
+        (("orbit", "cyclic:4:1,3", "--point", "1,2"),
+         {"_fixed_point_counts": 1, "verify_cluster": 0}),
+        (("orbit", "cyclic:4:1,2", "--point", "0,1"),
+         {"_fixed_point_counts": 1, "verify_cluster": 0}),
+        (("tau", "cyclic:3:1,2", "--point", "0,0"),
+         {"_fixed_point_counts": 1, "verify_cluster": 0}),
+    ])
+    def test_call_counts(self, argv, expected, calls, capsys):
+        main(list(argv))
+        capsys.readouterr()
+        assert {name: calls[name] for name in expected} == expected
 
 
 class TestModuleInvocation:

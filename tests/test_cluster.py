@@ -9,6 +9,7 @@ import pytest
 
 from conftest import cyclic_action, product_action, sl2_action
 from ghilb_kit.cluster import (
+    ClusterReport,
     GCluster,
     IntegrityError,
     enumerate_torus_fixed_clusters,
@@ -79,7 +80,6 @@ class TestVerifyMonomial:
         assert report.quotient_dim == 25
         assert report.failure_reason == "dimension 25 ≠ 2"
 
-
     def test_finite_past_cap_gets_dimension_reason(self, z2):
         report = verify_cluster(z2, ideal(2, (9, 0), (0, 1)))
         assert not report.is_cluster
@@ -91,6 +91,35 @@ class TestVerifyMonomial:
         assert not report.is_cluster
         assert report.quotient_dim == 2
         assert report.failure_reason == "dimension 2 exceeds the cap 1"
+
+    def test_report_carries_its_staircase(self, z2):
+        cluster = ideal(2, (0, 1), (2, 0))
+        assert [m.exponents for m in verify_cluster(z2, cluster).staircase] == [(0, 0), (1, 0)]
+        small = verify_cluster(z2, ideal(2, (1, 0), (0, 1)))
+        assert [m.exponents for m in small.staircase] == [(0, 0)]
+        assert verify_cluster(z2, ideal(2, (5, 0), (0, 5))).staircase is None
+        assert verify_cluster(z2, ideal(2, (2, 0))).staircase is None
+
+
+class TestFromQuotient:
+    """One verdict for every presentation: dimension first, then the characters."""
+
+    def test_ladder(self, z3):
+        group = z3.group
+        chars = tuple(sorted(group.characters()))
+        assert ClusterReport.from_quotient(group, 3, chars) == ClusterReport(True, 3, chars, None)
+        short = ClusterReport.from_quotient(group, 2, None)
+        assert short == ClusterReport(False, 2, None, "dimension 2 ≠ 3")
+        doubled = (chars[0],) * 3
+        assert ClusterReport.from_quotient(group, 3, doubled).failure_reason == \
+            "character multiset is not the regular representation"
+
+    def test_staircase_passes_through(self, z2):
+        stair = (Monomial((0, 0)), Monomial((1, 0)))
+        chars = tuple(sorted(weight_of_monomial(z2, m.exponents) for m in stair))
+        report = ClusterReport.from_quotient(z2.group, 2, chars, stair)
+        assert report.is_cluster and report.staircase == stair
+        assert ClusterReport.from_quotient(z2.group, 1, chars[:1], stair[:1]).staircase == stair[:1]
 
 
 class TestVerifySubspace:
