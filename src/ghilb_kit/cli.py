@@ -329,7 +329,7 @@ def cmd_tangent_report(action: ActionData, args) -> int:
                        quotient_dim=report.quotient_dim, characters=report.characters)
     coinv = coinvariant_algebra(action)
     shared = relative_data(coinv, cluster)
-    tangent = tangent_space(action, cluster, args.cap)
+    tangent = tangent_space(action, cluster)
     relative = relative_tangent_space(coinv, shared)
     strat = stratification_rep(coinv, shared)
     eq8 = eq8_map(coinv, shared)

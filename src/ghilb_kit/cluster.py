@@ -435,7 +435,7 @@ def _group_scalars(action: ActionData, conductor: int):
 def _fixed_point_counts(group_scalars, points):
     """Pairs (g, number of the points that g fixes), in group element order."""
     return tuple(
-        (g, sum(1 for p in points if all(s * c == c for s, c in zip(scalars, p))))
+        (g, sum(1 for p in points if all(c == 0 or s == 1 for s, c in zip(scalars, p))))
         for g, scalars in group_scalars
     )
 

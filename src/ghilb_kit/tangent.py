@@ -2,10 +2,10 @@
 
 Two Hom spaces are computed exactly over the rationals:
 
-* tangent_space: Hom^G_S(I, S/I) for a monomial cluster ideal I, as the
-  weight-compatible generator assignments annihilating the pairwise lcm
-  (Taylor) relations; multiplication into S/I is the staircase basis with
-  zero extension through the ideal.
+* tangent_space: Hom^G_S(I, S/I) for a monomial ideal I with a finite
+  staircase, as the weight-compatible generator assignments annihilating the
+  pairwise lcm (Taylor) relations; multiplication into S/I is the staircase
+  basis with zero extension through the ideal.
 * relative_tangent_space: Hom^G_Sbar(Ibar, Sbar/Ibar) for an ideal subspace
   of the coinvariant algebra, as the weight-compatible images of a spanning
   set compatible with multiplication by every variable.
@@ -16,22 +16,24 @@ tangent space into the weight-preserving linear maps out of it, and the
 per-action McKay table aggregating stratification characters over all
 torus-fixed clusters.
 
-The three relative operations share one RelativeData (see relative_data),
-which takes one of two paths:
+The unknowns of either Hom space are slots, the weight-compatible pairs of a
+source generator and a quotient basis element.  For monomial input every
+equation equates two slots or kills one (multiplying by a monomial is
+injective on monomials), so one union-find solves both Hom spaces without
+elimination.  The three relative operations share one RelativeData (see
+relative_data), which takes one of two paths:
 
 * a monomial cluster or MonomialIdeal works on coinvariant basis indices:
-  the spanning set is the basis monomials in the ideal, the minimal
-  generators are those with no quotient by a variable in the ideal, and
-  the Hom-space equations equate or kill single unknowns, so a union-find
-  over the unknowns replaces elimination;
-* raw rows (and subspace clusters) take the dense path over the rationals,
-  which is also the test oracle of the index path.
+  the spanning set is the basis monomials in the ideal, and the minimal
+  generators are those with no quotient by a variable in the ideal;
+* raw rows (and subspace clusters) take the dense path, which eliminates
+  over the rationals and is the test oracle of the index path.  Apart from
+  the rank test of eq8_map, it is the only elimination in this module.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -118,7 +120,7 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal],
     Unknowns are the weight-compatible values of the minimal generators in
     the staircase basis of S/I; the pairwise lcm relations cut out the Hom
     space, with products falling off the staircase mapping to zero through
-    the ideal.  Returns the canonical kernel basis.
+    the ideal.  Returns the canonical kernel basis of kernel_basis_rows.
     """
     if isinstance(cluster, GCluster):
         if cluster.kind != "monomial":
@@ -138,52 +140,92 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal],
     stair_weights = [weight_of_monomial(action, m.exponents) for m in staircase]
     gens = ideal.min_gens
     gen_weights = [weight_of_monomial(action, g.exponents) for g in gens]
+    slots = _slots(gen_weights, stair_weights)
+    slots_of_gen = _slots_by_row(slots, len(gens))
 
-    slots = [
-        (k, t)
-        for k in range(len(gens))
-        for t in range(len(staircase))
-        if gen_weights[k] == stair_weights[t]
-    ]
-    slot_index = {s: i for i, s in enumerate(slots)}
-    slots_by_gen: dict[int, list[int]] = {}
-    for i, (k, _) in enumerate(slots):
-        slots_by_gen.setdefault(k, []).append(i)
-
+    # the relation (lcm/g_i)*e_i - (lcm/g_j)*e_j reaches each staircase
+    # monomial from at most one slot of each side, so every target either
+    # equates a slot of g_i with one of g_j or kills a single slot
     equations = []
     for relation in taylor_syzygies(ideal) if len(gens) > 1 else []:
-        acc: dict[int, dict[int, Fraction]] = {}
-        for k, (sign, u) in relation.items():
-            for si in slots_by_gen.get(k, []):
-                _, t = slots[si]
+        terms: dict[int, list[int]] = {}
+        for k, (_, u) in relation.items():
+            for t, s in slots_of_gen[k]:
                 target = stair_index.get(u * staircase[t])
                 if target is not None:
-                    acc.setdefault(target, {})[si] = acc.get(target, {}).get(si, Q0) + sign
-        for terms in acc.values():
-            row = [Q0] * len(slots)
-            for si, coeff in terms.items():
-                row[si] = coeff
-            if any(row):
-                equations.append(row)
+                    terms.setdefault(target, []).append(s)
+        equations.extend(terms.values())
 
-    kernel = kernel_basis_rows(equations, len(slots))
-    hom_basis = []
-    for vec in kernel:
-        matrix = [[Q0] * len(staircase) for _ in gens]
-        for si, value in enumerate(vec):
-            if value:
-                k, t = slots[si]
-                matrix[k][t] = value
-        hom_basis.append(tuple(tuple(r) for r in matrix))
-
+    kernel = _union_find_kernel(len(slots), equations)
     return EquivariantHomSpace(
         source_generators=tuple(gens),
         generator_weights=tuple(gen_weights),
         target_basis=tuple(staircase),
         target_weights=tuple(stair_weights),
-        hom_basis=tuple(hom_basis),
+        hom_basis=_hom_matrices(kernel, slots, len(gens), len(staircase)),
         dimension=len(kernel),
     )
+
+
+def _slots(row_weights, col_weights) -> list[tuple[int, int]]:
+    """The unknowns (row, col) of a Hom space: the weight-compatible pairs, row by row."""
+    cols_of: dict[Character, list[int]] = {}
+    for c, w in enumerate(col_weights):
+        cols_of.setdefault(w, []).append(c)
+    return [(j, c) for j, w in enumerate(row_weights) for c in cols_of.get(w, ())]
+
+
+def _slots_by_row(slots: list[tuple[int, int]], nrows: int) -> list[list[tuple[int, int]]]:
+    """For each row, its pairs (col, slot index) in slot order."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(nrows)]
+    for s, (j, c) in enumerate(slots):
+        out[j].append((c, s))
+    return out
+
+
+def _union_find_kernel(nslots: int, equations) -> list[list[Fraction]]:
+    """Kernel of equations a[s] = a[s'] and a[s] = 0, given as lists of 1 or 2 slots.
+
+    It is spanned by the indicators of the slot classes that the equalities
+    join and no single-slot equation kills.  Listed by descending largest
+    slot (a class's free column), these are the canonical kernel_basis_rows.
+    """
+    parent = list(range(nslots))
+    killed = [False] * nslots
+
+    def find(s: int) -> int:
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    for eq in equations:
+        roots = [find(s) for s in eq]
+        parent[roots[-1]] = roots[0]
+        killed[roots[0]] = killed[roots[0]] or killed[roots[-1]] or len(eq) == 1
+
+    classes: dict[int, list[int]] = {}
+    for s in range(nslots):
+        classes.setdefault(find(s), []).append(s)
+    kernel = []
+    for root, members in sorted(classes.items(), key=lambda kv: -kv[1][-1]):
+        if not killed[root]:
+            vec = [Q0] * nslots
+            for s in members:
+                vec[s] = Q1
+            kernel.append(vec)
+    return kernel
+
+
+def _hom_matrices(kernel, slots: list[tuple[int, int]], nrows: int, ncols: int) -> tuple:
+    """Each kernel vector over the slots as an nrows x ncols matrix."""
+    out = []
+    for vec in kernel:
+        matrix = [[Q0] * ncols for _ in range(nrows)]
+        for (j, c), value in zip(slots, vec):
+            matrix[j][c] = value
+        out.append(tuple(tuple(r) for r in matrix))
+    return tuple(out)
 
 
 def _subspace_rows(coinv: CoinvariantAlgebra, subspace) -> list[list[Fraction]]:
@@ -238,25 +280,11 @@ class RelativeData:
 
     @cached_property
     def slots(self) -> list[tuple[int, int]]:
-        cols_of: dict[Character, list[int]] = {}
-        for c, w in enumerate(self.qweights):
-            cols_of.setdefault(w, []).append(c)
-        return [(j, c) for j, w in enumerate(self.row_weights) for c in cols_of.get(w, ())]
+        return _slots(self.row_weights, self.qweights)
 
     @cached_property
     def slot_index(self) -> dict[tuple[int, int], int]:
         return {s: i for i, s in enumerate(self.slots)}
-
-    def hom_matrices(self) -> list[tuple[tuple[Fraction, ...], ...]]:
-        out = []
-        for vec in self.kernel:
-            matrix = [[Q0] * len(self.qcols) for _ in self.row_weights]
-            for si, value in enumerate(vec):
-                if value:
-                    j, c = self.slots[si]
-                    matrix[j][c] = value
-            out.append(tuple(tuple(r) for r in matrix))
-        return out
 
 
 class _DenseRelative(RelativeData):
@@ -379,29 +407,14 @@ class _MonomialRelative(RelativeData):
         For a variable x_v and a pivot b_p (row j), compatibility reads, at
         each quotient column c2: a[l, c2] - a[j, c] = 0, where b_l = x_v*b_p
         (no term when that product is zero) and b_q(c2) = x_v*b_q(c) (no term
-        when the product is zero or lies in the ideal).  So every equation is
-        a +-1 row with at most two terms, and its kernel is spanned by the
-        indicators of the slot classes that the equalities join and no
-        single-term equation kills.  Listed by descending largest slot, these
-        are exactly the canonical kernel basis of kernel_basis_rows.
+        when the product is zero or lies in the ideal).  So every equation
+        equates two slots or kills one, and the union-find solves them.
         """
         up = self.coinv.variable_steps()[0]
-        nslots = len(self.slots)
         row_of = {p: j for j, p in enumerate(self.pivots)}
         qpos = {q: c for c, q in enumerate(self.qcols)}
-        slots_of_row: list[list[tuple[int, int]]] = [[] for _ in self.pivots]
-        for s, (j, c) in enumerate(self.slots):
-            slots_of_row[j].append((c, s))
-
-        parent = list(range(nslots))
-        killed = [False] * nslots
-
-        def find(s: int) -> int:
-            while parent[s] != s:
-                parent[s] = parent[parent[s]]
-                s = parent[s]
-            return s
-
+        slots_of_row = _slots_by_row(self.slots, len(self.pivots))
+        equations = []
         for v in range(self.coinv.action.num_variables):
             for j, p in enumerate(self.pivots):
                 terms: dict[int, list[int]] = {}
@@ -413,22 +426,8 @@ class _MonomialRelative(RelativeData):
                     c2 = qpos.get(up[self.qcols[c]][v])
                     if c2 is not None:
                         terms.setdefault(c2, []).append(s)
-                for eq in terms.values():
-                    roots = [find(s) for s in eq]
-                    parent[roots[-1]] = roots[0]
-                    killed[roots[0]] = killed[roots[0]] or killed[roots[-1]] or len(eq) == 1
-
-        classes: dict[int, list[int]] = {}
-        for s in range(nslots):
-            classes.setdefault(find(s), []).append(s)
-        kernel = []
-        for root, members in sorted(classes.items(), key=lambda kv: -kv[1][-1]):
-            if not killed[root]:
-                vec = [Q0] * nslots
-                for s in members:
-                    vec[s] = Q1
-                kernel.append(vec)
-        return kernel
+                equations.extend(terms.values())
+        return _union_find_kernel(len(self.slots), equations)
 
 
 def relative_data(coinv: CoinvariantAlgebra, subspace) -> RelativeData:
@@ -464,7 +463,7 @@ def relative_tangent_space(coinv: CoinvariantAlgebra, subspace) -> EquivariantHo
         generator_weights=tuple(data.row_weights),
         target_basis=tuple(coinv.basis[q] for q in data.qcols),
         target_weights=tuple(data.qweights),
-        hom_basis=tuple(data.hom_matrices()),
+        hom_basis=_hom_matrices(data.kernel, data.slots, len(data.row_weights), len(data.qcols)),
         dimension=len(data.kernel),
     )
 
@@ -491,30 +490,20 @@ def eq8_map(coinv: CoinvariantAlgebra, subspace) -> Eq8Report:
     Reports whether the restriction is injective and an isomorphism.
     """
     data = relative_data(coinv, subspace)
-    gen_weights = [data.row_weights[j] for j in data.generator_indices]
-    strat_mult = Counter(gen_weights)
-    quot_mult = Counter(data.qweights)
-    target_dim = sum(strat_mult[chi] * quot_mult[chi] for chi in strat_mult)
-
-    target_slots = [
-        (j, c)
-        for j in data.generator_indices
-        for c in range(len(data.qcols))
-        if data.row_weights[j] == data.qweights[c]
-    ]
-    matrix = tuple(
-        tuple(vec[data.slot_index[(j, c)]] for (j, c) in target_slots)
-        for vec in data.kernel
-    )
+    # one slot per weight-compatible (generator, quotient column) pair, so
+    # the generator rows' slots count the target dimension
+    gen_rows = set(data.generator_indices)
+    target = [s for s, (j, _) in enumerate(data.slots) if j in gen_rows]
+    matrix = tuple(tuple(vec[s] for s in target) for vec in data.kernel)
     source_dim = len(data.kernel)
     rank = len(rref_rows([list(r) for r in matrix])[0])
     injective = rank == source_dim
     return Eq8Report(
         matrix=matrix,
         source_dim=source_dim,
-        target_dim=target_dim,
+        target_dim=len(target),
         injective=injective,
-        isomorphism=injective and source_dim == target_dim,
+        isomorphism=injective and source_dim == len(target),
     )
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from ghilb_kit.group_rep import weight_of_monomial
 from ghilb_kit.monomial_algebra import Monomial
+from ghilb_kit.tangent import EquivariantHomSpace
 
 
 # --- dense rational elimination ----------------------------------------
@@ -62,6 +63,26 @@ def oracle_contains(rows, vec) -> bool:
 def oracle_same_rowspace(rows_a, rows_b) -> bool:
     return all(oracle_contains(rows_b, v) for v in rows_a) and \
         all(oracle_contains(rows_a, v) for v in rows_b)
+
+
+def oracle_kernel(rows, ncols):
+    """Kernel basis in the free-variable convention, free columns descending.
+
+    One vector per free column f: 1 at f and the negated reduced column f
+    at the pivots.
+    """
+    red, pivots = oracle_rref(rows)
+    basis = []
+    for f in reversed(range(ncols)):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            if row[f]:
+                vec[p] = -row[f]
+        basis.append(vec)
+    return basis
 
 
 def oracle_solve(rows, rhs):
@@ -178,6 +199,53 @@ def oracle_tangent_dim(action, ideal, staircase) -> int:
             equations.extend(per_target.values())
 
     return nunk - oracle_rank(equations)
+
+
+def oracle_tangent_space(action, ideal, staircase):
+    """Hom^G_S(I, S/I) as an EquivariantHomSpace, by a dense Taylor solve.
+
+    Unknowns are the weight-compatible (generator, staircase monomial) pairs,
+    generator by generator.  Every pairwise lcm relation is expanded against
+    the staircase into Fraction rows, products in the ideal dropping out, and
+    the rows are eliminated; the basis is oracle_kernel's.
+    """
+    gens = list(ideal.min_gens)
+    stair = list(staircase)
+    stair_pos = {m: t for t, m in enumerate(stair)}
+    gen_weights = [weight_of_monomial(action, g.exponents) for g in gens]
+    stair_weights = [weight_of_monomial(action, m.exponents) for m in stair]
+    slots = [(k, t) for k in range(len(gens)) for t in range(len(stair))
+             if gen_weights[k] == stair_weights[t]]
+
+    equations = []
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        lcm_ij = gens[i].lcm(gens[j])
+        per_target = {}
+        for k, sign in ((i, Fraction(1)), (j, Fraction(-1))):
+            u = lcm_ij.divide(gens[k])
+            for s, (slot_gen, t) in enumerate(slots):
+                prod = u * stair[t]
+                if slot_gen != k or ideal.contains(prod):
+                    continue
+                row = per_target.setdefault(stair_pos[prod], [Fraction(0)] * len(slots))
+                row[s] += sign
+        equations.extend(per_target.values())
+
+    kernel = oracle_kernel(equations, len(slots))
+    hom_basis = []
+    for vec in kernel:
+        matrix = [[Fraction(0)] * len(stair) for _ in gens]
+        for (k, t), value in zip(slots, vec):
+            matrix[k][t] = value
+        hom_basis.append(tuple(tuple(r) for r in matrix))
+    return EquivariantHomSpace(
+        source_generators=tuple(gens),
+        generator_weights=tuple(gen_weights),
+        target_basis=tuple(stair),
+        target_weights=tuple(stair_weights),
+        hom_basis=tuple(hom_basis),
+        dimension=len(kernel),
+    )
 
 
 def _mult_monomial_vector(coinv, m, vec):

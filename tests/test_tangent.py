@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import ABELIAN_N2_CORPUS, cyclic_action, product_action, sl2_action
+from ghilb_kit import exact_linalg
 from ghilb_kit.cluster import (
     enumerate_torus_fixed_clusters,
     orbit_cluster,
@@ -17,7 +20,12 @@ from ghilb_kit.cluster import (
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber
 from ghilb_kit.group_rep import Character
-from ghilb_kit.monomial_algebra import Monomial, MonomialIdeal, coinvariant_algebra
+from ghilb_kit.monomial_algebra import (
+    Monomial,
+    MonomialIdeal,
+    coinvariant_algebra,
+    quotient_staircase,
+)
 from ghilb_kit.tangent import (
     eq8_map,
     mckay_table,
@@ -31,6 +39,7 @@ from oracles import (
     oracle_relative_tangent_dim,
     oracle_strat,
     oracle_tangent_dim,
+    oracle_tangent_space,
 )
 
 F = Fraction
@@ -94,14 +103,69 @@ class TestTangentSpace:
         # Bridgeland-King-Reid: for abelian G in SL(3) the G-Hilbert scheme is a
         # crepant resolution; its torus-fixed points number |G| and are smooth
         for action in (cyclic_action(7, (1, 2, 4)), cyclic_action(13, (1, 3, 9)),
-                       cyclic_action(21, (1, 4, 16)),
+                       cyclic_action(21, (1, 4, 16)), cyclic_action(28, (1, 3, 24)),
+                       cyclic_action(30, (1, 2, 27)),
                        product_action((3, 3), ((1, 0), (0, 1), (2, 2))),
-                       product_action((4, 4), ((1, 0), (0, 1), (3, 3)))):
+                       product_action((4, 4), ((1, 0), (0, 1), (3, 3))),
+                       product_action((5, 5), ((1, 0), (0, 1), (4, 4)))):
             assert action.is_sl_action()
             clusters = enumerate_torus_fixed_clusters(action)
             assert len(clusters) == action.group.order
             for cluster in clusters:
                 assert tangent_space(action, cluster).dimension == 3
+
+    def test_hirzebruch_jung_counts_and_smoothness(self):
+        # G-Hilb of C^2/Z_r with weights (1, a) is the minimal resolution: a
+        # chain of HJ-length(r/a) exceptional curves, so one more torus-fixed
+        # point than curves, each smooth of dimension 2
+        def hj_length(r: int, a: int) -> int:
+            # r/a = b_1 - 1/(b_2 - 1/(...)), each b_i >= 2
+            length = 0
+            while a:
+                b = -(-r // a)
+                r, a = a, b * a - r
+                length += 1
+            return length
+
+        cases = [(r, a) for r in range(2, 17) for a in range(1, r) if math.gcd(r, a) == 1]
+        for r, a in cases + [(40, 3), (37, 10), (31, 7), (33, 5)]:
+            action = cyclic_action(r, (1, a))
+            clusters = enumerate_torus_fixed_clusters(action)
+            assert len(clusters) == hj_length(r, a) + 1, (r, a)
+            for cluster in clusters:
+                assert tangent_space(action, cluster).dimension == 2, (r, a, cluster.ideal)
+
+    def test_equals_dense_taylor_oracle_on_clusters(self):
+        checked = 0
+        for action in TestMonomialPath.random_actions(71, 24):
+            for cluster in enumerate_torus_fixed_clusters(action):
+                want = oracle_tangent_space(action, cluster.ideal, cluster.staircase)
+                assert tangent_space(action, cluster) == want, (action, cluster.ideal)
+                assert tangent_space(action, cluster.ideal) == want, (action, cluster.ideal)
+                checked += 1
+        assert checked > 60
+
+    def test_equals_dense_taylor_oracle_on_non_clusters(self):
+        # random monomial ideals with a pure power of every variable (so a
+        # finite staircase), most of them far from a G-cluster
+        rng = random.Random(73)
+        actions = TestMonomialPath.random_actions(71, 24)
+        cap = 64  # no staircase below exceeds 4 * 4 * 4 monomials
+        checked = 0
+        for _ in range(160):
+            action = rng.choice(actions)
+            n = action.num_variables
+            powers = [rng.randint(1, 4) for _ in range(n)]
+            gens = [tuple(p if i == v else 0 for i in range(n)) for v, p in enumerate(powers)]
+            for _ in range(rng.randint(0, 4)):
+                gens.append(tuple(rng.randrange(p) for p in powers))
+            target = ideal(n, *(g for g in gens if any(g)))
+            if verify_cluster(action, target, cap).is_cluster:
+                continue
+            want = oracle_tangent_space(action, target, quotient_staircase(target, cap))
+            assert tangent_space(action, target, cap) == want, (action, target)
+            checked += 1
+        assert checked >= 100
 
     def test_trivial_group(self, trivial):
         hom = tangent_space(trivial, ideal(1, (1,)))
@@ -325,6 +389,48 @@ class TestMonomialPath:
         shared = relative_data(coinv, enumerate_torus_fixed_clusters(z3, coinv)[0])
         with pytest.raises(ValueError, match="another coinvariant algebra"):
             stratification_rep(coinvariant_algebra(z3), shared)
+
+
+class TestNoElimination:
+    """The monomial Hom spaces and the stratification never eliminate."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        # every namespace that holds a copy, so none goes uncounted
+        for fname in ("kernel_basis_rows", "rref_rows"):
+            fn = getattr(exact_linalg, fname)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("ghilb_kit") and getattr(module, fname, None) is fn:
+                    monkeypatch.setattr(module, fname, counting(fname, fn))
+        return calls
+
+    @pytest.mark.parametrize("fn", [
+        lambda action, coinv, cluster: tangent_space(action, cluster),
+        lambda action, coinv, cluster: tangent_space(action, cluster.ideal),
+        lambda action, coinv, cluster: relative_tangent_space(coinv, cluster),
+        lambda action, coinv, cluster: stratification_rep(coinv, cluster),
+        lambda action, coinv, cluster: stratification_rep(coinv, cluster.ideal),
+    ], ids=["tangent", "tangent-ideal", "relative", "strat", "strat-ideal"])
+    def test_monomial_paths(self, fn, calls):
+        for action in (cyclic_action(7, (1, 2, 4)), product_action((2, 4), ((1, 0), (0, 1)))):
+            coinv = coinvariant_algebra(action)
+            for cluster in enumerate_torus_fixed_clusters(action, coinv):
+                fn(action, coinv, cluster)
+        assert calls == Counter()
+
+    def test_counter_sees_eq8_rank_check(self, calls):
+        action = cyclic_action(7, (1, 2, 4))
+        coinv = coinvariant_algebra(action)
+        eq8_map(coinv, enumerate_torus_fixed_clusters(action, coinv)[0])
+        assert calls == Counter({"rref_rows": 1})
 
 
 class TestStratification:
