@@ -180,8 +180,11 @@ def render_tsv(report) -> str:
 def _write_report(report, args) -> None:
     text = render_json(report) if args.format == "json" else render_tsv(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -218,6 +221,8 @@ def _parse_point(action: ActionData, text: str) -> list:
         coords = [parse_cyclotomic(tok.strip()) for tok in text.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad --point value: {exc}") from None
+    except ZeroDivisionError:
+        raise UsageError("bad --point value: zero denominator") from None
     if len(coords) != action.num_variables:
         raise UsageError(f"point needs {action.num_variables} coordinates, got {len(coords)}")
     return coords

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ghilb_kit.cyclotomic import CyclotomicNumber, character_value, embed_to_conductor
+from ghilb_kit.cyclotomic import CyclotomicNumber, character_exponent, embed_to_conductor
 from ghilb_kit.exact_linalg import (
     kernel_basis_rows,
     reduce_vector,
@@ -219,7 +219,7 @@ def _subspace_report(action: ActionData, coinv: CoinvariantAlgebra, rref, pivots
 
 
 def _orbit_report(action: ActionData, points, conductor: int) -> ClusterReport:
-    counts = _fixed_point_counts(_group_scalars(action, conductor), points)
+    counts = _fixed_point_counts(_group_exponents(action, conductor), points)
     chars = _orbit_characters(action.group, counts, len(points))
     return ClusterReport.from_quotient(action.group, len(points), chars)
 
@@ -423,20 +423,21 @@ def _evaluate(m: Monomial, point, one: CyclotomicNumber) -> CyclotomicNumber:
     return result
 
 
-def _group_scalars(action: ActionData, conductor: int):
-    """Pairs (g, the scalars g multiplies the coordinates by), in group element order."""
+def _group_exponents(action: ActionData, conductor: int):
+    """Pairs (g, the k_i in [0, conductor) with g scaling x_i by zeta_conductor^k_i), in order."""
+    group = action.group
+    step = conductor // group.exponent
     return tuple(
-        (g, tuple(embed_to_conductor(character_value(action.group, g, w), conductor)
-                  for w in action.weights))
-        for g in action.group.elements()
+        (g, tuple(step * character_exponent(group, g, w) for w in action.weights))
+        for g in group.elements()
     )
 
 
-def _fixed_point_counts(group_scalars, points):
+def _fixed_point_counts(group_exponents, points):
     """Pairs (g, number of the points that g fixes), in group element order."""
     return tuple(
-        (g, sum(1 for p in points if all(c == 0 or s == 1 for s, c in zip(scalars, p))))
-        for g, scalars in group_scalars
+        (g, sum(1 for p in points if all(c == 0 or k == 0 for k, c in zip(ks, p))))
+        for g, ks in group_exponents
     )
 
 
@@ -445,15 +446,15 @@ def _orbit_characters(group, counts, size: int) -> tuple[Character, ...]:
     m = group.exponent
     chars = []
     for chi in group.characters():
-        total = CyclotomicNumber.zero(m)
+        # |G| * multiplicity = sum_g fixed(g) chi(g)^-1, on integer coefficients of zeta_m^j
+        coeffs = [0] * m
         for g, fixed in counts:
             if fixed:
-                neg = tuple((-gi) % d for gi, d in zip(g, group.elementary_divisors))
-                total = total + fixed * character_value(group, neg, chi)
-        value = total / group.order
-        if not value.is_rational() or value.rational_value().denominator != 1:
+                coeffs[-character_exponent(group, g, chi) % m] += fixed
+        total = CyclotomicNumber.from_polynomial(coeffs, m)
+        if not total.is_rational() or total.rational_value() % group.order:
             raise IntegrityError("orbit character multiplicity is not an integer")
-        chars.extend([chi] * int(value.rational_value()))
+        chars.extend([chi] * (total.rational_value() // group.order))
     if len(chars) != size:
         raise IntegrityError("orbit character multiplicities do not sum to the orbit size")
     return tuple(sorted(chars))
@@ -479,7 +480,10 @@ def _coerce_point(action: ActionData, point) -> tuple[int, tuple[CyclotomicNumbe
 def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
     """The orbit of a point as a cluster candidate, plus a freeness report.
 
-    Freeness is decided by orbit cardinality and, independently, by the trace
+    Each g is carried as the exponents k_i of zeta_conductor by which it
+    scales the coordinates (the integer pairing of g with the weights); g
+    fixes a point when each coordinate has c_i == 0 or k_i == 0.  Freeness
+    is decided by orbit cardinality and, independently, by the trace
     criterion (no non-identity element fixes an orbit point); the two must
     agree and both are reported.  The quotient dimension is the orbit size:
     cyclotomic coefficients are canonical at one conductor, so the orbit
@@ -490,16 +494,16 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
     order = group.order
     conductor, base = _coerce_point(action, point)
 
-    group_scalars = _group_scalars(action, conductor)
+    group_exponents = _group_exponents(action, conductor)
     seen = {}
     stabilizer = []
-    for g, scalars in group_scalars:
-        image = tuple(s * c for s, c in zip(scalars, base))
+    for g, ks in group_exponents:
+        image = tuple(CyclotomicNumber.root_of_unity(conductor, k) * c for k, c in zip(ks, base))
         seen[tuple(c.coeffs for c in image)] = image
         if image == base:
             stabilizer.append(g)
     points = tuple(seen[k] for k in sorted(seen))
-    counts = _fixed_point_counts(group_scalars, points)
+    counts = _fixed_point_counts(group_exponents, points)
 
     size = len(points)
     identity = group.identity
@@ -570,20 +574,20 @@ def tau_support(action: ActionData, cluster, coinv: Optional[CoinvariantAlgebra]
 
     Each invariant generator must reduce to a scalar modulo the cluster ideal
     (the trivial character appears once in the quotient, so its graded piece
-    is the constants); anything else raises IntegrityError.
+    is the constants); anything else raises IntegrityError.  On an orbit,
+    f(h.p) = chi(h) f(p) for f of weight chi, so a generator whose weight
+    pairs to 0 with every h is constant there and is evaluated at one point.
     """
     gens = tuple(coinv.invariant_gens) if coinv is not None else tuple(invariant_generators(action))
 
     if isinstance(cluster, GCluster) and cluster.kind == "orbit":
-        one = CyclotomicNumber.one(cluster.conductor)
-        values = []
         for g in gens:
-            vals = [_evaluate(g, p, one) for p in cluster.points]
-            if any(v != vals[0] for v in vals[1:]):
+            if not weight_of_monomial(cluster.action, g.exponents).is_trivial:
                 raise IntegrityError(
                     f"invariant generator {g.to_text()} is not constant on the orbit"
                 )
-            values.append(vals[0])
+        one = CyclotomicNumber.one(cluster.conductor)
+        values = [_evaluate(g, cluster.points[0], one) for g in gens]
     elif isinstance(cluster, GCluster) and cluster.kind == "subspace":
         # invariant generators already vanish in the coinvariant algebra
         values = [Fraction(0)] * len(gens)

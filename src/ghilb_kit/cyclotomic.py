@@ -338,19 +338,21 @@ def common_conductor(values: Sequence[CyclotomicNumber]) -> int:
     return math.lcm(1, *(v.conductor for v in values))
 
 
-def character_value(
-    group: FiniteAbelianGroup, g: Sequence[int], chi: Character
-) -> CyclotomicNumber:
-    """Pairing value chi(g) = prod_i zeta_{d_i}^{g_i * c_i} in conductor lcm(d_i)."""
+def character_exponent(group: FiniteAbelianGroup, g: Sequence[int], chi: Character) -> int:
+    """The k in [0, m) with chi(g) = prod_i zeta_{d_i}^{g_i * c_i} = zeta_m^k, m = lcm(d_i)."""
     if chi.divisors != group.elementary_divisors:
         raise ValueError("character does not belong to the group")
     if len(g) != len(group.elementary_divisors):
         raise ValueError("element arity does not match the group")
     m = group.exponent
-    e = 0
-    for gi, ci, di in zip(g, chi.components, group.elementary_divisors):
-        e += (m // di) * (gi % di) * ci
-    return CyclotomicNumber.root_of_unity(m, e % m)
+    return sum((m // di) * (gi % di) * ci
+               for gi, ci, di in zip(g, chi.components, group.elementary_divisors)) % m
+
+
+def character_value(group: FiniteAbelianGroup, g: Sequence[int],
+                    chi: Character) -> CyclotomicNumber:
+    """Pairing value chi(g) = zeta_m^character_exponent(group, g, chi), m the group exponent."""
+    return CyclotomicNumber.root_of_unity(group.exponent, character_exponent(group, g, chi))
 
 
 # --- text form ---------------------------------------------------------

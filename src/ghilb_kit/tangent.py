@@ -42,6 +42,8 @@ from typing import Optional, Union
 from ghilb_kit.cluster import (
     GCluster,
     _closed_under_variables,
+    _echelon,
+    _monomial_report,
     enumerate_torus_fixed_clusters,
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber
@@ -52,8 +54,6 @@ from ghilb_kit.monomial_algebra import (
     Monomial,
     MonomialIdeal,
     coinvariant_algebra,
-    colength,
-    quotient_staircase,
     taylor_syzygies,
 )
 
@@ -129,12 +129,12 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal],
         staircase = list(cluster.staircase)
     else:
         ideal = cluster
-        found = quotient_staircase(ideal, cap if cap is not None else 4 * action.group.order)
-        if found is None:
-            if colength(ideal) is None:
+        report = _monomial_report(action, ideal, cap)
+        if report.staircase is None:
+            if report.quotient_dim is None:
                 raise ValueError("quotient is not finite-dimensional")
             raise ValueError("quotient staircase exceeds the cap")
-        staircase = found
+        staircase = list(report.staircase)
 
     stair_index = {m: t for t, m in enumerate(staircase)}
     stair_weights = [weight_of_monomial(action, m.exponents) for m in staircase]
@@ -228,23 +228,6 @@ def _hom_matrices(kernel, slots: list[tuple[int, int]], nrows: int, ncols: int) 
     return tuple(out)
 
 
-def _subspace_rows(coinv: CoinvariantAlgebra, subspace) -> list[list[Fraction]]:
-    if isinstance(subspace, GCluster):
-        if subspace.kind != "subspace":
-            raise ValueError("orbit clusters have no subspace presentation in S-bar")
-        rows = subspace.rows
-    else:
-        rows = subspace
-    out = []
-    for row in rows:
-        if len(row) != coinv.dim:
-            raise ValueError(f"subspace rows must have {coinv.dim} columns")
-        if any(isinstance(e, CyclotomicNumber) for e in row):
-            raise ValueError("tangent computations work over the rationals")
-        out.append([Fraction(e) for e in row])
-    return out
-
-
 def _echelon_insert(rows: list, pivots: list, vec: list) -> bool:
     """Insert vec into an ascending-pivot echelon list; False if dependent."""
     res = reduce_vector(rows, pivots, vec)
@@ -292,8 +275,12 @@ class _DenseRelative(RelativeData):
 
     def __init__(self, coinv: CoinvariantAlgebra, subspace) -> None:
         self.coinv = coinv
-        rows = _subspace_rows(coinv, subspace)
-        self.rref, self.pivots = rref_rows(rows)
+        if isinstance(subspace, GCluster) and subspace.kind != "subspace":
+            raise ValueError("orbit clusters have no subspace presentation in S-bar")
+        rows = list(subspace.rows if isinstance(subspace, GCluster) else subspace)
+        if any(isinstance(e, CyclotomicNumber) for row in rows for e in row):
+            raise ValueError("tangent computations work over the rationals")
+        self.rref, self.pivots = _echelon(coinv, rows)
         if not _closed_under_variables(coinv, self.rref, self.pivots):
             raise ValueError("subspace is not an ideal in the coinvariant algebra")
         try:

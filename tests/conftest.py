@@ -1,10 +1,12 @@
-"""Shared builders for the test corpus."""
+"""Shared builders and checks for the test corpus."""
 
 from __future__ import annotations
 
 import pytest
 
+from ghilb_kit.cluster import orbit_cluster, tau_support
 from ghilb_kit.group_rep import ActionData, FiniteAbelianGroup
+from oracles import oracle_orbit
 
 
 def cyclic_action(r: int, weights) -> ActionData:
@@ -21,6 +23,15 @@ def product_action(divisors, weights) -> ActionData:
 
 def sl2_action(r: int) -> ActionData:
     return cyclic_action(r, (1, r - 1))
+
+
+def assert_orbit_matches_oracle(action, point) -> None:
+    """orbit_cluster and tau_support equal the cyclotomic-scalar oracle."""
+    cluster, freeness = orbit_cluster(action, point)
+    want_cluster, want_freeness, want_tau = oracle_orbit(action, point)
+    assert cluster == want_cluster
+    assert freeness == want_freeness
+    assert tau_support(action, cluster) == want_tau
 
 
 # faithful two-variable actions with |G| <= 12, used for the wide sweeps

@@ -1,19 +1,24 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written from scratch against the definitions: plain
-Gaussian elimination, exhaustive staircase search, and dense brute-force
-linear systems for the Hom spaces.  Only data containers are imported from
-the package; no computational routine is shared.
+Gaussian elimination, exhaustive staircase search, dense brute-force linear
+systems for the Hom spaces, and orbits on embedded cyclotomic scalars.
+Apart from data containers, the package supplies only the field arithmetic
+of CyclotomicNumber, monomial weights and the invariant generators; no
+routine under test is shared.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
+from ghilb_kit.cluster import FreenessReport, GCluster, QuotientPoint
+from ghilb_kit.cyclotomic import CyclotomicNumber
 from ghilb_kit.group_rep import weight_of_monomial
-from ghilb_kit.monomial_algebra import Monomial
+from ghilb_kit.monomial_algebra import Monomial, invariant_generators
 from ghilb_kit.tangent import EquivariantHomSpace
 
 
@@ -353,3 +358,83 @@ def oracle_eval(m, point):
         for _ in range(e):
             acc = acc * c
     return acc
+
+
+# --- orbits on cyclotomic scalars ----------------------------------------
+
+
+def _oracle_pairing(group, g, chi, conductor, sign=1):
+    """chi(g)^sign = prod_i zeta_{d_i}^(sign * g_i * c_i), multiplied out in Q(zeta_conductor)."""
+    value = CyclotomicNumber.one(conductor)
+    for gi, ci, d in zip(g, chi.components, group.elementary_divisors):
+        value = value * CyclotomicNumber.root_of_unity(conductor, sign * (conductor // d) * gi * ci)
+    return value
+
+
+def _oracle_embed(c, conductor):
+    """A rational or cyclotomic coordinate in Q(zeta_conductor): zeta_d = zeta_conductor^(conductor/d)."""
+    if not isinstance(c, CyclotomicNumber):
+        return CyclotomicNumber.from_rational(Fraction(c), conductor)
+    step = conductor // c.conductor
+    coeffs = [Fraction(0)] * (step * len(c.coeffs))
+    for i, a in enumerate(c.coeffs):
+        coeffs[i * step] = a
+    return CyclotomicNumber.from_polynomial(coeffs, conductor)
+
+
+def oracle_orbit(action, point):
+    """(GCluster, FreenessReport, QuotientPoint) of an orbit, on cyclotomic scalars.
+
+    Every group element is embedded as the scalars it multiplies the
+    coordinates by.  g fixes a point when s * c == c on every coordinate,
+    the characters are the cyclotomic averages (1/|G|) sum_g fixed(g) chi(g)^-1,
+    and each invariant generator is evaluated at every orbit point and must
+    take one value there.
+    """
+    group = action.group
+    conductor = math.lcm(group.exponent,
+                         *(c.conductor for c in point if isinstance(c, CyclotomicNumber)))
+    base = tuple(_oracle_embed(c, conductor) for c in point)
+    scalars = [(g, [_oracle_pairing(group, g, w, conductor) for w in action.weights])
+               for g in group.elements()]
+    images = {}
+    stabilizer = []
+    for g, ss in scalars:
+        image = tuple(s * c for s, c in zip(ss, base))
+        images[tuple(c.coeffs for c in image)] = image
+        if image == base:
+            stabilizer.append(g)
+    points = tuple(images[k] for k in sorted(images))
+    counts = tuple((g, sum(all(s * c == c for s, c in zip(ss, p)) for p in points))
+                   for g, ss in scalars)
+    chars = []
+    for chi in group.characters():
+        total = CyclotomicNumber.zero(conductor)
+        for g, fixed in counts:
+            total = total + fixed * _oracle_pairing(group, g, chi, conductor, -1)
+        mult = total / group.order
+        assert mult.is_rational() and mult.rational_value().denominator == 1
+        chars += [chi] * int(mult.rational_value())
+
+    size = len(points)
+    free_by_size = size == group.order
+    free_by_trace = all(fixed == 0 for g, fixed in counts if g != group.identity)
+    freeness = FreenessReport(
+        orbit_size=size,
+        group_order=group.order,
+        free_by_orbit_size=free_by_size,
+        free_by_trace=free_by_trace,
+        criteria_agree=free_by_size == free_by_trace,
+        is_free=free_by_size and free_by_trace,
+        stabilizer=tuple(stabilizer),
+        fixed_point_counts=counts,
+    )
+    cluster = GCluster(kind="orbit", action=action, conductor=conductor, points=points,
+                       quotient_dim=size, characters=tuple(sorted(chars)))
+    gens = tuple(invariant_generators(action))
+    values = []
+    for f in gens:
+        vals = {oracle_eval(f, p) for p in points}
+        assert len(vals) == 1, f"{f.to_text()} is not constant on the orbit"
+        values.append(vals.pop())
+    return cluster, freeness, QuotientPoint(gens, tuple(values))

@@ -135,6 +135,21 @@ class TestExitCodes:
         code, _, err = run("orbit", "cyclic:2:1,1", "--point", "1,2,3", capsys=capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("point", ["1/0, 1", "cyclo(4): 1/0*z, 1"])
+    def test_usage_zero_denominator_point(self, point, capsys):
+        code, out, err = run("orbit", "cyclic:2:1,1", "--point", point, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "ghilb: error: bad --point value: zero denominator\n"
+
+    def test_usage_unwritable_out(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run("coinv", "cyclic:2:1,1", "--out", str(target), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ghilb: error: cannot write --out: ")
+        assert not target.exists()
+
     def test_tau_needs_exactly_one_input(self, capsys):
         code, _, err = run("tau", "cyclic:2:1,1", capsys=capsys)
         assert code == 2

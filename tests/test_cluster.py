@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import cyclic_action, product_action, sl2_action
+import ghilb_kit.cluster as cluster_module
+from conftest import assert_orbit_matches_oracle, cyclic_action, product_action, sl2_action
 from ghilb_kit.cluster import (
     ClusterReport,
     GCluster,
@@ -443,7 +445,43 @@ class TestEvaluationKernel:
         assert len(monomials) - len(kernel) == size
 
 
+class TestOrbitOracle:
+    @pytest.mark.parametrize("action,point", _rank_cases())
+    def test_rank_cases(self, action, point):
+        assert_orbit_matches_oracle(action, point)
+
+    def test_conductor_a_proper_multiple_of_the_exponent(self):
+        # Z/2 must act on a cyclo(3) coordinate by -1 = zeta_6^3, not by zeta_6
+        z3 = CyclotomicNumber.root_of_unity(3)
+        cluster, freeness = orbit_cluster(sl2_action(2), (z3, F(1)))
+        assert cluster.conductor == 6
+        assert set(cluster.points) == {(z3, CyclotomicNumber.one(6)), (-z3, -CyclotomicNumber.one(6))}
+        assert freeness.is_free
+        assert_orbit_matches_oracle(sl2_action(2), (z3, F(1)))
+
+
 class TestTau:
+    def test_orbit_evaluates_each_generator_once(self, monkeypatch):
+        action = sl2_action(4)
+        cluster, freeness = orbit_cluster(action, (F(1), F(2)))
+        assert freeness.is_free
+        evaluated = []
+        evaluate = cluster_module._evaluate
+
+        def counted(m, point, one):
+            evaluated.append(m)
+            return evaluate(m, point, one)
+
+        monkeypatch.setattr(cluster_module, "_evaluate", counted)
+        point = tau_support(action, cluster)
+        assert evaluated == list(point.generators)
+
+    def test_orbit_generator_of_nontrivial_weight_is_integrity_error(self, z2):
+        cluster, _ = orbit_cluster(z2, (F(1), F(2)))
+        coinv = SimpleNamespace(invariant_gens=(mono(1, 0),))
+        with pytest.raises(IntegrityError, match="not constant on the orbit"):
+            tau_support(z2, cluster, coinv)
+
     def test_torus_fixed_is_origin(self):
         for action in (sl2_action(4), cyclic_action(4, (1, 2))):
             for cluster in enumerate_torus_fixed_clusters(action):

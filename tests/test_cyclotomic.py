@@ -10,6 +10,7 @@ import pytest
 from conftest import cyclic_action, product_action
 from ghilb_kit.cyclotomic import (
     CyclotomicNumber,
+    character_exponent,
     character_value,
     common_conductor,
     cyclotomic_polynomial,
@@ -57,6 +58,13 @@ class TestCyclotomicPolynomial:
 
     def test_euler_phi(self):
         assert [euler_phi(m) for m in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+
+    def test_equals_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for m in range(1, 121):
+            expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+            assert cyclotomic_polynomial(m) == tuple(int(c) for c in expected)
 
 
 class TestArithmetic:
@@ -247,10 +255,35 @@ class TestCharacterValue:
     def test_validates_arguments(self):
         group = FiniteAbelianGroup((4,))
         other = FiniteAbelianGroup((3,))
-        with pytest.raises(ValueError):
-            character_value(group, (1,), other.character((1,)))
-        with pytest.raises(ValueError):
-            character_value(group, (1, 2), group.character((1,)))
+        for pairing in (character_exponent, character_value):
+            with pytest.raises(ValueError):
+                pairing(group, (1,), other.character((1,)))
+            with pytest.raises(ValueError):
+                pairing(group, (1, 2), group.character((1,)))
+
+
+class TestCharacterExponent:
+    @pytest.mark.parametrize("divisors", [(), (2,), (5,), (12,), (2, 2), (2, 6), (3, 4)])
+    def test_integer_pairing(self, divisors):
+        """Bilinear mod m, zeta_m^((m/d_i) c_i) on the i-th generator, and value zeta_m^k."""
+        group = FiniteAbelianGroup(divisors)
+        m = group.exponent
+        elements = list(group.elements())
+        chars = list(group.characters())
+        for i, d in enumerate(divisors):
+            e_i = tuple(int(j == i) for j in range(len(divisors)))
+            for chi in chars:
+                assert character_exponent(group, e_i, chi) == (m // d) * chi.components[i] % m
+        rng = random.Random(25)
+        for _ in range(30):
+            chi, psi = rng.choice(chars), rng.choice(chars)
+            g, h = rng.choice(elements), rng.choice(elements)
+            gh = tuple((x + y) % d for x, y, d in zip(g, h, divisors))
+            k = character_exponent(group, g, chi)
+            assert 0 <= k < m
+            assert character_exponent(group, gh, chi) == (k + character_exponent(group, h, chi)) % m
+            assert character_exponent(group, g, chi + psi) == (k + character_exponent(group, g, psi)) % m
+            assert character_value(group, g, chi) == CyclotomicNumber.root_of_unity(m, k)
 
 
 class TestText:

@@ -1,0 +1,51 @@
+"""Hypothesis property suites over random small actions and points."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from conftest import assert_orbit_matches_oracle, product_action
+from ghilb_kit.cyclotomic import CyclotomicNumber
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+# every abelian group of order at most 12, and Z/12 once more as Z/3 x Z/4
+DIVISORS = [(), *((r,) for r in range(2, 13)), (2, 2), (2, 4), (2, 6), (3, 3), (2, 2, 2), (3, 4)]
+
+
+@st.composite
+def actions(draw):
+    """Diagonal actions with n <= 3 and |G| <= 12, faithful or not."""
+    divisors = draw(st.sampled_from(DIVISORS))
+    n = draw(st.integers(1, 3))
+    weights = [tuple(draw(st.integers(0, d - 1)) for d in divisors) for _ in range(n)]
+    return product_action(divisors, weights)
+
+
+def cyclotomic(m: int):
+    """Elements of Q(zeta_m) from short integer polynomials in zeta_m."""
+    return st.lists(st.integers(-2, 2), min_size=1, max_size=m).map(
+        lambda coeffs: CyclotomicNumber.from_polynomial(coeffs, m))
+
+
+coordinates = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    st.integers(1, 6).flatmap(cyclotomic),
+)
+
+
+@st.composite
+def orbit_inputs(draw):
+    action = draw(actions())
+    point = tuple(draw(coordinates) for _ in range(action.num_variables))
+    return action, point
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(orbit_inputs())
+def test_orbit_path_equals_cyclotomic_scalar_oracle(case):
+    assert_orbit_matches_oracle(*case)
