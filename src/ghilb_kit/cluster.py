@@ -4,11 +4,11 @@ A G-cluster is a finite subscheme of affine n-space whose function algebra
 carries every character of the acting abelian group exactly once (the regular
 representation).  Three presentations are supported:
 
-* MonomialInS: a monomial ideal in the full polynomial ring, checked through
-  its staircase.
-* SubspaceOfCoinv: a row span inside the coinvariant algebra, checked through
+* kind "monomial": a monomial ideal in the full polynomial ring, checked
+  through its staircase.
+* kind "subspace": a row span inside the coinvariant algebra, checked through
   linear algebra plus the ideal-closure test.
-* OrbitIdeal: the reduced orbit of an explicit point with cyclotomic
+* kind "orbit": the reduced orbit of an explicit point with cyclotomic
   coordinates; a cluster exactly when the orbit is free.
 
 The map tau sends a cluster to the point of the quotient space it sits over,
@@ -56,7 +56,10 @@ class IntegrityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClusterReport:
-    """Outcome of verify_cluster.
+    """Outcome of a G-cluster check on a quotient.
+
+    from_quotient holds the one verdict ladder; verify_cluster, the cluster
+    constructors and the CLI commands verify, clusters and orbit read it.
 
     staircase is the staircase the verdict of a monomial ideal was read from,
     or None when there is none (past the cap, or not a monomial ideal).
@@ -135,6 +138,13 @@ class GCluster:
             raise ValueError(f"cluster of kind {self.kind!r} is missing its payload")
 
 
+def _to_conductor(c, conductor: int) -> CyclotomicNumber:
+    """A rational or cyclotomic scalar as an element of Q(zeta_conductor)."""
+    if isinstance(c, CyclotomicNumber):
+        return embed_to_conductor(c, conductor)
+    return CyclotomicNumber.from_rational(Fraction(c), conductor)
+
+
 def _field_context(rows):
     """Common exact field for a row matrix: rationals or one cyclotomic field."""
     conductor = 1
@@ -144,19 +154,10 @@ def _field_context(rows):
             if isinstance(e, CyclotomicNumber):
                 cyclo = True
                 conductor = math.lcm(conductor, e.conductor)
-    if cyclo:
-        zero = CyclotomicNumber.zero(conductor)
-        one = CyclotomicNumber.one(conductor)
-
-        def coerce(e):
-            if isinstance(e, CyclotomicNumber):
-                return embed_to_conductor(e, conductor)
-            return CyclotomicNumber.from_rational(Fraction(e), conductor)
-
-    else:
-        zero, one = Fraction(0), Fraction(1)
-        coerce = Fraction
-    return zero, one, [[coerce(e) for e in row] for row in rows]
+    if not cyclo:
+        return Fraction(0), Fraction(1), [[Fraction(e) for e in row] for row in rows]
+    return (CyclotomicNumber.zero(conductor), CyclotomicNumber.one(conductor),
+            [[_to_conductor(e, conductor) for e in row] for row in rows])
 
 
 def _echelon(coinv: CoinvariantAlgebra, rows):
@@ -468,13 +469,7 @@ def _coerce_point(action: ActionData, point) -> tuple[int, tuple[CyclotomicNumbe
     for c in coords:
         if isinstance(c, CyclotomicNumber):
             conductor = math.lcm(conductor, c.conductor)
-    coerced = tuple(
-        embed_to_conductor(c, conductor)
-        if isinstance(c, CyclotomicNumber)
-        else CyclotomicNumber.from_rational(Fraction(c), conductor)
-        for c in coords
-    )
-    return conductor, coerced
+    return conductor, tuple(_to_conductor(c, conductor) for c in coords)
 
 
 def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
@@ -498,7 +493,8 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
     seen = {}
     stabilizer = []
     for g, ks in group_exponents:
-        image = tuple(CyclotomicNumber.root_of_unity(conductor, k) * c for k, c in zip(ks, base))
+        image = tuple(CyclotomicNumber.root_of_unity(conductor, k) * c if k and c else c
+                      for k, c in zip(ks, base))
         seen[tuple(c.coeffs for c in image)] = image
         if image == base:
             stabilizer.append(g)

@@ -10,6 +10,7 @@ Phi_m = (x^m - 1) / prod_{d | m, d < m} Phi_d.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -42,27 +43,39 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def _poly_trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
+def _poly_trim(coeffs: list) -> list:
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
 
 
-def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Divide integer polynomials where den is monic; stays in Z[x]."""
-    num = list(num)
+def _poly_mul(a: Sequence, b: Sequence) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
+    """Exact quotient and remainder of num by a trimmed nonzero den.
+
+    A monic den keeps integer input in Z[x]; otherwise the coefficients must
+    be Fractions.
+    """
+    num = _poly_trim(list(num))
+    lead = den[-1]
     quot = [0] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den) and _poly_trim(list(num)):
+    while len(num) >= len(den):
+        c = num[-1] if lead == 1 else num[-1] / lead
         shift = len(num) - len(den)
-        c = num[-1]
-        if c == 0:
-            num.pop()
-            continue
         quot[shift] = c
         for i, d in enumerate(den):
             num[shift + i] -= c * d
-        num.pop()
-    return quot, _poly_trim(num)
+        _poly_trim(num)
+    return quot, num
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,7 +88,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     num = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            num, rem = _poly_divmod_monic(num, list(cyclotomic_polynomial(d)))
+            num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
             if rem:
                 raise AssertionError("cyclotomic division left a remainder")
     return tuple(num)
@@ -186,12 +199,7 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prod = [Q0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
+        prod = _poly_mul(self.coeffs, other.coeffs)
         return CyclotomicNumber(self.conductor, _reduce_mod_phi(prod, self.conductor))
 
     __rmul__ = __mul__
@@ -200,13 +208,13 @@ class CyclotomicNumber:
         """Multiplicative inverse via the extended Euclidean algorithm."""
         if not self:
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        r0, r1 = phi, list(self.coeffs)
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
+        r1 = _poly_trim(list(self.coeffs))
         s0, s1 = [Q0], [Q1]
-        while _poly_trim_q(r1):
-            q = _poly_div_q(r0, r1)
-            r0, r1 = r1, _poly_sub_q(r0, _poly_mul_q(q, r1))
-            s0, s1 = s1, _poly_sub_q(s0, _poly_mul_q(q, s1))
+        while r1:
+            q, rem = _poly_divmod(r0, r1)
+            step = itertools.zip_longest(s0, _poly_mul(q, s1), fillvalue=Q0)
+            r0, r1, s0, s1 = r1, rem, s1, [a - b for a, b in step]
         # r0 is a nonzero constant: Phi_m is irreducible over Q
         const = r0[0]
         inv_coeffs = [c / const for c in s0]
@@ -252,46 +260,6 @@ class CyclotomicNumber:
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({to_text(self)!r})"
-
-
-# rational-coefficient polynomial helpers for the extended Euclid above
-
-def _poly_trim_q(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_mul_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Q0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else Q0) - (b[i] if i < len(b) else Q0) for i in range(n)]
-    return _poly_trim_q(out)
-
-
-def _poly_div_q(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    num = _poly_trim_q(list(num))
-    den = _poly_trim_q(list(den))
-    quot = [Q0] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den) and num:
-        c = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        quot[shift] = c
-        for i, d in enumerate(den):
-            num[shift + i] -= c * d
-        _poly_trim_q(num)
-    return quot
 
 
 def embed_to_conductor(a: CyclotomicNumber, new_conductor: int) -> CyclotomicNumber:

@@ -176,10 +176,18 @@ def regular_rep_multiset(group: FiniteAbelianGroup) -> Counter:
 
 
 def is_regular_representation(group: FiniteAbelianGroup, chars: Iterable[Character]) -> bool:
-    """True iff the multiset equals the regular representation of the group."""
-    if isinstance(chars, Counter):
-        return chars == regular_rep_multiset(group)
-    return Counter(chars) == regular_rep_multiset(group)
+    """True iff the multiset equals the regular representation of the group.
+
+    That is |G| distinct characters of the group, each counted once; a
+    Counter is read as the multiset it counts, its zero counts ignored.
+    """
+    counts = Counter(chars)
+    present = [chi for chi, n in counts.items() if n]
+    return len(present) == group.order and all(
+        counts[chi] == 1 and isinstance(chi, Character)
+        and chi.divisors == group.elementary_divisors
+        for chi in present
+    )
 
 
 def isotypical_split(

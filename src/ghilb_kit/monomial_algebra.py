@@ -13,6 +13,7 @@ x_1 > ... > x_n; sorted sequences are ascending in that order.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -226,24 +227,30 @@ def colength(ideal: MonomialIdeal) -> Optional[int]:
     return count(gens, n)
 
 
-def _invariant_staircase(action: ActionData) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+def _invariant_staircase(
+    action: ActionData,
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[Character]]:
     """Exponents of the minimal invariant generators and of the coinvariant basis.
 
-    Both lists are in graded-lex order.  The basis is walked upward level by
-    level; a candidate whose divisors m/x_i are all basis monomials is a
-    minimal generator exactly when it is invariant.
+    Both lists are in graded-lex order; the third list holds the weight of
+    each basis member, as the invariance test computed it.  The basis is
+    walked upward level by level; a candidate whose divisors m/x_i are all
+    basis monomials is a minimal generator exactly when it is invariant.
     """
     gens: list[tuple[int, ...]] = []
+    weights: dict[tuple[int, ...], Character] = {}
 
     def invariant(e: tuple[int, ...]) -> bool:
-        if any(e) and weight_of_monomial(action, e).is_trivial:
+        weight = weight_of_monomial(action, e)
+        if any(e) and weight.is_trivial:
             gens.append(e)
             return True
+        weights[e] = weight
         return False
 
     basis = [e for level in _staircase_levels(action.num_variables, invariant) for e in level]
     gens.sort(key=lambda e: (sum(e), e))
-    return gens, basis
+    return gens, basis, [weights[e] for e in basis]
 
 
 def invariant_generators(action: ActionData) -> list[Monomial]:
@@ -287,15 +294,12 @@ class CoinvariantAlgebra:
                 "the action is not faithful and the basis cannot carry every character"
             )
         self.action = action
-        gen_exps, basis_exps = _invariant_staircase(action)
+        gen_exps, basis_exps, weights = _invariant_staircase(action)
         self.invariant_gens: tuple[Monomial, ...] = tuple(Monomial(g) for g in gen_exps)
-        self.ideal = MonomialIdeal(action.num_variables, self.invariant_gens)
         self.basis: tuple[Monomial, ...] = tuple(Monomial(e) for e in basis_exps)
-        self._index = {m: i for i, m in enumerate(self.basis)}
+        self.weights: tuple[Character, ...] = tuple(weights)
+        self._index = {e: i for i, e in enumerate(basis_exps)}
         self._steps: Optional[tuple] = None
-        self.weights: tuple[Character, ...] = tuple(
-            weight_of_monomial(action, e) for e in basis_exps
-        )
 
         if not self.basis or not self.basis[0].is_one:
             raise AssertionError("coinvariant basis must contain the unit monomial")
@@ -304,22 +308,27 @@ class CoinvariantAlgebra:
         if missing:
             raise AssertionError(f"characters missing from the basis: {missing}")
 
+    @functools.cached_property
+    def ideal(self) -> MonomialIdeal:
+        """The ideal of positive-degree invariants, built on first read."""
+        return MonomialIdeal(self.action.num_variables, self.invariant_gens)
+
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def index_of(self, m: Monomial) -> int:
         try:
-            return self._index[m]
+            return self._index[m.exponents]
         except KeyError:
             raise ValueError(f"{m.to_text()} is not a basis monomial") from None
 
     def contains_basis(self, m: Monomial) -> bool:
-        return m in self._index
+        return m.exponents in self._index
 
     def mult_index(self, i: int, j: int) -> Optional[int]:
         """Basis index of basis[i]*basis[j], or None when the product is zero."""
-        return self._index.get(self.basis[i] * self.basis[j])
+        return self._index.get((self.basis[i] * self.basis[j]).exponents)
 
     def variable_steps(self) -> tuple[list[list[Optional[int]]], list[list[Optional[int]]]]:
         """Index tables of multiplication and division by the variables.
@@ -331,13 +340,12 @@ class CoinvariantAlgebra:
         """
         if self._steps is None:
             n = self.action.num_variables
-            index = {m.exponents: i for i, m in enumerate(self.basis)}
             up: list[list[Optional[int]]] = [[None] * n for _ in self.basis]
             down: list[list[Optional[int]]] = [[None] * n for _ in self.basis]
             for i, m in enumerate(self.basis):
                 e = m.exponents
                 for v in range(n):
-                    k = index.get(e[:v] + (e[v] + 1,) + e[v + 1:])
+                    k = self._index.get(e[:v] + (e[v] + 1,) + e[v + 1:])
                     if k is not None:
                         up[i][v] = k
                         down[k][v] = i
@@ -353,7 +361,7 @@ class CoinvariantAlgebra:
         out = [zero] * self.dim
         for i, c in enumerate(vec):
             if c:
-                k = self._index.get(m * self.basis[i])
+                k = self._index.get((m * self.basis[i]).exponents)
                 if k is not None:
                     out[k] = out[k] + c
         return out

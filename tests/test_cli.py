@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -490,9 +491,12 @@ class TestEachQueryOnce:
 
 class TestModuleInvocation:
     def test_python_dash_m(self):
+        # the child imports the package this process imported, installed or not
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "ghilb_kit", "verify", "cyclic:2:1,1",
              "--ideal", "x2,x1^2"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["is_cluster"] is True

@@ -56,6 +56,10 @@ class TestCyclotomicPolynomial:
             expected = [-1] + [0] * (m - 1) + [1]
             assert prod == expected
 
+    def test_coefficients_are_ints(self):
+        for m in range(1, 121):
+            assert all(type(c) is int for c in cyclotomic_polynomial(m))
+
     def test_euler_phi(self):
         assert [euler_phi(m) for m in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
@@ -110,6 +114,19 @@ class TestArithmetic:
             if b:
                 assert (a / b) * b == a
                 assert b * b ** -1 == 1
+
+    def test_inverse_rational_coefficients(self):
+        # three terms, each an odd numerator over an even denominator; a dense
+        # element of degree ~60 would make Euclid over Q take seconds
+        rng = random.Random(27)
+        for m in range(1, 61):
+            coeffs = [F(0)] * euler_phi(m)
+            for _ in range(3):
+                coeffs[rng.randrange(len(coeffs))] = F(2 * rng.randint(-5, 4) + 1, 2 * rng.randint(1, 5))
+            a = CyclotomicNumber(m, tuple(coeffs))
+            inv = a.inverse()
+            assert a * inv == 1
+            assert inv.inverse() == a
 
     def test_mixed_scalar_arithmetic(self):
         z6 = CyclotomicNumber.root_of_unity(6)

@@ -136,6 +136,33 @@ class TestRegularRepresentation:
         g = FiniteAbelianGroup(())
         assert is_regular_representation(g, [g.trivial_character])
         assert not is_regular_representation(g, [])
+        assert is_regular_representation(g, Counter([g.trivial_character]))
+        # one character, but of the group Z/2
+        assert not is_regular_representation(g, [FiniteAbelianGroup((2,)).trivial_character])
+
+    def test_counter_input(self):
+        g = FiniteAbelianGroup((2, 3))
+        chars = list(g.characters())
+        assert is_regular_representation(g, Counter(chars))
+        assert is_regular_representation(g, regular_rep_multiset(g))
+        doubled = Counter(chars[:-1] + [chars[0]])
+        assert sum(doubled.values()) == g.order
+        assert not is_regular_representation(g, doubled)
+        # a zero count is absent from the multiset, a negative one is not
+        with_zero = Counter(chars)
+        with_zero[FiniteAbelianGroup((4,)).trivial_character] = 0
+        assert is_regular_representation(g, with_zero)
+        with_zero[chars[0]] = -1
+        assert not is_regular_representation(g, with_zero)
+
+    def test_characters_of_another_group(self):
+        # |G| distinct characters, but of Z/4 rather than Z/2 x Z/2
+        g = FiniteAbelianGroup((2, 2))
+        other = list(FiniteAbelianGroup((4,)).characters())
+        assert len(other) == g.order
+        assert not is_regular_representation(g, other)
+        assert not is_regular_representation(g, Counter(other))
+        assert is_regular_representation(FiniteAbelianGroup((4,)), other)
 
 
 class TestIsotypicalSplit:
