@@ -394,6 +394,7 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser on every call; main builds one and reuses it."""
     parser = argparse.ArgumentParser(
         prog="ghilb",
         description="Exact cluster data for finite abelian diagonal actions on affine space.",
@@ -431,10 +432,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (build_parser, the parser it returned): main's parser, built on its first
+# call and rebuilt only when the name build_parser is rebound
+_PARSER: list = [None, None]
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    if _PARSER[0] is not build_parser:
+        _PARSER[:] = [build_parser, build_parser()]
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER[1].parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if getattr(args, "cap", None) is not None and args.cap < 1:

@@ -27,8 +27,8 @@ relative_data), which takes one of two paths:
   the spanning set is the basis monomials in the ideal, and the minimal
   generators are those with no quotient by a variable in the ideal;
 * raw rows (and subspace clusters) take the dense path, which eliminates
-  over the rationals and is the test oracle of the index path.  Apart from
-  the rank test of eq8_map, it is the only elimination in this module.
+  over the rationals (eq8_map's rank test included) and is the test oracle
+  of the index path.  It is the only elimination in this module.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ class RelativeData:
     computed on first use.  The spanning rows of the ideal subspace are
     indexed by j (row_weights), the quotient columns by c (qcols, qweights),
     and the unknowns of the Hom space are the weight-compatible slots (j, c).
-    Subclasses provide row, generator_indices and kernel.
+    Subclasses provide row, generator_indices, kernel and restricted_rank.
     """
 
     coinv: CoinvariantAlgebra
@@ -306,6 +306,11 @@ class _DenseRelative(RelativeData):
         work = [list(r) for r in work]
         work_pivots = list(work_pivots)
         return [j for j, row in enumerate(self.rref) if _echelon_insert(work, work_pivots, row)]
+
+    @staticmethod
+    def restricted_rank(matrix) -> int:
+        """Rank of the kernel rows restricted to some slots, by elimination."""
+        return len(rref_rows([list(r) for r in matrix])[0])
 
     @cached_property
     def kernel(self) -> list[list[Fraction]]:
@@ -416,6 +421,15 @@ class _MonomialRelative(RelativeData):
                 equations.extend(terms.values())
         return _union_find_kernel(len(self.slots), equations)
 
+    @staticmethod
+    def restricted_rank(matrix) -> int:
+        """Rank of the kernel rows restricted to some slots.
+
+        The kernel rows are indicators of disjoint slot classes, so their
+        restrictions have disjoint supports and the nonzero ones are independent.
+        """
+        return sum(any(r) for r in matrix)
+
 
 def relative_data(coinv: CoinvariantAlgebra, subspace) -> RelativeData:
     """The shared relative tangent computation for an ideal subspace of S-bar.
@@ -483,7 +497,7 @@ def eq8_map(coinv: CoinvariantAlgebra, subspace) -> Eq8Report:
     target = [s for s, (j, _) in enumerate(data.slots) if j in gen_rows]
     matrix = tuple(tuple(vec[s] for s in target) for vec in data.kernel)
     source_dim = len(data.kernel)
-    rank = len(rref_rows([list(r) for r in matrix])[0])
+    rank = data.restricted_rank(matrix)
     injective = rank == source_dim
     return Eq8Report(
         matrix=matrix,

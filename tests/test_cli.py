@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -489,14 +491,157 @@ class TestEachQueryOnce:
         assert {name: calls[name] for name in expected} == expected
 
 
+def _child_env() -> dict:
+    """Environment in which a child interpreter imports the package this process imported."""
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _cached_parser_argvs(tmp_path) -> list:
+    """Every subcommand and alias, both formats, --out, --cap, both tau inputs,
+    every usage error above, and --help."""
+    return [
+        ["coinv", "cyclic:3:1,2"],
+        ["coinv", "2x2 ; 1,0 | 0,1", "--format", "tsv"],
+        ["coinv", "cyclic:3:1,2", "--out", str(tmp_path / "report.json")],
+        ["coinv", "cyclic:4:2,2"],
+        ["clusters", "cyclic:3:1,2"],
+        ["clusters", "cyclic:2:1,1", "--format", "tsv"],
+        ["verify", "cyclic:3:1,2", "--ideal", "x2,x1^3"],
+        ["verify", "cyclic:2:1,1", "--ideal", "x,y", "--format", "tsv"],
+        ["verify", "cyclic:2:1,1", "--ideal", "x1^2,x2", "--cap", "1"],
+        ["verify", "cyclic:2:1,1", "--ideal", "x1^2,x2", "--cap", "2"],
+        ["tau", "cyclic:5:1,2", "--ideal", "x2,x1^5"],
+        ["tau", "cyclic:2:1,1", "--ideal", "x1^3,x2", "--cap", "8"],
+        ["tau", "cyclic:2:1,1", "--point", "2,3"],
+        ["tau", "cyclic:6:1,5", "--point", "cyclo(3): z, 2", "--format", "tsv"],
+        ["orbit", "cyclic:4:1,3", "--point", "cyclo(4): z, 1"],
+        ["orbit", "cyclic:3:1,2", "--point", "0,0", "--format", "tsv"],
+        ["tangent", "cyclic:3:1,2", "--ideal", "x1^2,x1*x2,x2^2"],
+        ["fiber-tangent", "cyclic:3:1,2", "--ideal", "x2,x1^3", "--format", "tsv"],
+        ["stratify", "cyclic:7:1,2,4", "--ideal", "x2,x3^2,x1^3*x3,x1^4", "--cap", "7"],
+        ["eq8-check", "cyclic:3:1,2", "--ideal", "x1,x2"],
+        ["mckay", "cyclic:3:1,2"],
+        ["mckay", "cyclic:4:1,3", "--format", "tsv", "--out", str(tmp_path / "mckay.tsv")],
+        # the usage errors of TestExitCodes and TestReportSchemas
+        ["verify", "cyclic:0:1", "--ideal", "x"],
+        ["verify", "cyclic:2:1,1", "--ideal", "garbage+"],
+        ["orbit", "cyclic:2:1,1", "--point", "1,oops"],
+        ["orbit", "cyclic:2:1,1", "--point", "1,2,3"],
+        ["orbit", "cyclic:2:1,1", "--point", "1/0, 1"],
+        ["orbit", "cyclic:2:1,1", "--point", "cyclo(4): 1/0*z, 1"],
+        ["coinv", "cyclic:2:1,1", "--out", str(tmp_path / "missing" / "r.json")],
+        ["tau", "cyclic:2:1,1"],
+        ["tau", "cyclic:2:1,1", "--ideal", "x2,x1^2", "--point", "1,1"],
+        ["clusters", "cyclic:2:1,1", "--cap", "0"],
+        ["orbit", "cyclic:2:1,1", "--point", "1,1", "--cap", "3"],
+        ["mckay", "cyclic:2:1,1", "--cap", "3"],
+        ["coinv", "cyclic:2:1,1", "--cap", "3"],
+        ["clusters", "cyclic:2:1,1", "--cap", "3"],
+        ["verify", "cyclic:2:1,1", "--ideal", "x1^2,x2", "--cap", "0"],
+        ["nosuch", "cyclic:2:1,1"],
+        ["verify", "cyclic:2:1,1"],
+        ["stratify", "cyclic:3:1,2"],
+        ["--help"],
+    ]
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCachedParser:
+    """main builds its parser once per process and answers as a fresh parser would."""
+
+    @staticmethod
+    def answer(argv, tmp_path, capsys) -> tuple:
+        """(exit code, stdout, stderr, files written) of one main call; the files are removed."""
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        written = {}
+        for path in sorted(tmp_path.iterdir()):
+            written[path.name] = path.read_text(encoding="utf-8")
+            path.unlink()
+        return code, out, err, written
+
+    def test_cached_parser_answers_as_a_fresh_one(self, tmp_path, capsys):
+        argvs = _cached_parser_argvs(tmp_path)
+        fresh = []
+        for argv in argvs:
+            cli_module._PARSER[:] = [None, None]
+            fresh.append(self.answer(argv, tmp_path, capsys))
+        assert {f[0] for f in fresh} == {0, 1, 2}
+        assert sum(bool(f[3]) for f in fresh) == 2
+        # one parser for the whole list, forwards and then backwards
+        order = list(range(len(argvs)))
+        for i in order + order[::-1]:
+            assert self.answer(argvs[i], tmp_path, capsys) == fresh[i], argvs[i]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli_module.build_parser() is not cli_module.build_parser()
+
+    def test_many_calls_build_once(self, tmp_path, monkeypatch, capsys):
+        builds = []
+        build = cli_module.build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli_module, "build_parser", counting)
+        for argv in _cached_parser_argvs(tmp_path) * 2:
+            self.answer(argv, tmp_path, capsys)
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import ghilb_kit.cli\n"
+            "print(len(built))\n"
+            "ghilb_kit.cli.build_parser()\n"
+            "print(len(built) > 0)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\nTrue\n"
+
+    def test_tracer_spans_the_cached_parser_only_while_installed(self, tmp_path, capsys):
+        tracer = _load_tracer().Tracer()
+        queries = [["verify", "cyclic:3:1,2", "--ideal", "x2,x1^3"],
+                   ["orbit", "cyclic:2:1,1", "--point", "1,1"],
+                   ["tangent", "cyclic:3:1,2", "--ideal", "x2,x1^3"]]
+        self.answer(queries[0], tmp_path, capsys)  # the untraced parser is cached
+        tracer.install()
+        try:
+            traced = [self.answer(argv, tmp_path, capsys) for argv in queries]
+        finally:
+            tracer.uninstall()
+        names = Counter(span[3] for span in tracer.spans)
+        assert names["cli.build_parser"] == 1
+        assert names["cli.parse_args"] == len(queries)
+        spans = len(tracer.spans)
+        assert [self.answer(argv, tmp_path, capsys) for argv in queries] == traced
+        assert len(tracer.spans) == spans
+        assert "parse_args" not in vars(cli_module._PARSER[1])
+
+
 class TestModuleInvocation:
     def test_python_dash_m(self):
-        # the child imports the package this process imported, installed or not
-        src = os.path.dirname(os.path.dirname(cli_module.__file__))
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "ghilb_kit", "verify", "cyclic:2:1,1",
              "--ideal", "x2,x1^2"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["is_cluster"] is True

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import assert_orbit_matches_oracle, product_action
+from ghilb_kit.cluster import enumerate_torus_fixed_clusters, subspace_rows_of_monomial_cluster
 from ghilb_kit.cyclotomic import CyclotomicNumber
+from ghilb_kit.monomial_algebra import coinvariant_algebra
+from ghilb_kit.tangent import eq8_map, relative_tangent_space, stratification_rep
+from oracles import oracle_staircases
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 # every abelian group of order at most 12, and Z/12 once more as Z/3 x Z/4
 DIVISORS = [(), *((r,) for r in range(2, 13)), (2, 2), (2, 4), (2, 6), (3, 3), (2, 2, 2), (3, 4)]
@@ -49,3 +54,27 @@ def orbit_inputs(draw):
 @given(orbit_inputs())
 def test_orbit_path_equals_cyclotomic_scalar_oracle(case):
     assert_orbit_matches_oracle(*case)
+
+
+faithful_actions = actions().filter(lambda action: action.is_faithful())
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(faithful_actions)
+def test_enumeration_equals_exhaustive_staircase_search(action):
+    coinv = coinvariant_algebra(action)
+    # the oracle tries every |G|-subset of the coinvariant basis
+    assume(math.comb(coinv.dim, action.group.order) <= 3000)
+    got = {frozenset(c.staircase) for c in enumerate_torus_fixed_clusters(action, coinv)}
+    assert got == oracle_staircases(action, coinv.basis)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(faithful_actions)
+def test_monomial_path_equals_dense_path(action):
+    coinv = coinvariant_algebra(action)
+    assume(coinv.dim <= 30)
+    for cluster in enumerate_torus_fixed_clusters(action, coinv):
+        rows = subspace_rows_of_monomial_cluster(coinv, cluster)
+        for fn in (relative_tangent_space, stratification_rep, eq8_map):
+            assert fn(coinv, cluster) == fn(coinv, rows), (fn.__name__, cluster.ideal)

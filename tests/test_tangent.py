@@ -392,7 +392,7 @@ class TestMonomialPath:
 
 
 class TestNoElimination:
-    """The monomial Hom spaces and the stratification never eliminate."""
+    """The monomial Hom spaces, the stratification and eq8 never eliminate."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -418,7 +418,8 @@ class TestNoElimination:
         lambda action, coinv, cluster: relative_tangent_space(coinv, cluster),
         lambda action, coinv, cluster: stratification_rep(coinv, cluster),
         lambda action, coinv, cluster: stratification_rep(coinv, cluster.ideal),
-    ], ids=["tangent", "tangent-ideal", "relative", "strat", "strat-ideal"])
+        lambda action, coinv, cluster: eq8_map(coinv, cluster),
+    ], ids=["tangent", "tangent-ideal", "relative", "strat", "strat-ideal", "eq8"])
     def test_monomial_paths(self, fn, calls):
         for action in (cyclic_action(7, (1, 2, 4)), product_action((2, 4), ((1, 0), (0, 1)))):
             coinv = coinvariant_algebra(action)
@@ -427,9 +428,14 @@ class TestNoElimination:
         assert calls == Counter()
 
     def test_counter_sees_eq8_rank_check(self, calls):
+        # the dense counterpart: on subspace rows the rank test eliminates once
         action = cyclic_action(7, (1, 2, 4))
         coinv = coinvariant_algebra(action)
-        eq8_map(coinv, enumerate_torus_fixed_clusters(action, coinv)[0])
+        cluster = enumerate_torus_fixed_clusters(action, coinv)[0]
+        shared = relative_data(coinv, subspace_rows_of_monomial_cluster(coinv, cluster))
+        shared.kernel, shared.generator_indices  # both built before the count starts
+        calls.clear()
+        eq8_map(coinv, shared)
         assert calls == Counter({"rref_rows": 1})
 
 
