@@ -18,8 +18,10 @@ cluster ideal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -405,23 +407,18 @@ def invariant_relation_exponents(gens: Sequence[Monomial]) -> list[tuple[int, ..
 def satisfies_invariant_relations(gens: Sequence[Monomial], values: Sequence[Scalar]) -> bool:
     """Whether candidate tau values satisfy every relation among the generators."""
     for relation in invariant_relation_exponents(gens):
-        lhs, rhs = 1, 1
-        for value, c in zip(values, relation):
-            if c > 0:
-                lhs = lhs * value ** c
-            elif c < 0:
-                rhs = rhs * value ** (-c)
-        if lhs != rhs:
+        # a relation among monomials of positive degree has terms of both signs
+        lhs = [value ** c for value, c in zip(values, relation) if c > 0]
+        rhs = [value ** -c for value, c in zip(values, relation) if c < 0]
+        if functools.reduce(operator.mul, lhs) != functools.reduce(operator.mul, rhs):
             return False
     return True
 
 
 def _evaluate(m: Monomial, point, one: CyclotomicNumber) -> CyclotomicNumber:
-    result = one
-    for coord, a in zip(point, m.exponents):
-        if a:
-            result = result * coord ** a
-    return result
+    """m at a point with coordinates in one's field; one is the empty product."""
+    powers = [coord ** a for coord, a in zip(point, m.exponents) if a]
+    return functools.reduce(operator.mul, powers) if powers else one
 
 
 def _group_exponents(action: ActionData, conductor: int):
@@ -544,6 +541,7 @@ def evaluation_kernel(action: ActionData, points_or_cluster, conductor: Optional
             conductor = math.lcm(
                 action.group.exponent, *(c.conductor for p in points for c in p)
             )
+        points = tuple(tuple(_to_conductor(c, conductor) for c in p) for p in points)
     one = CyclotomicNumber.one(conductor)
     zero = CyclotomicNumber.zero(conductor)
     n = action.num_variables

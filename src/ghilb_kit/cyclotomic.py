@@ -5,13 +5,19 @@ power basis 1, z, ..., z^(phi(m)-1).  Reduction modulo Phi_m (rather than
 modulo x^m - 1) makes the representation unique, so equality is plain
 coefficient comparison.  Phi_m itself is obtained by the recursive quotient
 Phi_m = (x^m - 1) / prod_{d | m, d < m} Phi_d.
+
+The public coefficients are a tuple of Fractions in lowest terms.  Products
+and reductions run on integer numerators over one common denominator: Phi_m
+is monic in Z[x], so reducing an integer polynomial stays in Z, and each
+coefficient is divided by the denominator once at the end.  The inverse is
+the product of the other Galois conjugates over the (rational) norm.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +32,7 @@ Q1 = Fraction(1)
 Rational = Union[int, Fraction]
 
 
+@functools.lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError("conductor must be >= 1")
@@ -59,17 +66,12 @@ def _poly_mul(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def _poly_divmod(num: Sequence, den: Sequence) -> tuple[list, list]:
-    """Exact quotient and remainder of num by a trimmed nonzero den.
-
-    A monic den keeps integer input in Z[x]; otherwise the coefficients must
-    be Fractions.
-    """
+def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list, list]:
+    """Exact quotient and remainder of num by a monic den, both in Z[x]."""
     num = _poly_trim(list(num))
-    lead = den[-1]
     quot = [0] * max(len(num) - len(den) + 1, 0)
     while len(num) >= len(den):
-        c = num[-1] if lead == 1 else num[-1] / lead
+        c = num[-1]
         shift = len(num) - len(den)
         quot[shift] = c
         for i, d in enumerate(den):
@@ -94,20 +96,50 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
-    """Reduce a rational polynomial modulo Phi_m and pad to length phi(m)."""
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    work = list(coeffs)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
+@functools.lru_cache(maxsize=None)
+def _phi_tail(m: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero (j, c_j) of Phi_m below its leading term."""
+    return tuple((j, c) for j, c in enumerate(cyclotomic_polynomial(m)[:-1]) if c)
+
+
+def _numerators(coeffs: Sequence[Rational]) -> tuple[list[int], int]:
+    """Integer numerators of rational coefficients over their least common denominator."""
+    dens = [c.denominator for c in coeffs]
+    den = math.lcm(*dens)
+    return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
+
+
+def _reduce_mod_phi(nums: list[int], den: int, m: int) -> tuple[Fraction, ...]:
+    """The coefficients of (nums / den) modulo Phi_m, padded to length phi(m).
+
+    Phi_m is monic in Z[x], so the reduction runs on the integer numerators
+    and divides by the common denominator once per coefficient.  The list
+    nums is consumed.
+    """
+    tail = _phi_tail(m)
+    deg = len(cyclotomic_polynomial(m)) - 1
+    for i in range(len(nums) - 1, deg - 1, -1):
+        # z^i = z^(i-deg) * z^deg, and z^deg = -(Phi_m minus its leading term)
+        c = nums.pop()
         if c:
-            # z^i = z^(i-deg) * (z^deg) with z^deg = -(phi minus leading term)
-            for j in range(deg):
-                work[i - deg + j] -= c * phi[j]
-        work.pop()
-    work += [Q0] * (deg - len(work))
-    return tuple(work)
+            shift = i - deg
+            for j, p in tail:
+                nums[shift + j] -= c * p
+    nums += [0] * (deg - len(nums))
+    if den == 1:
+        return tuple(Fraction(n) if n else Q0 for n in nums)
+    return tuple(Fraction(n, den) if n else Q0 for n in nums)
+
+
+def _substitute_power(a: "CyclotomicNumber", k: int, m: int) -> "CyclotomicNumber":
+    """sum_i c_i zeta_m^(i k) for a = sum_i c_i zeta^i: the Galois conjugate
+    sigma_k when m is a's conductor, the embedding into Q(zeta_m) when k = m / a.conductor."""
+    nums, den = _numerators(a.coeffs)
+    out = [0] * m
+    for i, c in enumerate(nums):
+        if c:
+            out[i * k % m] += c
+    return CyclotomicNumber(m, _reduce_mod_phi(out, den, m))
 
 
 @dataclass(frozen=True)
@@ -118,11 +150,13 @@ class CyclotomicNumber:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        coeffs = self.coeffs
+        if type(coeffs) is not tuple or any(type(c) is not Fraction for c in coeffs):
+            coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+            object.__setattr__(self, "coeffs", coeffs)
         deg = euler_phi(self.conductor)
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
         if len(coeffs) != deg:
             raise ValueError(f"need {deg} coefficients for conductor {self.conductor}")
-        object.__setattr__(self, "coeffs", coeffs)
 
     # --- constructors -------------------------------------------------
 
@@ -136,17 +170,17 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, q: Rational, m: int) -> "CyclotomicNumber":
-        return cls(m, _reduce_mod_phi([Fraction(q)], m))
+        return cls.from_polynomial([q], m)
 
     @classmethod
     def from_polynomial(cls, coeffs: Sequence[Rational], m: int) -> "CyclotomicNumber":
-        return cls(m, _reduce_mod_phi([Fraction(c) for c in coeffs], m))
+        return cls(m, _reduce_mod_phi(*_numerators([Fraction(c) for c in coeffs]), m))
 
     @classmethod
     def root_of_unity(cls, m: int, power: int = 1) -> "CyclotomicNumber":
         """zeta_m ** power."""
         power %= m
-        return cls(m, _reduce_mod_phi([Q0] * power + [Q1], m))
+        return cls(m, _reduce_mod_phi([0] * power + [1], 1, m))
 
     # --- predicates ---------------------------------------------------
 
@@ -199,26 +233,25 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prod = _poly_mul(self.coeffs, other.coeffs)
-        return CyclotomicNumber(self.conductor, _reduce_mod_phi(prod, self.conductor))
+        a, da = _numerators(self.coeffs)
+        b, db = _numerators(other.coeffs)
+        return CyclotomicNumber(self.conductor, _reduce_mod_phi(_poly_mul(a, b), da * db, self.conductor))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse: the product of the other Galois conjugates over the norm.
+
+        sigma_k sends zeta to zeta^k for k a unit mod m, and the norm
+        a * prod_{k != 1} sigma_k(a) is a nonzero rational for nonzero a.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        r1 = _poly_trim(list(self.coeffs))
-        s0, s1 = [Q0], [Q1]
-        while r1:
-            q, rem = _poly_divmod(r0, r1)
-            step = itertools.zip_longest(s0, _poly_mul(q, s1), fillvalue=Q0)
-            r0, r1, s0, s1 = r1, rem, s1, [a - b for a, b in step]
-        # r0 is a nonzero constant: Phi_m is irreducible over Q
-        const = r0[0]
-        inv_coeffs = [c / const for c in s0]
-        return CyclotomicNumber(self.conductor, _reduce_mod_phi(inv_coeffs, self.conductor))
+        m = self.conductor
+        conjugates = [_substitute_power(self, k, m) for k in range(2, m) if math.gcd(k, m) == 1]
+        others = functools.reduce(operator.mul, conjugates) if conjugates else CyclotomicNumber.one(m)
+        norm = (self * others).rational_value()
+        return CyclotomicNumber(m, tuple(c / norm for c in others.coeffs))
 
     def __truediv__(self, other) -> "CyclotomicNumber":
         other = self._coerce(other)
@@ -232,13 +265,14 @@ class CyclotomicNumber:
     def __pow__(self, n: int) -> "CyclotomicNumber":
         if n < 0:
             return self.inverse() ** (-n)
-        result = CyclotomicNumber.one(self.conductor)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return CyclotomicNumber.one(self.conductor)
+        # left to right: a square per bit below the top one, a product per further set bit
+        result = self
+        for bit in range(n.bit_length() - 2, -1, -1):
+            result = result * result
+            if n >> bit & 1:
+                result = result * self
         return result
 
     def __eq__(self, other) -> bool:
@@ -268,12 +302,7 @@ def embed_to_conductor(a: CyclotomicNumber, new_conductor: int) -> CyclotomicNum
         raise ValueError(f"{a.conductor} does not divide {new_conductor}")
     if new_conductor == a.conductor:
         return a
-    k = new_conductor // a.conductor
-    out = [Q0] * ((len(a.coeffs) - 1) * k + 1 if a.coeffs else 1)
-    for i, c in enumerate(a.coeffs):
-        if c:
-            out[i * k] += c
-    return CyclotomicNumber(new_conductor, _reduce_mod_phi(out, new_conductor))
+    return _substitute_power(a, new_conductor // a.conductor, new_conductor)
 
 
 @functools.lru_cache(maxsize=None)

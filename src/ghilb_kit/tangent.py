@@ -41,6 +41,7 @@ from typing import Optional, Union
 
 from ghilb_kit.cluster import (
     GCluster,
+    IntegrityError,
     _closed_under_variables,
     _echelon,
     _monomial_report,
@@ -488,7 +489,9 @@ def eq8_map(coinv: CoinvariantAlgebra, subspace) -> Eq8Report:
     The target is the space of weight-preserving linear maps from
     Ibar/(mbar Ibar) to Sbar/Ibar, of dimension sum over characters of
     (multiplicity in the generators) * (multiplicity in the quotient).
-    Reports whether the restriction is injective and an isomorphism.
+    Reports whether the restriction is injective and an isomorphism.  On a
+    monomial ideal it is always injective (graded Nakayama), so there a
+    lower rank raises IntegrityError instead of answering False.
     """
     data = relative_data(coinv, subspace)
     # one slot per weight-compatible (generator, quotient column) pair, so
@@ -498,6 +501,8 @@ def eq8_map(coinv: CoinvariantAlgebra, subspace) -> Eq8Report:
     matrix = tuple(tuple(vec[s] for s in target) for vec in data.kernel)
     source_dim = len(data.kernel)
     rank = data.restricted_rank(matrix)
+    if rank < source_dim and isinstance(data, _MonomialRelative):
+        raise IntegrityError("a relative tangent vector vanishes on the minimal generators")
     injective = rank == source_dim
     return Eq8Report(
         matrix=matrix,

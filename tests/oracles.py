@@ -2,10 +2,12 @@
 
 Everything here is written from scratch against the definitions: plain
 Gaussian elimination, exhaustive staircase search, dense brute-force linear
-systems for the Hom spaces, and orbits on embedded cyclotomic scalars.
+systems for the Hom spaces, orbits on embedded cyclotomic scalars, and
+schoolbook Q(zeta_m) products and Euclid's inverse on Fraction polynomials.
 Apart from data containers, the package supplies only the field arithmetic
-of CyclotomicNumber, monomial weights and the invariant generators; no
-routine under test is shared.
+of CyclotomicNumber (outside its own oracles), the cyclotomic polynomials,
+monomial weights and the invariant generators; no routine under test is
+shared.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import Counter
 from fractions import Fraction
 
 from ghilb_kit.cluster import FreenessReport, GCluster, QuotientPoint
-from ghilb_kit.cyclotomic import CyclotomicNumber
+from ghilb_kit.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
 from ghilb_kit.group_rep import weight_of_monomial
 from ghilb_kit.monomial_algebra import Monomial, invariant_generators
 from ghilb_kit.tangent import EquivariantHomSpace
@@ -358,6 +360,60 @@ def oracle_eval(m, point):
         for _ in range(e):
             acc = acc * c
     return acc
+
+
+# --- cyclotomic field arithmetic -------------------------------------------
+
+
+def _oracle_poly_mul(a, b):
+    """Schoolbook product of ascending Fraction coefficient lists."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _oracle_poly_divmod(num, den):
+    """Long division by den (nonzero leading coefficient) over Q."""
+    num = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for shift in range(len(num) - len(den), -1, -1):
+        c = num[shift + len(den) - 1] / den[-1]
+        quot[shift] = c
+        for i, d in enumerate(den):
+            num[shift + i] -= c * d
+    rem = num[:len(den) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _oracle_residue(poly, m):
+    """The element of Q(zeta_m) whose coefficients are poly's remainder by Phi_m."""
+    phi = cyclotomic_polynomial(m)
+    _, rem = _oracle_poly_divmod(poly, phi)
+    return CyclotomicNumber(m, tuple(rem) + (Fraction(0),) * (len(phi) - 1 - len(rem)))
+
+
+def oracle_cyclo_mul(a, b):
+    """a * b as the schoolbook product reduced by exact division by Phi_m."""
+    return _oracle_residue(_oracle_poly_mul(a.coeffs, b.coeffs), a.conductor)
+
+
+def oracle_inverse(a):
+    """The inverse of a nonzero a by the extended Euclidean algorithm over Q."""
+    r0 = [Fraction(c) for c in cyclotomic_polynomial(a.conductor)]
+    r1 = list(a.coeffs)
+    while r1 and not r1[-1]:
+        r1.pop()
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while r1:
+        q, rem = _oracle_poly_divmod(r0, r1)
+        step = itertools.zip_longest(s0, _oracle_poly_mul(q, s1), fillvalue=Fraction(0))
+        r0, r1, s0, s1 = r1, rem, s1, [x - y for x, y in step]
+    # r0 is a nonzero constant: Phi_m is irreducible over Q
+    return _oracle_residue([c / r0[0] for c in s0], a.conductor)
 
 
 # --- orbits on cyclotomic scalars ----------------------------------------

@@ -476,6 +476,25 @@ class TestTau:
         point = tau_support(action, cluster)
         assert evaluated == list(point.generators)
 
+    def test_orbit_tau_never_multiplies_by_one(self, monkeypatch):
+        # x^4, y^4 and xy at (2 + zeta_3, 3): no value or power on the way is 1
+        action = sl2_action(4)
+        cluster, _ = orbit_cluster(action, (CyclotomicNumber.root_of_unity(3) + 2, F(3)))
+        products = []
+        mul = CyclotomicNumber.__mul__
+
+        def counted(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
+        monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted)
+        point = tau_support(action, cluster)
+        assert products and not any(a == 1 or b == 1 for a, b in products)
+        products.clear()
+        assert satisfies_invariant_relations(point.generators, point.values)
+        assert products and not any(a == 1 or b == 1 for a, b in products)
+
     def test_orbit_generator_of_nontrivial_weight_is_integrity_error(self, z2):
         cluster, _ = orbit_cluster(z2, (F(1), F(2)))
         coinv = SimpleNamespace(invariant_gens=(mono(1, 0),))

@@ -116,17 +116,39 @@ class TestArithmetic:
                 assert b * b ** -1 == 1
 
     def test_inverse_rational_coefficients(self):
-        # three terms, each an odd numerator over an even denominator; a dense
-        # element of degree ~60 would make Euclid over Q take seconds
+        # three terms, each an odd numerator over an even denominator, at every
+        # conductor up to 60; then dense elements at the primes 47 and 59
         rng = random.Random(27)
+        elements = []
         for m in range(1, 61):
             coeffs = [F(0)] * euler_phi(m)
             for _ in range(3):
                 coeffs[rng.randrange(len(coeffs))] = F(2 * rng.randint(-5, 4) + 1, 2 * rng.randint(1, 5))
-            a = CyclotomicNumber(m, tuple(coeffs))
+            elements.append(CyclotomicNumber(m, tuple(coeffs)))
+        for m in (47, 59):
+            elements.append(CyclotomicNumber(m, tuple(F(rng.randint(-5, 5), rng.randint(1, 5))
+                                                      for _ in range(euler_phi(m)))))
+        for a in elements:
             inv = a.inverse()
             assert a * inv == 1
             assert inv.inverse() == a
+
+    def test_power_makes_only_the_binary_products(self, monkeypatch):
+        # a square per bit below the top one and a product per further set bit
+        count = []
+        mul = CyclotomicNumber.__mul__
+
+        def counted(a, b):
+            count.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
+        monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted)
+        a = CyclotomicNumber.from_polynomial([F(1, 2), 2, -1], 5)
+        for n in range(1, 70):
+            count.clear()
+            a ** n
+            assert len(count) == n.bit_length() - 1 + n.bit_count() - 1, n
 
     def test_mixed_scalar_arithmetic(self):
         z6 = CyclotomicNumber.root_of_unity(6)

@@ -9,10 +9,10 @@ import pytest
 
 from conftest import assert_orbit_matches_oracle, product_action
 from ghilb_kit.cluster import enumerate_torus_fixed_clusters, subspace_rows_of_monomial_cluster
-from ghilb_kit.cyclotomic import CyclotomicNumber
+from ghilb_kit.cyclotomic import CyclotomicNumber, euler_phi
 from ghilb_kit.monomial_algebra import coinvariant_algebra
 from ghilb_kit.tangent import eq8_map, relative_tangent_space, stratification_rep
-from oracles import oracle_staircases
+from oracles import oracle_cyclo_mul, oracle_inverse, oracle_staircases
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -78,3 +78,57 @@ def test_monomial_path_equals_dense_path(action):
         rows = subspace_rows_of_monomial_cluster(coinv, cluster)
         for fn in (relative_tangent_space, stratification_rep, eq8_map):
             assert fn(coinv, cluster) == fn(coinv, rows), (fn.__name__, cluster.ideal)
+
+
+# --- Q(zeta_m) arithmetic against the schoolbook oracles -------------------
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def dense_elements(m: int):
+    """Elements of Q(zeta_m) with a small rational coefficient at every power."""
+    phi = euler_phi(m)
+    return st.lists(small_rationals, min_size=phi, max_size=phi).map(
+        lambda coeffs: CyclotomicNumber(m, tuple(coeffs)))
+
+
+def sparse_elements(m: int):
+    """Elements of Q(zeta_m) with at most four small rational terms, for Euclid's oracle."""
+    phi = euler_phi(m)
+
+    def build(terms):
+        coeffs = [Fraction(0)] * phi
+        for i, c in terms.items():
+            coeffs[i] = c
+        return CyclotomicNumber(m, tuple(coeffs))
+
+    return st.dictionaries(st.integers(0, phi - 1), small_rationals, max_size=4).map(build)
+
+
+conductors = st.integers(1, 60)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(conductors.flatmap(lambda m: st.tuples(dense_elements(m), dense_elements(m), dense_elements(m))))
+def test_product_equals_schoolbook_oracle_and_associates(abc):
+    a, b, c = abc
+    assert a * b == oracle_cyclo_mul(a, b)
+    assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(conductors.flatmap(dense_elements))
+def test_power_equals_repeated_product(a):
+    product = CyclotomicNumber.one(a.conductor)
+    for n in range(10):
+        assert a ** n == product
+        product = product * a
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(conductors.flatmap(sparse_elements))
+def test_inverse_equals_euclid_oracle(a):
+    assume(a)
+    inv = a.inverse()
+    assert a * inv == 1
+    assert inv == oracle_inverse(a)

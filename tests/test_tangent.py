@@ -12,7 +12,9 @@ import pytest
 
 from conftest import ABELIAN_N2_CORPUS, cyclic_action, product_action, sl2_action
 from ghilb_kit import exact_linalg
+from ghilb_kit import tangent as tangent_module
 from ghilb_kit.cluster import (
+    IntegrityError,
     enumerate_torus_fixed_clusters,
     orbit_cluster,
     subspace_rows_of_monomial_cluster,
@@ -528,6 +530,21 @@ class TestEq8:
                 report = eq8_map(coinv, rows)
                 assert report.injective
                 assert report.isomorphism
+
+    def test_monomial_rank_loss_is_integrity_error(self, z3, monkeypatch):
+        # a relative tangent vector of a monomial ideal is fixed by its values
+        # on the minimal generators, so only a faulty kernel can lose rank
+        coinv = coinvariant_algebra(z3)
+        cluster = enumerate_torus_fixed_clusters(z3)[0]
+        rows = subspace_rows_of_monomial_cluster(coinv, cluster)
+        assert eq8_map(coinv, cluster).source_dim > 0
+        for path in (tangent_module._MonomialRelative, tangent_module._DenseRelative):
+            monkeypatch.setattr(path, "restricted_rank", staticmethod(lambda matrix: len(matrix) - 1))
+        with pytest.raises(IntegrityError, match="vanishes on the minimal generators"):
+            eq8_map(coinv, cluster)
+        # the dense path still reports the rank as a domain answer
+        report = eq8_map(coinv, rows)
+        assert not report.injective and not report.isomorphism
 
     def test_restriction_consistent_with_hom_space(self, z3):
         coinv = coinvariant_algebra(z3)
