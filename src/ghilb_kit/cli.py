@@ -3,7 +3,8 @@
 Parses textual action specifications, dispatches the library computations,
 and prints deterministic JSON or TSV reports.  Exit status: 0 on success,
 1 on a domain failure (the input is well-formed but is not a cluster, not a
-free orbit, and so on), 2 on a usage error.
+free orbit, and so on), 2 on a usage error, 3 on an internal error (an
+IntegrityError: a consistency check failed, so the library is at fault).
 """
 
 from __future__ import annotations
@@ -457,9 +458,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"ghilb: error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, IntegrityError) as exc:
+    except ValueError as exc:
         print(f"ghilb: error: {exc}", file=sys.stderr)
         return 1
+    except IntegrityError as exc:
+        print(f"ghilb: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

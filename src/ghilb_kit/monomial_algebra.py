@@ -383,9 +383,6 @@ class CoinvariantAlgebra:
     def character_multiplicities(self) -> Counter:
         return Counter(self.weights)
 
-    def multiplicity(self, chi: Character) -> int:
-        return self.character_multiplicities()[chi]
-
 
 def _unit_monomials(num_vars: int) -> list[Monomial]:
     return [

@@ -25,13 +25,15 @@ def sl2_action(r: int) -> ActionData:
     return cyclic_action(r, (1, r - 1))
 
 
-def assert_orbit_matches_oracle(action, point) -> None:
-    """orbit_cluster and tau_support equal the cyclotomic-scalar oracle."""
+def assert_orbit_matches_oracle(action, point):
+    """orbit_cluster and tau_support equal the cyclotomic-scalar oracle; returns the tau."""
     cluster, freeness = orbit_cluster(action, point)
     want_cluster, want_freeness, want_tau = oracle_orbit(action, point)
     assert cluster == want_cluster
     assert freeness == want_freeness
-    assert tau_support(action, cluster) == want_tau
+    tau = tau_support(action, cluster)
+    assert tau == want_tau
+    return tau
 
 
 # faithful two-variable actions with |G| <= 12, used for the wide sweeps

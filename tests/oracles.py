@@ -2,8 +2,10 @@
 
 Everything here is written from scratch against the definitions: plain
 Gaussian elimination, exhaustive staircase search, dense brute-force linear
-systems for the Hom spaces, orbits on embedded cyclotomic scalars, and
-schoolbook Q(zeta_m) products and Euclid's inverse on Fraction polynomials.
+systems for the Hom spaces, orbits on embedded cyclotomic scalars,
+schoolbook Q(zeta_m) products and Euclid's inverse on Fraction polynomials,
+the lattice of multiplicative relations among the invariant generators, and
+the closed forms of the clusters of cyclic surface quotients.
 Apart from data containers, the package supplies only the field arithmetic
 of CyclotomicNumber (outside its own oracles), the cyclotomic polynomials,
 monomial weights and the invariant generators; no routine under test is
@@ -360,6 +362,75 @@ def oracle_eval(m, point):
         for _ in range(e):
             acc = acc * c
     return acc
+
+
+# --- relations among the invariant generators -----------------------------
+
+
+def oracle_invariant_relations(gens):
+    """Integer vectors c with sum_j c_j * exponents(g_j) = 0, spanning all of them over Q.
+
+    One vector per oracle_kernel vector of the exponent matrix (a row per
+    variable, a column per generator), cleared of denominators, divided by
+    its content and signed so that its first nonzero entry is positive.
+    """
+    if not gens:
+        return []
+    rows = [[Fraction(g.exponents[i]) for g in gens] for i in range(gens[0].num_vars)]
+    relations = []
+    for vec in oracle_kernel(rows, len(gens)):
+        ints = [int(f * math.lcm(*(f.denominator for f in vec))) for f in vec]
+        content = math.gcd(*ints)
+        sign = 1 if next(a for a in ints if a) > 0 else -1
+        relations.append(tuple(sign * a // content for a in ints))
+    return relations
+
+
+def oracle_relations_hold(gens, values) -> bool:
+    """Whether values at gens satisfy prod v_j^c_j (c_j > 0) = prod v_j^-c_j (c_j < 0)
+    for every oracle relation; the powers are repeated products."""
+    for relation in oracle_invariant_relations(gens):
+        sides = [1, 1]
+        for value, c in zip(values, relation):
+            for _ in range(abs(c)):
+                sides[c < 0] = sides[c < 0] * value
+        if sides[0] != sides[1]:
+            return False
+    return True
+
+
+# --- cyclic surface quotients: the Hirzebruch-Jung chain -------------------
+
+
+def _oracle_hj_chain(r, a):
+    """i_0 = r, i_1 = a, j_0 = 0, j_1 = 1 and, for k >= 1 with b_k = ceil(i_{k-1} / i_k),
+    i_{k+1} = b_k i_k - i_{k-1} and j_{k+1} = b_k j_k - j_{k-1}, down to i_{s+1} = 0."""
+    i, j = [r, a], [0, 1]
+    while i[-1]:
+        b = -(-i[-2] // i[-1])
+        i.append(b * i[-1] - i[-2])
+        j.append(b * j[-1] - j[-2])
+    return i, j
+
+
+def oracle_hj_clusters(r, a):
+    """Minimal generator exponents of the torus-fixed G-clusters of Z/r (1, a), gcd(r, a) = 1.
+
+    The k-th cluster, 0 <= k <= s, is (x^i_k, y^j_{k+1}, x^(i_k - i_{k+1}) y^(j_{k+1} - j_k))
+    with only its minimal generators kept (Kidoh; Ito-Nakamura).
+    """
+    i, j = _oracle_hj_chain(r, a)
+    ideals = []
+    for k in range(len(i) - 1):
+        gens = {(i[k], 0), (0, j[k + 1]), (i[k] - i[k + 1], j[k + 1] - j[k])}
+        ideals.append(frozenset(g for g in gens if not any(
+            h != g and h[0] <= g[0] and h[1] <= g[1] for h in gens)))
+    return ideals
+
+
+def oracle_hj_special_characters(r, a):
+    """Wunram's special characters i_1, ..., i_s of Z/r (1, a), as integers mod r."""
+    return tuple(_oracle_hj_chain(r, a)[0][1:-1])
 
 
 # --- cyclotomic field arithmetic -------------------------------------------

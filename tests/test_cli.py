@@ -22,6 +22,8 @@ from ghilb_kit.cli import (
 )
 import ghilb_kit.cli as cli_module
 import ghilb_kit.cluster as cluster_module
+import ghilb_kit.monomial_algebra as monomial_module
+import ghilb_kit.tangent as tangent_module
 from ghilb_kit.group_rep import ActionData
 
 
@@ -213,6 +215,16 @@ class TestExitCodes:
         code, out, _ = run("tau", "cyclic:2:1,1", "--ideal", "x1^3,x2", capsys=capsys)
         assert code == 1
         assert json.loads(out)["is_cluster"] is False
+
+    def test_integrity_error_exits_three(self, monkeypatch, capsys):
+        # a library fault is not a negative answer: losing one rank on the
+        # monomial eq8 path raises IntegrityError
+        monkeypatch.setattr(tangent_module._MonomialRelative, "restricted_rank",
+                            staticmethod(lambda matrix: len(matrix) - 1))
+        code, out, err = run("tangent", "cyclic:3:1,2", "--ideal", "x2,x1^3", capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "ghilb: internal error: a relative tangent vector vanishes on the minimal generators\n"
 
 
 class TestReportSchemas:
@@ -456,34 +468,49 @@ class TestEachQueryOnce:
                 return fn(*args, **kwargs)
             return counted
 
-        # every namespace that holds quotient_staircase, so no copy goes uncounted
-        staircase = cluster_module.quotient_staircase
-        for name, module in list(sys.modules.items()):
-            if name.startswith("ghilb_kit") and getattr(module, "quotient_staircase", None) is staircase:
-                monkeypatch.setattr(module, "quotient_staircase",
-                                    counting("quotient_staircase", staircase))
+        # every namespace that holds a copy, so none goes uncounted
+        for fname, fn in (("quotient_staircase", cluster_module.quotient_staircase),
+                          ("kernel_basis_rows", cluster_module.kernel_basis_rows),
+                          ("_invariant_staircase", monomial_module._invariant_staircase)):
+            for name, module in list(sys.modules.items()):
+                if name.startswith("ghilb_kit") and getattr(module, fname, None) is fn:
+                    monkeypatch.setattr(module, fname, counting(fname, fn))
         monkeypatch.setattr(cluster_module, "_fixed_point_counts",
                             counting("_fixed_point_counts", cluster_module._fixed_point_counts))
         monkeypatch.setattr(cli_module, "verify_cluster",
                             counting("verify_cluster", cli_module.verify_cluster))
         return calls
 
+    # one invariant walk at most per query; no orbit tau solves for its relations
     @pytest.mark.parametrize("argv,expected", [
-        (("verify", "cyclic:3:1,2", "--ideal", "x2,x1^3"), {"quotient_staircase": 1}),
-        (("verify", "cyclic:3:1,2", "--ideal", "x1^2,x2^2"), {"quotient_staircase": 1}),
-        (("tau", "cyclic:5:1,2", "--ideal", "x2,x1^5"), {"quotient_staircase": 1}),
-        (("tau", "cyclic:2:1,1", "--ideal", "x1^3,x2"), {"quotient_staircase": 1}),
-        (("tangent", "cyclic:3:1,2", "--ideal", "x2,x1^3"), {"quotient_staircase": 1}),
+        (("verify", "cyclic:3:1,2", "--ideal", "x2,x1^3"),
+         {"quotient_staircase": 1, "_invariant_staircase": 1}),
+        (("verify", "cyclic:3:1,2", "--ideal", "x1^2,x2^2"),
+         {"quotient_staircase": 1, "_invariant_staircase": 0}),
+        (("tau", "cyclic:5:1,2", "--ideal", "x2,x1^5"),
+         {"quotient_staircase": 1, "_invariant_staircase": 1}),
+        (("tau", "cyclic:2:1,1", "--ideal", "x1^3,x2"),
+         {"quotient_staircase": 1, "_invariant_staircase": 0}),
+        (("tangent", "cyclic:3:1,2", "--ideal", "x2,x1^3"),
+         {"quotient_staircase": 1, "_invariant_staircase": 1}),
         (("eq8-check", "cyclic:7:1,2,4", "--ideal", "x2,x3^2,x1^3*x3,x1^4"),
-         {"quotient_staircase": 1}),
-        (("tangent", "cyclic:3:1,2", "--ideal", "x1,x2"), {"quotient_staircase": 1}),
-        (("clusters", "cyclic:7:1,2,4"), {"quotient_staircase": 0, "verify_cluster": 0}),
+         {"quotient_staircase": 1, "_invariant_staircase": 1}),
+        (("tangent", "cyclic:3:1,2", "--ideal", "x1,x2"),
+         {"quotient_staircase": 1, "_invariant_staircase": 0}),
+        (("clusters", "cyclic:7:1,2,4"),
+         {"quotient_staircase": 0, "verify_cluster": 0, "_invariant_staircase": 1}),
         (("orbit", "cyclic:4:1,3", "--point", "1,2"),
-         {"_fixed_point_counts": 1, "verify_cluster": 0}),
+         {"_fixed_point_counts": 1, "verify_cluster": 0, "_invariant_staircase": 1,
+          "kernel_basis_rows": 0}),
         (("orbit", "cyclic:4:1,2", "--point", "0,1"),
-         {"_fixed_point_counts": 1, "verify_cluster": 0}),
+         {"_fixed_point_counts": 1, "verify_cluster": 0, "_invariant_staircase": 0}),
         (("tau", "cyclic:3:1,2", "--point", "0,0"),
-         {"_fixed_point_counts": 1, "verify_cluster": 0}),
+         {"_fixed_point_counts": 1, "verify_cluster": 0, "_invariant_staircase": 0}),
+        (("tau", "cyclic:2:1,1", "--point", "2,3"),
+         {"_fixed_point_counts": 1, "verify_cluster": 0, "_invariant_staircase": 1,
+          "kernel_basis_rows": 0}),
+        (("coinv", "cyclic:3:1,2"), {"_invariant_staircase": 1}),
+        (("mckay", "cyclic:5:1,2"), {"_invariant_staircase": 1}),
     ])
     def test_call_counts(self, argv, expected, calls, capsys):
         main(list(argv))

