@@ -258,7 +258,7 @@ def cmd_clusters(action: ActionData, args) -> int:
 
 def cmd_verify(action: ActionData, args) -> int:
     ideal = _parse_ideal(action, args.ideal)
-    report = verify_cluster(action, ideal, args.cap)
+    report = verify_cluster(action, ideal)
     _write_report(_cluster_json(action, ideal, report), args)
     return 0 if report.is_cluster else 1
 
@@ -268,7 +268,7 @@ def cmd_tau(action: ActionData, args) -> int:
         raise UsageError("tau needs exactly one of --ideal or --point")
     if args.ideal is not None:
         ideal = _parse_ideal(action, args.ideal)
-        report = verify_cluster(action, ideal, args.cap)
+        report = verify_cluster(action, ideal)
         if not report.is_cluster:
             _write_report(_cluster_json(action, ideal, report), args)
             return 1
@@ -327,7 +327,7 @@ def cmd_orbit(action: ActionData, args) -> int:
 
 def cmd_tangent_report(action: ActionData, args) -> int:
     ideal = _parse_ideal(action, args.ideal)
-    report = verify_cluster(action, ideal, args.cap)
+    report = verify_cluster(action, ideal)
     if not report.is_cluster:
         _write_report(_cluster_json(action, ideal, report), args)
         return 1
@@ -423,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default json)")
         sp.add_argument("--out", default=None, help="write the report to this path")
         if name in needs_ideal:
-            sp.add_argument("--cap", type=int, default=None,
-                            help="staircase size cap (default 4*|G|)")
             sp.add_argument("--ideal", default=None, required=name != "tau",
                             help='comma-separated monomial generators, e.g. "y,x^2"')
         if name in needs_point:
@@ -445,9 +443,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _PARSER[1].parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "cap", None) is not None and args.cap < 1:
-        print("ghilb: error: --cap must be positive", file=sys.stderr)
-        return 2
     try:
         action = parse_action_spec(args.action)
     except (SpecParseError, ValueError) as exc:

@@ -69,7 +69,8 @@ class ClusterReport:
     constructors and the CLI commands verify, clusters and orbit read it.
 
     staircase is the staircase the verdict of a monomial ideal was read from,
-    or None when there is none (past the cap, or not a monomial ideal).
+    or None when there is none (more than 4|G| monomials, an infinite
+    quotient, or not a monomial ideal).
     """
 
     is_cluster: bool
@@ -194,16 +195,13 @@ def is_ideal_subspace(coinv: CoinvariantAlgebra, subspace) -> bool:
     return _closed_under_variables(coinv, *_echelon(coinv, subspace))
 
 
-def _monomial_report(action: ActionData, ideal: MonomialIdeal, cap: Optional[int]) -> ClusterReport:
-    order = action.group.order
-    cap = cap if cap is not None else 4 * order
-    staircase = quotient_staircase(ideal, cap)
+def _monomial_report(action: ActionData, ideal: MonomialIdeal) -> ClusterReport:
+    # a cluster has |G| monomials, so a walk past 4|G| only needs the colength
+    staircase = quotient_staircase(ideal, 4 * action.group.order)
     if staircase is None:
         dim = colength(ideal)
         if dim is None:
             return ClusterReport(False, None, None, "quotient not finite")
-        if dim == order:
-            return ClusterReport(False, dim, None, f"dimension {dim} exceeds the cap {cap}")
         return ClusterReport.from_quotient(action.group, dim, None)
     chars = tuple(sorted(weight_of_monomial(action, m.exponents) for m in staircase))
     return ClusterReport.from_quotient(action.group, len(staircase), chars, tuple(staircase))
@@ -232,35 +230,35 @@ def _orbit_report(action: ActionData, points, conductor: int) -> ClusterReport:
     return ClusterReport.from_quotient(action.group, len(points), chars)
 
 
-def verify_cluster(action: ActionData, target, cap: Optional[int] = None,
-                   coinv: Optional[CoinvariantAlgebra] = None) -> ClusterReport:
+def verify_cluster(action: ActionData, target) -> ClusterReport:
     """Check the G-cluster conditions for an ideal-like input.
 
     Accepts a MonomialIdeal (checked in the full polynomial ring through its
     staircase), a matrix of rows spanning a subspace of the coinvariant
     algebra, or a GCluster of any kind.  A non-finite quotient is reported as
-    a failure, not raised; so is a finite one past the staircase cap, with
-    its exact dimension.  The staircase of a monomial ideal within the cap
-    comes back on the report.  Everything is derived from the target: the
-    cached quotient data of a GCluster is not read.
+    a failure, not raised.  The staircase of a monomial ideal comes back on
+    the report when it has at most 4|G| monomials; a larger finite one is
+    reported with its exact dimension only (a cluster has |G|).  Everything
+    is derived from the target: the cached quotient data of a GCluster is
+    not read, and rows are checked in the action's coinvariant algebra.
     """
     if isinstance(target, GCluster):
         if target.kind == "monomial":
-            return _monomial_report(action, target.ideal, cap)
+            return _monomial_report(action, target.ideal)
         if target.kind == "orbit":
             return _orbit_report(action, target.points, target.conductor)
         target = target.rows
     elif isinstance(target, MonomialIdeal):
-        return _monomial_report(action, target, cap)
-    coinv = coinv or coinvariant_algebra(action)
+        return _monomial_report(action, target)
+    coinv = coinvariant_algebra(action)
     return _subspace_report(action, coinv, *_echelon(coinv, target))
 
 
-def monomial_cluster(action: ActionData, ideal, cap: Optional[int] = None) -> GCluster:
+def monomial_cluster(action: ActionData, ideal) -> GCluster:
     """Build a verified monomial-ideal cluster; raises when it is not one."""
     if not isinstance(ideal, MonomialIdeal):
         ideal = MonomialIdeal(action.num_variables, tuple(ideal))
-    report = _monomial_report(action, ideal, cap)
+    report = _monomial_report(action, ideal)
     if not report.is_cluster:
         raise ValueError(f"not a G-cluster: {report.failure_reason}")
     return GCluster(
@@ -491,35 +489,33 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
     return cluster, report
 
 
-def evaluation_kernel(action: ActionData, points_or_cluster, conductor: Optional[int] = None,
-                      cap: Optional[int] = None):
+def evaluation_kernel(action: ActionData, points_or_cluster):
     """Monomial list and kernel rows of the evaluation map at orbit points.
 
     The kernel is the linear span, inside the monomials of per-variable degree
-    at most the cap, of the polynomials vanishing on the points.  The cap
+    at most a bound, of the polynomials vanishing on the points.  The bound
     starts at |G|-1 and doubles until the evaluation rank stabilizes across a
     full step, certifying that the kernel cuts out exactly the point set.
+    Bare points are read in the smallest field holding them and the group's
+    roots of unity.
     """
     if isinstance(points_or_cluster, GCluster):
         points = points_or_cluster.points
         conductor = points_or_cluster.conductor
     else:
         points = tuple(points_or_cluster)
-        if conductor is None:
-            conductor = math.lcm(
-                action.group.exponent, *(c.conductor for p in points for c in p)
-            )
+        conductor = math.lcm(action.group.exponent, *(c.conductor for p in points for c in p))
         points = tuple(tuple(_to_conductor(c, conductor) for c in p) for p in points)
     one = CyclotomicNumber.one(conductor)
     zero = CyclotomicNumber.zero(conductor)
     n = action.num_variables
 
-    cap = cap if cap is not None else max(action.group.order - 1, 0)
+    bound = max(action.group.order - 1, 0)
     prev_rank = -1
     while True:
         monomials = [
             Monomial(exps)
-            for exps in itertools.product(range(cap + 1), repeat=n)
+            for exps in itertools.product(range(bound + 1), repeat=n)
         ]
         monomials.sort(key=lambda m: m.grlex_key)
         rows = [[_evaluate(m, p, one) for m in monomials] for p in points]
@@ -528,7 +524,7 @@ def evaluation_kernel(action: ActionData, points_or_cluster, conductor: Optional
         if rank == len(points) or rank == prev_rank:
             return monomials, kernel
         prev_rank = rank
-        cap = max(2 * cap, 1)
+        bound = max(2 * bound, 1)
 
 
 def tau_support(action: ActionData, cluster, coinv: Optional[CoinvariantAlgebra] = None) -> QuotientPoint:

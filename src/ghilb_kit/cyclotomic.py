@@ -386,10 +386,10 @@ def to_text(a: CyclotomicNumber) -> str:
     return f"cyclo({a.conductor}): {text}"
 
 
-def parse_cyclotomic(text: str, default_conductor: int = 1) -> CyclotomicNumber:
-    """Parse the text form; a bare rational is read in the default conductor."""
+def parse_cyclotomic(text: str) -> CyclotomicNumber:
+    """Parse the text form; a bare rational is read in Q = Q(zeta_1)."""
     text = text.strip()
-    m = default_conductor
+    m = 1
     tag = re.match(r"^cyclo\((\d+)\)\s*:\s*(.*)$", text)
     if tag:
         m = int(tag.group(1))

@@ -90,20 +90,20 @@ def kernel_basis_rows(rows, ncols, zero=Q0, one=Q1):
     return basis
 
 
-def solve_rows(rows, rhs, zero=Q0, one=Q1, ncols: Optional[int] = None):
-    """Some exact solution of rows * x = rhs, or None; free variables are 0."""
+def solve_rows(rows, rhs, ncols: Optional[int] = None):
+    """Some rational solution of rows * x = rhs, or None; free variables are 0."""
     nrows = len(rows)
     if len(rhs) != nrows:
         raise ValueError("right-hand side length does not match the row count")
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     if not rows:
-        return [zero] * ncols
+        return [Q0] * ncols
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = rref_rows(aug, zero, one)
+    rref, pivots = rref_rows(aug, Q0, Q1)
     if ncols in pivots:
         return None
-    x = [zero] * ncols
+    x = [Q0] * ncols
     for row, p in zip(rref, pivots):
         x[p] = row[-1]
     return x

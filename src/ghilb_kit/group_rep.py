@@ -14,7 +14,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -44,10 +44,6 @@ class Character:
 
     def __neg__(self) -> "Character":
         return Character(self.divisors, tuple(-c for c in self.components))
-
-    def times(self, k: int) -> "Character":
-        """k-fold sum of the character with itself."""
-        return Character(self.divisors, tuple(k * c for c in self.components))
 
     def order(self) -> int:
         """Order of the character in the character group."""
@@ -190,25 +186,10 @@ def is_regular_representation(group: FiniteAbelianGroup, chars: Iterable[Charact
     )
 
 
-def isotypical_split(
-    action: ActionData,
-    basis: Iterable,
-    weight: Callable | None = None,
-) -> dict[Character, list]:
-    """Partition basis items by character.
-
-    Items are exponent tuples or Monomial-like objects by default; pass a
-    ``weight`` callable (e.g. ``CoinvariantAlgebra.vector_weight``) to split
-    graded coefficient vectors instead.  A vector of mixed weight makes the
-    callable raise, which propagates as the argument error it is.
-    """
-    if weight is None:
-        def weight(item):
-            exponents = getattr(item, "exponents", item)
-            return weight_of_monomial(action, exponents)
-
+def isotypical_split(action: ActionData, basis: Iterable) -> dict[Character, list]:
+    """Partition basis items, exponent tuples or Monomial-like objects, by character."""
     parts: dict[Character, list] = {}
     for item in basis:
-        chi = weight(item)
+        chi = weight_of_monomial(action, getattr(item, "exponents", item))
         parts.setdefault(chi, []).append(item)
     return parts

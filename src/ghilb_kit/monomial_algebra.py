@@ -112,23 +112,6 @@ def parse_monomial(text: str, num_vars: int) -> Monomial:
     return Monomial(tuple(exps))
 
 
-def monomials_of_degree(num_vars: int, degree: int) -> Iterator[Monomial]:
-    """All monomials of the given total degree, ascending by exponent tuple."""
-    if num_vars == 1:
-        yield Monomial((degree,))
-        return
-
-    def rec(prefix: tuple[int, ...], vars_left: int, deg_left: int):
-        if vars_left == 1:
-            yield prefix + (deg_left,)
-            return
-        for a in range(deg_left + 1):
-            yield from rec(prefix + (a,), vars_left - 1, deg_left - a)
-
-    for exps in rec((), num_vars, degree):
-        yield Monomial(exps)
-
-
 def _staircase_levels(num_vars: int, is_generator) -> Iterator[list[tuple[int, ...]]]:
     """Exponent tuples outside a monomial ideal, one ascending degree level at a time.
 
@@ -322,9 +305,6 @@ class CoinvariantAlgebra:
             return self._index[m.exponents]
         except KeyError:
             raise ValueError(f"{m.to_text()} is not a basis monomial") from None
-
-    def contains_basis(self, m: Monomial) -> bool:
-        return m.exponents in self._index
 
     def mult_index(self, i: int, j: int) -> Optional[int]:
         """Basis index of basis[i]*basis[j], or None when the product is zero."""

@@ -37,14 +37,13 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 from ghilb_kit.cluster import (
     GCluster,
     IntegrityError,
     _closed_under_variables,
     _echelon,
-    _monomial_report,
     enumerate_torus_fixed_clusters,
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber
@@ -55,6 +54,8 @@ from ghilb_kit.monomial_algebra import (
     Monomial,
     MonomialIdeal,
     coinvariant_algebra,
+    colength,
+    quotient_staircase,
     taylor_syzygies,
 )
 
@@ -114,14 +115,15 @@ class McKayTable:
     missing: tuple[Character, ...]
 
 
-def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal],
-                  cap: Optional[int] = None) -> EquivariantHomSpace:
+def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -> EquivariantHomSpace:
     """Hom^G_S(I, S/I) for a monomial ideal with finite staircase.
 
     Unknowns are the weight-compatible values of the minimal generators in
     the staircase basis of S/I; the pairwise lcm relations cut out the Hom
     space, with products falling off the staircase mapping to zero through
     the ideal.  Returns the canonical kernel basis of kernel_basis_rows.
+    A monomial cluster brings its staircase; a bare MonomialIdeal need not
+    be a cluster, and any finite staircase is walked, whatever its size.
     """
     if isinstance(cluster, GCluster):
         if cluster.kind != "monomial":
@@ -130,12 +132,10 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal],
         staircase = list(cluster.staircase)
     else:
         ideal = cluster
-        report = _monomial_report(action, ideal, cap)
-        if report.staircase is None:
-            if report.quotient_dim is None:
-                raise ValueError("quotient is not finite-dimensional")
-            raise ValueError("quotient staircase exceeds the cap")
-        staircase = list(report.staircase)
+        dim = colength(ideal)
+        if dim is None:
+            raise ValueError("quotient is not finite-dimensional")
+        staircase = quotient_staircase(ideal, max(dim, 1))
 
     stair_index = {m: t for t, m in enumerate(staircase)}
     stair_weights = [weight_of_monomial(action, m.exponents) for m in staircase]

@@ -112,6 +112,12 @@ def oracle_solve(rows, rhs):
 # --- exhaustive staircase search ----------------------------------------
 
 
+def oracle_monomials_of_degree(num_vars, degree):
+    """All monomials of the given total degree, ascending by exponent tuple."""
+    return [Monomial(e) for e in itertools.product(range(degree + 1), repeat=num_vars)
+            if sum(e) == degree]
+
+
 def oracle_staircases(action, basis):
     """All G-cluster staircases inside the coinvariant basis, by brute force.
 

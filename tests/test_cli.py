@@ -173,28 +173,38 @@ class TestExitCodes:
         ("mckay", ()),
         ("coinv", ()),
         ("clusters", ()),
+        ("verify", ("--ideal", "x1^2,x2")),
+        ("tau", ("--ideal", "x1^2,x2")),
+        ("tau", ("--point", "1,1")),
+        ("tangent", ("--ideal", "x1^2,x2")),
+        ("fiber-tangent", ("--ideal", "x1^2,x2")),
+        ("stratify", ("--ideal", "x1^2,x2")),
+        ("eq8-check", ("--ideal", "x1^2,x2")),
     ])
     def test_cap_rejected_where_unread(self, command, args, capsys):
+        # no subcommand takes --cap: a cluster's staircase has |G| monomials
         code, out, err = run(command, "cyclic:2:1,1", *args, "--cap", "3", capsys=capsys)
         assert code == 2
         assert out == ""
         assert "--cap" in err
 
     def test_verify_cap(self, capsys):
-        code, out, _ = run("verify", "cyclic:2:1,1", "--ideal", "x1^2,x2", "--cap", "1",
-                           capsys=capsys)
-        assert code == 1
-        report = json.loads(out)
-        assert report["reason"] == "dimension 2 exceeds the cap 1"
-        assert report["staircase"] is None
-        code, out, _ = run("verify", "cyclic:2:1,1", "--ideal", "x1^2,x2", "--cap", "2",
-                           capsys=capsys)
+        # verify, tau and tangent print a staircase of up to 4|G| monomials, 8 on Z/2
+        code, out, _ = run("verify", "cyclic:2:1,1", "--ideal", "x1^2,x2", capsys=capsys)
         assert code == 0
         assert json.loads(out)["staircase"] == ["1", "x1"]
-        code, _, err = run("verify", "cyclic:2:1,1", "--ideal", "x1^2,x2", "--cap", "0",
-                           capsys=capsys)
-        assert code == 2
-        assert "--cap must be positive" in err
+        for command in ("verify", "tau", "tangent"):
+            code, out, _ = run(command, "cyclic:2:1,1", "--ideal", "x1^8,x2", capsys=capsys)
+            assert code == 1
+            report = json.loads(out)
+            assert report["staircase"] == ["1", "x1"] + [f"x1^{k}" for k in range(2, 8)]
+            assert report["reason"] == "dimension 8 ≠ 2"
+            code, out, _ = run(command, "cyclic:2:1,1", "--ideal", "x1^9,x2", capsys=capsys)
+            assert code == 1
+            report = json.loads(out)
+            assert report["staircase"] is None
+            assert report["characters"] is None
+            assert report["reason"] == "dimension 9 ≠ 2"
 
     def test_unknown_subcommand(self, capsys):
         assert main(["nosuch", "cyclic:2:1,1"]) == 2
@@ -526,8 +536,8 @@ def _child_env() -> dict:
 
 
 def _cached_parser_argvs(tmp_path) -> list:
-    """Every subcommand and alias, both formats, --out, --cap, both tau inputs,
-    every usage error above, and --help."""
+    """Every subcommand and alias, both formats, --out, both tau inputs, every
+    usage error above (a --cap among them), and --help."""
     return [
         ["coinv", "cyclic:3:1,2"],
         ["coinv", "2x2 ; 1,0 | 0,1", "--format", "tsv"],

@@ -163,10 +163,10 @@ class TestTangentSpace:
             for _ in range(rng.randint(0, 4)):
                 gens.append(tuple(rng.randrange(p) for p in powers))
             target = ideal(n, *(g for g in gens if any(g)))
-            if verify_cluster(action, target, cap).is_cluster:
+            if verify_cluster(action, target).is_cluster:
                 continue
             want = oracle_tangent_space(action, target, quotient_staircase(target, cap))
-            assert tangent_space(action, target, cap) == want, (action, target)
+            assert tangent_space(action, target) == want, (action, target)
             checked += 1
         assert checked >= 100
 
@@ -200,6 +200,18 @@ class TestTangentSpace:
                                     if pos is not None:
                                         total[pos] += sign * coeff
                         assert not any(total)
+
+    def test_bare_ideal_past_four_times_the_order(self, z2):
+        # a finite staircase larger than 4|G| has its Hom space like any other
+        for action, target in (
+            (z2, ideal(2, (5, 0), (0, 5))),
+            (z2, ideal(2, (9, 0), (2, 1), (0, 3))),
+            (cyclic_action(3, (1, 1, 1)), ideal(3, (4, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1))),
+        ):
+            stair = quotient_staircase(target, 100)
+            assert len(stair) > 4 * action.group.order
+            assert not verify_cluster(action, target).is_cluster
+            assert tangent_space(action, target) == oracle_tangent_space(action, target, stair)
 
     def test_non_finite_quotient_rejected(self, z2):
         with pytest.raises(ValueError):
@@ -255,7 +267,7 @@ class TestRelativeTangentSpace:
             for k in range(r - 1):
                 for t in (F(1), F(rng.randint(2, 9), rng.randint(1, 4))):
                     rows = deformed_chain_rows(coinv, r, k, t)
-                    assert verify_cluster(action, rows, coinv=coinv).is_cluster
+                    assert verify_cluster(action, rows).is_cluster
                     got = relative_tangent_space(coinv, rows).dimension
                     want = oracle_relative_tangent_dim(coinv, rows)
                     assert got == want
@@ -601,7 +613,7 @@ class TestMcKay:
             assert [chi for chi, _ in table.incidence] == nontrivial
             assert all(len(idxs) == 2 for _, idxs in table.incidence), r
 
-    @pytest.mark.parametrize("r", range(2, 31))
+    @pytest.mark.parametrize("r", range(2, 41))
     def test_cyclic_surface_special_characters(self, r):
         # the covered characters of Z/r (1, a) are Wunram's special ones, each
         # on the two fixed points of its exceptional curve
