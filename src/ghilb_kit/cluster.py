@@ -27,12 +27,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from ghilb_kit.cyclotomic import CyclotomicNumber, character_exponent, embed_to_conductor
-from ghilb_kit.exact_linalg import (
-    kernel_basis_rows,
-    reduce_vector,
-    row_space_contains,
-    rref_rows,
-)
+from ghilb_kit.exact_linalg import kernel_basis_rows, row_space_contains, rref_rows
 from ghilb_kit.group_rep import (
     ActionData,
     Character,
@@ -296,71 +291,73 @@ def enumerate_torus_fixed_clusters(action: ActionData,
     order, which visits every staircase exactly once; output is sorted by the
     graded-lex keys of the minimal generator lists.  Pass the action's
     coinvariant algebra as coinv to reuse it; otherwise it is built here.
+
+    The search keeps its frontier: the basis indices off the staircase whose
+    divisors m/x_i all lie on it, the only candidates for the next step.
+    Everything off the staircase is a multiple of an invariant generator or
+    of a frontier monomial, so each ideal is built from the invariant
+    generators and the frontier at its leaf; MonomialIdeal keeps the minimal
+    ones.
     """
     if coinv is None:
         coinv = coinvariant_algebra(action)
-    exps = [m.exponents for m in coinv.basis]
-    dim = len(exps)
     order = action.group.order
-    num_vars = action.num_variables
 
     # missing[i] counts the divisors m/x_i of basis[i] not yet in the staircase
     up, down = coinv.variable_steps()
     ups = [[k for k in row if k is not None] for row in up]
     missing = [sum(d is not None for d in row) for row in down]
+    ready = {i for i, k in enumerate(missing) if not k}
     char_id = {chi: k for k, chi in enumerate(action.group.characters())}
     chars = [char_id[w] for w in coinv.weights]
-    suffix: list[frozenset] = [frozenset()] * (dim + 1)
-    for i in range(dim - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | {chars[i]}
+    # suffix[i] holds the characters at indices >= i; equal sets are shared
+    suffix: list[frozenset] = [frozenset()] * (len(chars) + 1)
+    for i in range(len(chars) - 1, -1, -1):
+        ahead = suffix[i + 1]
+        suffix[i] = ahead if chars[i] in ahead else ahead | {chars[i]}
 
-    staircases: list[list[int]] = []
+    leaves: list[tuple[list[int], list[int]]] = []
     chosen: list[int] = []
     unused = set(range(order))
 
     def extend(start: int) -> None:
         if not unused:
-            staircases.append(list(chosen))
+            leaves.append((list(chosen), list(ready)))
             return
         if not unused <= suffix[start]:
             return
-        for idx in range(start, dim):
+        for idx in sorted(i for i in ready if i >= start and chars[i] in unused):
             c = chars[idx]
-            if missing[idx] or c not in unused:
-                continue
             chosen.append(idx)
             unused.remove(c)
+            ready.remove(idx)
             for u in ups[idx]:
                 missing[u] -= 1
+                if not missing[u]:
+                    ready.add(u)
             extend(idx + 1)
             for u in ups[idx]:
+                if not missing[u]:
+                    ready.remove(u)
                 missing[u] += 1
+            ready.add(idx)
             chosen.pop()
             unused.add(c)
 
     extend(0)
 
-    clusters = []
-    for stair in staircases:
-        stair_exps = {exps[i] for i in stair}
-        corners = set()
-        for e in stair_exps:
-            for v in range(num_vars):
-                up = e[:v] + (e[v] + 1,) + e[v + 1:]
-                if up not in stair_exps and all(
-                    up[:w] + (a - 1,) + up[w + 1:] in stair_exps for w, a in enumerate(up) if a
-                ):
-                    corners.add(up)
-        clusters.append(
-            GCluster(
-                kind="monomial",
-                action=action,
-                ideal=MonomialIdeal(num_vars, tuple(Monomial(g) for g in corners)),
-                staircase=tuple(coinv.basis[i] for i in stair),
-                quotient_dim=order,
-                characters=tuple(sorted(coinv.weights[i] for i in stair)),
-            )
+    clusters = [
+        GCluster(
+            kind="monomial",
+            action=action,
+            ideal=MonomialIdeal(action.num_variables,
+                                coinv.invariant_gens + tuple(coinv.basis[i] for i in frontier)),
+            staircase=tuple(coinv.basis[i] for i in stair),
+            quotient_dim=order,
+            characters=tuple(sorted(coinv.weights[i] for i in stair)),
         )
+        for stair, frontier in leaves
+    ]
     clusters.sort(key=lambda c: tuple(g.grlex_key for g in c.ideal.min_gens))
     return clusters
 

@@ -13,11 +13,10 @@ x_1 > ... > x_n; sorted sequences are ascending in that order.
 
 from __future__ import annotations
 
-import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from ghilb_kit.group_rep import ActionData, Character, weight_of_monomial
 
@@ -290,11 +289,6 @@ class CoinvariantAlgebra:
         missing = [c for c in action.group.characters() if c not in present]
         if missing:
             raise AssertionError(f"characters missing from the basis: {missing}")
-
-    @functools.cached_property
-    def ideal(self) -> MonomialIdeal:
-        """The ideal of positive-degree invariants, built on first read."""
-        return MonomialIdeal(self.action.num_variables, self.invariant_gens)
 
     @property
     def dim(self) -> int:

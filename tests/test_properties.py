@@ -12,7 +12,13 @@ from ghilb_kit.cluster import enumerate_torus_fixed_clusters, subspace_rows_of_m
 from ghilb_kit.cyclotomic import CyclotomicNumber, euler_phi
 from ghilb_kit.monomial_algebra import coinvariant_algebra
 from ghilb_kit.tangent import eq8_map, relative_tangent_space, stratification_rep
-from oracles import oracle_cyclo_mul, oracle_inverse, oracle_relations_hold, oracle_staircases
+from oracles import (
+    oracle_cyclo_mul,
+    oracle_inverse,
+    oracle_min_gens,
+    oracle_relations_hold,
+    oracle_staircases,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -67,8 +73,11 @@ def test_enumeration_equals_exhaustive_staircase_search(action):
     coinv = coinvariant_algebra(action)
     # the oracle tries every |G|-subset of the coinvariant basis
     assume(math.comb(coinv.dim, action.group.order) <= 3000)
-    got = {frozenset(c.staircase) for c in enumerate_torus_fixed_clusters(action, coinv)}
-    assert got == oracle_staircases(action, coinv.basis)
+    clusters = enumerate_torus_fixed_clusters(action, coinv)
+    assert {frozenset(c.staircase) for c in clusters} == oracle_staircases(action, coinv.basis)
+    # the ideal is read from the search frontier, so check it against the staircase
+    for c in clusters:
+        assert c.ideal.min_gens == oracle_min_gens(c.staircase)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -107,7 +107,8 @@ class TestTangentSpace:
         # crepant resolution; its torus-fixed points number |G| and are smooth
         for action in (cyclic_action(7, (1, 2, 4)), cyclic_action(13, (1, 3, 9)),
                        cyclic_action(21, (1, 4, 16)), cyclic_action(28, (1, 3, 24)),
-                       cyclic_action(30, (1, 2, 27)),
+                       cyclic_action(30, (1, 2, 27)), cyclic_action(45, (1, 1, 43)),
+                       cyclic_action(60, (1, 1, 58)),
                        product_action((3, 3), ((1, 0), (0, 1), (2, 2))),
                        product_action((4, 4), ((1, 0), (0, 1), (3, 3))),
                        product_action((5, 5), ((1, 0), (0, 1), (4, 4)))):
