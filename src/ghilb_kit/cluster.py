@@ -31,6 +31,7 @@ from ghilb_kit.exact_linalg import kernel_basis_rows, row_space_contains, rref_r
 from ghilb_kit.group_rep import (
     ActionData,
     Character,
+    IntegrityError,
     is_regular_representation,
     weight_of_monomial,
 )
@@ -45,15 +46,6 @@ from ghilb_kit.monomial_algebra import (
 )
 
 Scalar = Union[Fraction, CyclotomicNumber]
-
-
-class IntegrityError(RuntimeError):
-    """An internal consistency check failed.
-
-    It signals a fault in the library, or a caller passing an unverified
-    input where a verified cluster is required; it is never a domain answer.
-    The CLI reports it as an internal error with exit status 3.
-    """
 
 
 @dataclass(frozen=True)
@@ -297,7 +289,8 @@ def enumerate_torus_fixed_clusters(action: ActionData,
     Everything off the staircase is a multiple of an invariant generator or
     of a frontier monomial, so each ideal is built from the invariant
     generators and the frontier at its leaf; MonomialIdeal keeps the minimal
-    ones.
+    ones.  Every leaf carries each character once, so its sorted characters
+    are group.characters() in order: one tuple, shared by every cluster.
     """
     if coinv is None:
         coinv = coinvariant_algebra(action)
@@ -308,7 +301,8 @@ def enumerate_torus_fixed_clusters(action: ActionData,
     ups = [[k for k in row if k is not None] for row in up]
     missing = [sum(d is not None for d in row) for row in down]
     ready = {i for i, k in enumerate(missing) if not k}
-    char_id = {chi: k for k, chi in enumerate(action.group.characters())}
+    characters = tuple(action.group.characters())
+    char_id = {chi: k for k, chi in enumerate(characters)}
     chars = [char_id[w] for w in coinv.weights]
     # suffix[i] holds the characters at indices >= i; equal sets are shared
     suffix: list[frozenset] = [frozenset()] * (len(chars) + 1)
@@ -354,7 +348,7 @@ def enumerate_torus_fixed_clusters(action: ActionData,
                                 coinv.invariant_gens + tuple(coinv.basis[i] for i in frontier)),
             staircase=tuple(coinv.basis[i] for i in stair),
             quotient_dim=order,
-            characters=tuple(sorted(coinv.weights[i] for i in stair)),
+            characters=characters,
         )
         for stair, frontier in leaves
     ]

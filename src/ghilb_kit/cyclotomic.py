@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ghilb_kit.exact_linalg import solve_rows
-from ghilb_kit.group_rep import Character, FiniteAbelianGroup
+from ghilb_kit.group_rep import Character, FiniteAbelianGroup, IntegrityError
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -92,7 +92,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         if m % d == 0:
             num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
             if rem:
-                raise AssertionError("cyclotomic division left a remainder")
+                raise IntegrityError("cyclotomic division left a remainder")
     return tuple(num)
 
 
@@ -328,7 +328,7 @@ def _minimal_conductor_form(a: CyclotomicNumber) -> CyclotomicNumber:
             coeffs = solve_rows(_embedding_rows(d, m), a.coeffs)
             if coeffs is not None:
                 return CyclotomicNumber(d, tuple(coeffs))
-    raise AssertionError("a number always lies in its own conductor's field")
+    raise IntegrityError("a number always lies in its own conductor's field")
 
 
 def common_conductor(values: Sequence[CyclotomicNumber]) -> int:

@@ -17,6 +17,16 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
+class IntegrityError(RuntimeError):
+    """An internal consistency check failed.
+
+    It signals a fault in the library, or a caller passing an unverified
+    input where a verified cluster is required; it is never a domain answer.
+    The CLI reports it as an internal error with exit status 3.  It is
+    defined here, beneath every module that raises it.
+    """
+
+
 @dataclass(frozen=True, order=True)
 class Character:
     """A character of a finite abelian group, stored reduced mod the divisors."""
@@ -129,13 +139,22 @@ class ActionData:
         object.__setattr__(self, "weights", weights)
 
     def is_faithful(self) -> bool:
-        """True iff the weights generate the whole character group."""
-        generated = {self.group.trivial_character}
-        frontier = [self.group.trivial_character]
+        """True iff the weights generate the whole character group.
+
+        The subgroup the weights generate is found by a search on residue
+        tuples, adding one weight at a time; no Character is built.
+        CoinvariantAlgebra runs it before its walk as a check independent
+        of the walk, which then checks its own output.
+        """
+        divisors = self.group.elementary_divisors
+        steps = [w.components for w in self.weights]
+        identity = self.group.identity
+        generated = {identity}
+        frontier = [identity]
         while frontier:
             chi = frontier.pop()
-            for w in self.weights:
-                nxt = chi + w
+            for w in steps:
+                nxt = tuple((a + b) % d for a, b, d in zip(chi, w, divisors))
                 if nxt not in generated:
                     generated.add(nxt)
                     frontier.append(nxt)

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ghilb_kit.group_rep import ActionData, Character, weight_of_monomial
+from ghilb_kit.group_rep import ActionData, Character, IntegrityError
 
 _ALIAS_NAMES = ("x", "y", "z", "w")
 
@@ -211,23 +211,32 @@ def colength(ideal: MonomialIdeal) -> Optional[int]:
 
 def _invariant_staircase(
     action: ActionData,
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[Character]]:
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
     """Exponents of the minimal invariant generators and of the coinvariant basis.
 
     Both lists are in graded-lex order; the third list holds the weight of
-    each basis member, as the invariance test computed it.  The basis is
-    walked upward level by level; a candidate whose divisors m/x_i are all
-    basis monomials is a minimal generator exactly when it is invariant.
+    each basis member as an integer index, as the invariance test computed
+    it.  The index reads the weight's residues in mixed radix over the
+    elementary divisors, first component most significant, so it is the
+    weight's position in group.characters() and in the Character order, and
+    a monomial is invariant exactly when its index is 0.  No Character is
+    built.  The basis is walked upward level by level; a candidate whose
+    divisors m/x_i are all basis monomials is a minimal generator exactly
+    when it is invariant.
     """
+    columns = [(d, [w.components[k] for w in action.weights])
+               for k, d in enumerate(action.group.elementary_divisors)]
     gens: list[tuple[int, ...]] = []
-    weights: dict[tuple[int, ...], Character] = {}
+    weights: dict[tuple[int, ...], int] = {}
 
     def invariant(e: tuple[int, ...]) -> bool:
-        weight = weight_of_monomial(action, e)
-        if any(e) and weight.is_trivial:
+        index = 0
+        for d, column in columns:
+            index = index * d + sum(a * c for a, c in zip(e, column)) % d
+        if index == 0 and any(e):
             gens.append(e)
             return True
-        weights[e] = weight
+        weights[e] = index
         return False
 
     basis = [e for level in _staircase_levels(action.num_variables, invariant) for e in level]
@@ -276,19 +285,20 @@ class CoinvariantAlgebra:
                 "the action is not faithful and the basis cannot carry every character"
             )
         self.action = action
-        gen_exps, basis_exps, weights = _invariant_staircase(action)
+        gen_exps, basis_exps, indices = _invariant_staircase(action)
+        characters = tuple(action.group.characters())
         self.invariant_gens: tuple[Monomial, ...] = tuple(Monomial(g) for g in gen_exps)
         self.basis: tuple[Monomial, ...] = tuple(Monomial(e) for e in basis_exps)
-        self.weights: tuple[Character, ...] = tuple(weights)
+        self.weights: tuple[Character, ...] = tuple(characters[i] for i in indices)
         self._index = {e: i for i, e in enumerate(basis_exps)}
         self._steps: Optional[tuple] = None
 
         if not self.basis or not self.basis[0].is_one:
-            raise AssertionError("coinvariant basis must contain the unit monomial")
-        present = set(self.weights)
-        missing = [c for c in action.group.characters() if c not in present]
+            raise IntegrityError("coinvariant basis must contain the unit monomial")
+        present = set(indices)
+        missing = [chi for i, chi in enumerate(characters) if i not in present]
         if missing:
-            raise AssertionError(f"characters missing from the basis: {missing}")
+            raise IntegrityError(f"characters missing from the basis: {missing}")
 
     @property
     def dim(self) -> int:

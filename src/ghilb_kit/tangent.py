@@ -334,7 +334,7 @@ class _DenseRelative(RelativeData):
                 lam = [image[p] for p in self.pivots]
                 residual = reduce_vector(self.rref, self.pivots, image)
                 if any(residual):
-                    raise AssertionError("ideal closure failed during constraint assembly")
+                    raise IntegrityError("ideal closure failed during constraint assembly")
                 for c2 in range(nq):
                     eq: dict[int, Fraction] = {}
                     for l, coeff in enumerate(lam):
@@ -377,7 +377,7 @@ class _MonomialRelative(RelativeData):
         self.qcols = [i for i in range(coinv.dim) if not inside[i]]
         # ideal closure: x_v * b_p is zero or again a pivot
         if any(k is not None and not inside[k] for p in self.pivots for k in up[p]):
-            raise AssertionError("ideal closure failed on basis indices")
+            raise IntegrityError("ideal closure failed on basis indices")
         self.row_weights = [coinv.weights[p] for p in self.pivots]
 
     def row(self, j: int) -> tuple[Fraction, ...]:

@@ -5,7 +5,8 @@ Gaussian elimination, exhaustive staircase search, dense brute-force linear
 systems for the Hom spaces, orbits on embedded cyclotomic scalars,
 schoolbook Q(zeta_m) products and Euclid's inverse on Fraction polynomials,
 the lattice of multiplicative relations among the invariant generators, and
-the closed forms of the clusters of cyclic surface quotients.
+the closed forms of the clusters of cyclic surface quotients, and the
+subgroup the weights generate, summed over the box of weight orders.
 Apart from data containers, the package supplies only the field arithmetic
 of CyclotomicNumber (outside its own oracles), the cyclotomic polynomials,
 monomial weights and the invariant generators; no routine under test is
@@ -107,6 +108,26 @@ def oracle_solve(rows, rhs):
             return None
         x[p] = row[ncols]
     return x
+
+
+# --- faithfulness by brute force ------------------------------------------
+
+
+def oracle_is_faithful(action):
+    """Whether the weights generate the character group, by brute force.
+
+    Every element of the generated subgroup is sum c_i * w_i with
+    0 <= c_i < order(w_i), so the box of those coefficient vectors is
+    summed component by component and the distinct residue tuples counted.
+    """
+    divisors = action.group.elementary_divisors
+    comps = [w.components for w in action.weights]
+    orders = [math.lcm(1, *(d // math.gcd(c, d) for c, d in zip(w, divisors))) for w in comps]
+    reached = set()
+    for coeffs in itertools.product(*(range(k) for k in orders)):
+        reached.add(tuple(sum(c * w[j] for c, w in zip(coeffs, comps)) % d
+                          for j, d in enumerate(divisors)))
+    return len(reached) == math.prod(divisors)
 
 
 # --- exhaustive staircase search ----------------------------------------

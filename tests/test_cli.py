@@ -236,6 +236,35 @@ class TestExitCodes:
         assert out == ""
         assert err == "ghilb: internal error: a relative tangent vector vanishes on the minimal generators\n"
 
+    def test_coinvariant_check_exits_three(self, monkeypatch, capsys):
+        # a walk that loses characters is a library fault, not a negative answer
+        walk = monomial_module._invariant_staircase
+
+        def lossy(action):
+            gens, basis, _ = walk(action)
+            return gens, basis, [0] * len(basis)
+
+        monkeypatch.setattr(monomial_module, "_invariant_staircase", lossy)
+        code, out, err = run("coinv", "cyclic:3:1,2", capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert err == ("ghilb: internal error: characters missing from the basis: "
+                       "[Character(1,), Character(2,)]\n")
+
+    def test_tangent_closure_check_exits_three(self, monkeypatch, capsys):
+        # with the division table emptied, the ideal's image is no longer closed
+        steps = monomial_module.CoinvariantAlgebra.variable_steps
+
+        def no_divisions(coinv):
+            up, down = steps(coinv)
+            return up, [[None] * len(row) for row in down]
+
+        monkeypatch.setattr(monomial_module.CoinvariantAlgebra, "variable_steps", no_divisions)
+        code, out, err = run("tangent", "cyclic:3:1,2", "--ideal", "x2,x1^3", capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "ghilb: internal error: ideal closure failed on basis indices\n"
+
 
 class TestReportSchemas:
     def test_cluster_report_keys(self, capsys):
@@ -395,6 +424,20 @@ class TestGoldenOutput:
          "98d68236955d2c539d3cfcfbb5c67d10bdcdbd0bedd6d9eeb67c20bfc26f63a7"),
         ("coinv", "2x2 ; 1,0 | 0,1 | 1,1",
          "29bacc9f446ba8fb3f14264724adbd7296474ecc373481c7bcca38a6d40e4fe4"),
+        ("coinv", "2x4 ; 1,0 | 0,1 | 1,3",
+         "29e5675609ffd4c66889738d7b8aaab662ac5a17acbe89170615ba02c327a3bd"),
+        ("clusters", "2x4 ; 1,0 | 0,1 | 1,3",
+         "c72c4dbb194f85e8575ddd82a93bf7905c1e0304332d2d213f28bfec5ce3afed"),
+        ("coinv", "3x4 ; 1,0 | 0,1 | 2,3",
+         "9ccf4c8f393bd0931c13edfa5f1a5c81cb64c204575e384dba9681f45ee0d2f6"),
+        ("clusters", "3x4 ; 1,0 | 0,1 | 2,3",
+         "d52be0cc6b501bf5fd1dde2b62ce908e6e453d1fd7ad59ebffe29afb958f1d60"),
+        ("coinv", "2x2x2 ; 1,0,0 | 0,1,0 | 1,1,1",
+         "c5c7ba3f4865865be47ca843f6b915f106778049a6e2fff1cd9aa521bb64405c"),
+        ("clusters", "2x2x2 ; 1,0,0 | 0,1,0 | 1,1,1",
+         "dfb0ebe134b54bb61c43d421a55e3e96f94aa5b765d5ed3a81fc79ef3643939a"),
+        ("coinv", "cyclic:32:1,1,30",
+         "a324443781f852dd1f515d3600748cc6adcf1f02d10291fe58b06030349b4527"),
         ("mckay", "cyclic:5:1,2",
          "396d4854397402f562bf513dfc2a1a3903f44a42e423813ac371c3721b9f4d86"),
         ("mckay", "cyclic:7:1,2,4",

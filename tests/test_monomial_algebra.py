@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import cyclic_action, product_action, sl2_action
+from ghilb_kit.cluster import enumerate_torus_fixed_clusters, verify_cluster
 from ghilb_kit.exact_linalg import kernel_basis_rows
-from ghilb_kit.group_rep import weight_of_monomial
+from ghilb_kit.group_rep import Character, weight_of_monomial
 from ghilb_kit.monomial_algebra import (
     CoinvariantAlgebra,
     Monomial,
@@ -386,3 +389,61 @@ class TestCoinvariantAlgebra:
         assert counts[coinv.action.group.character((0,))] == 1
         assert counts[coinv.action.group.character((1,))] == 2
         assert counts[coinv.action.group.character((2,))] == 2
+
+
+# the walk's mixed radix matters on a long cyclic group and on a product group
+INDEXED_ACTIONS = [
+    cyclic_action(32, (1, 1, 30)),
+    product_action((3, 4), ((1, 0), (0, 1), (2, 3))),
+]
+INDEXED_IDS = ["cyclic:32:1,1,30", "3x4 ; 1,0 | 0,1 | 2,3"]
+
+
+class TestCharacterIndices:
+    """The coinvariant walk carries weights as integer character indices."""
+
+    @staticmethod
+    def count_weights_and_characters(monkeypatch) -> Counter:
+        """Count weight_of_monomial calls, in every namespace, and Character constructions."""
+        calls: Counter = Counter()
+
+        def counted_weight(*args, **kwargs):
+            calls["weight_of_monomial"] += 1
+            return weight_of_monomial(*args, **kwargs)
+
+        for name, module in sorted(sys.modules.items()):
+            if name.partition(".")[0] == "ghilb_kit" and module is not None \
+                    and module.__dict__.get("weight_of_monomial") is weight_of_monomial:
+                monkeypatch.setattr(module, "weight_of_monomial", counted_weight)
+        post_init = Character.__post_init__
+
+        def counted_post_init(self):
+            calls["Character"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Character, "__post_init__", counted_post_init)
+        return calls
+
+    @pytest.mark.parametrize("action", INDEXED_ACTIONS, ids=INDEXED_IDS)
+    def test_walk_builds_each_character_once(self, action, monkeypatch):
+        calls = self.count_weights_and_characters(monkeypatch)
+        coinv = coinvariant_algebra(action)
+        assert calls["weight_of_monomial"] == 0
+        assert calls["Character"] <= action.group.order
+        calls.clear()
+        gens = invariant_generators(action)
+        assert calls == Counter()
+        assert tuple(gens) == coinv.invariant_gens
+        monkeypatch.undo()
+        for m, w in zip(coinv.basis, coinv.weights, strict=True):
+            assert w == weight_of_monomial(action, m.exponents)
+
+    @pytest.mark.parametrize("action", INDEXED_ACTIONS, ids=INDEXED_IDS)
+    def test_clusters_share_one_character_tuple(self, action):
+        coinv = coinvariant_algebra(action)
+        clusters = enumerate_torus_fixed_clusters(action, coinv)
+        assert clusters
+        for c in clusters:
+            stair = tuple(sorted(weight_of_monomial(action, m.exponents) for m in c.staircase))
+            assert c.characters == stair == verify_cluster(action, c.ideal).characters
+        assert len({id(c.characters) for c in clusters}) == 1

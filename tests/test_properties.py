@@ -10,11 +10,13 @@ import pytest
 from conftest import assert_orbit_matches_oracle, product_action
 from ghilb_kit.cluster import enumerate_torus_fixed_clusters, subspace_rows_of_monomial_cluster
 from ghilb_kit.cyclotomic import CyclotomicNumber, euler_phi
+from ghilb_kit.group_rep import weight_of_monomial
 from ghilb_kit.monomial_algebra import coinvariant_algebra
 from ghilb_kit.tangent import eq8_map, relative_tangent_space, stratification_rep
 from oracles import (
     oracle_cyclo_mul,
     oracle_inverse,
+    oracle_is_faithful,
     oracle_min_gens,
     oracle_relations_hold,
     oracle_staircases,
@@ -62,6 +64,21 @@ def test_orbit_path_equals_cyclotomic_scalar_oracle(case):
     tau = assert_orbit_matches_oracle(*case)
     # tau lies on the quotient: its values satisfy every relation among the generators
     assert oracle_relations_hold(tau.generators, tau.values)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(actions())
+def test_faithfulness_and_walk_weights_equal_oracles(action):
+    faithful = action.is_faithful()
+    assert faithful == oracle_is_faithful(action)
+    if not faithful:
+        with pytest.raises(ValueError, match="not faithful"):
+            coinvariant_algebra(action)
+        return
+    # the walk carries weights as character indices; each must be the monomial's weight
+    coinv = coinvariant_algebra(action)
+    for m, w in zip(coinv.basis, coinv.weights, strict=True):
+        assert w == weight_of_monomial(action, m.exponents)
 
 
 faithful_actions = actions().filter(lambda action: action.is_faithful())
