@@ -211,12 +211,6 @@ def _subspace_report(action: ActionData, coinv: CoinvariantAlgebra, rref, pivots
     return report
 
 
-def _orbit_report(action: ActionData, points, conductor: int) -> ClusterReport:
-    counts = _fixed_point_counts(_group_exponents(action, conductor), points)
-    chars = _orbit_characters(action.group, counts, len(points))
-    return ClusterReport.from_quotient(action.group, len(points), chars)
-
-
 def verify_cluster(action: ActionData, target) -> ClusterReport:
     """Check the G-cluster conditions for an ideal-like input.
 
@@ -233,7 +227,10 @@ def verify_cluster(action: ActionData, target) -> ClusterReport:
         if target.kind == "monomial":
             return _monomial_report(action, target.ideal)
         if target.kind == "orbit":
-            return _orbit_report(action, target.points, target.conductor)
+            points = target.points
+            counts = _fixed_point_counts(_group_exponents(action, target.conductor), points)
+            chars = _orbit_characters(action.group, counts, len(points))
+            return ClusterReport.from_quotient(action.group, len(points), chars)
         target = target.rows
     elif isinstance(target, MonomialIdeal):
         return _monomial_report(action, target)
@@ -391,28 +388,28 @@ def _group_exponents(action: ActionData, conductor: int):
 def _fixed_point_counts(group_exponents, points):
     """Pairs (g, number of the points that g fixes), in group element order."""
     return tuple(
-        (g, sum(1 for p in points if all(c == 0 or k == 0 for k, c in zip(ks, p))))
+        (g, sum(1 for p in points if all(not k or not c for k, c in zip(ks, p))))
         for g, ks in group_exponents
     )
 
 
 def _orbit_characters(group, counts, size: int) -> tuple[Character, ...]:
-    """Character multiset of the functions on an orbit, from its fixed-point counts."""
-    m = group.exponent
-    chars = []
-    for chi in group.characters():
-        # |G| * multiplicity = sum_g fixed(g) chi(g)^-1, on integer coefficients of zeta_m^j
-        coeffs = [0] * m
-        for g, fixed in counts:
-            if fixed:
-                coeffs[-character_exponent(group, g, chi) % m] += fixed
-        total = CyclotomicNumber.from_polynomial(coeffs, m)
-        if not total.is_rational() or total.rational_value() % group.order:
-            raise IntegrityError("orbit character multiplicity is not an integer")
-        chars.extend([chi] * (total.rational_value() // group.order))
+    """Characters of the functions on an orbit G/H: those trivial on the stabilizer H.
+
+    Points of one abelian orbit share their stabilizer, so each g fixes all
+    of it or none, and H is the g that fix any.  The functions on G/H are
+    Ind_H^G 1, each character trivial on H once, picked by the integer test
+    character_exponent == 0 on H in group.characters() order, which is sorted.
+    By orbit-stabilizer they number size, the count of distinct images.
+    """
+    if any(fixed not in (0, size) for _, fixed in counts):
+        raise IntegrityError("a group element fixes only part of an orbit")
+    stabilizer = [g for g, fixed in counts if fixed]
+    chars = tuple(chi for chi in group.characters()
+                  if all(character_exponent(group, g, chi) == 0 for g in stabilizer))
     if len(chars) != size:
         raise IntegrityError("orbit character multiplicities do not sum to the orbit size")
-    return tuple(sorted(chars))
+    return chars
 
 
 def _coerce_point(action: ActionData, point) -> tuple[int, tuple[CyclotomicNumber, ...]]:
@@ -431,10 +428,12 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
 
     Each g is carried as the exponents k_i of zeta_conductor by which it
     scales the coordinates (the integer pairing of g with the weights); g
-    fixes a point when each coordinate has c_i == 0 or k_i == 0.  Freeness
-    is decided by orbit cardinality and, independently, by the trace
-    criterion (no non-identity element fixes an orbit point); the two must
-    agree and both are reported.  The quotient dimension is the orbit size:
+    fixes a point when each coordinate has c_i == 0 or k_i == 0.  That one
+    integer test gives the fixed-point counts, the stabilizer H and the
+    characters (those trivial on H: the orbit is G/H).  Freeness is decided
+    by orbit cardinality and, independently, by the trace criterion (no
+    non-identity element fixes an orbit point); the two must agree and both
+    are reported.  The quotient dimension is the orbit size:
     cyclotomic coefficients are canonical at one conductor, so the orbit
     points are pairwise distinct, and distinct points are interpolated by
     products of univariate separators, so their functions are independent.
@@ -444,14 +443,9 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
     conductor, base = _coerce_point(action, point)
 
     group_exponents = _group_exponents(action, conductor)
-    seen = {}
-    stabilizer = []
-    for g, ks in group_exponents:
-        image = tuple(CyclotomicNumber.root_of_unity(conductor, k) * c if k and c else c
-                      for k, c in zip(ks, base))
-        seen[tuple(c.coeffs for c in image)] = image
-        if image == base:
-            stabilizer.append(g)
+    images = (tuple(CyclotomicNumber.root_of_unity(conductor, k) * c if k and c else c
+                    for k, c in zip(ks, base)) for _, ks in group_exponents)
+    seen = {tuple(c.coeffs for c in image): image for image in images}
     points = tuple(seen[k] for k in sorted(seen))
     counts = _fixed_point_counts(group_exponents, points)
 
@@ -466,7 +460,7 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
         free_by_trace=free_by_trace,
         criteria_agree=free_by_size == free_by_trace,
         is_free=free_by_size and free_by_trace,
-        stabilizer=tuple(stabilizer),
+        stabilizer=tuple(g for g, fixed in counts if fixed),
         fixed_point_counts=counts,
     )
     cluster = GCluster(

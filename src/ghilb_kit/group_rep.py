@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -37,7 +38,7 @@ class Character:
     def __post_init__(self) -> None:
         if len(self.divisors) != len(self.components):
             raise ValueError("character arity does not match the divisor sequence")
-        reduced = tuple(c % d for c, d in zip(self.components, self.divisors))
+        reduced = tuple(operator.index(c) % d for c, d in zip(self.components, self.divisors))
         object.__setattr__(self, "components", reduced)
 
     @property
@@ -74,7 +75,7 @@ class FiniteAbelianGroup:
     elementary_divisors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        divisors = tuple(int(d) for d in self.elementary_divisors)
+        divisors = tuple(map(operator.index, self.elementary_divisors))
         if any(d < 2 for d in divisors):
             raise ValueError("every elementary divisor must be >= 2")
         object.__setattr__(self, "elementary_divisors", divisors)

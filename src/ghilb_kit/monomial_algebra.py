@@ -13,6 +13,7 @@ x_1 > ... > x_n; sorted sequences are ascending in that order.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        exps = tuple(int(a) for a in self.exponents)
+        exps = tuple(map(operator.index, self.exponents))
         if any(a < 0 for a in exps):
             raise ValueError("exponents must be nonnegative")
         object.__setattr__(self, "exponents", exps)

@@ -265,6 +265,34 @@ class TestExitCodes:
         assert out == ""
         assert err == "ghilb: internal error: ideal closure failed on basis indices\n"
 
+    def test_partial_fixing_check_exits_three(self, monkeypatch, capsys):
+        # each g fixes all points of an abelian orbit or none of them
+        counts = cluster_module._fixed_point_counts
+
+        def partial(group_exponents, points):
+            return tuple((g, fixed or 1) for g, fixed in counts(group_exponents, points))
+
+        monkeypatch.setattr(cluster_module, "_fixed_point_counts", partial)
+        code, out, err = run("orbit", "cyclic:3:1,2", "--point", "1,1", capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "ghilb: internal error: a group element fixes only part of an orbit\n"
+
+    def test_orbit_stabilizer_check_exits_three(self, monkeypatch, capsys):
+        # a stabilizer that loses elements gives more characters than points
+        counts = cluster_module._fixed_point_counts
+
+        def identity_only(group_exponents, points):
+            return tuple((g, fixed if not any(g) else 0)
+                         for g, fixed in counts(group_exponents, points))
+
+        monkeypatch.setattr(cluster_module, "_fixed_point_counts", identity_only)
+        code, out, err = run("orbit", "cyclic:3:1,2", "--point", "0,0", capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert err == ("ghilb: internal error: "
+                       "orbit character multiplicities do not sum to the orbit size\n")
+
 
 class TestReportSchemas:
     def test_cluster_report_keys(self, capsys):

@@ -65,6 +65,11 @@ class TestVerifyMonomial:
         report = verify_cluster(z3, ideal(2, (1, 0), (0, 1)))
         assert report.failure_reason == "dimension 1 ≠ 3"
 
+    def test_non_integer_exponents_rejected(self, z3):
+        # truncated exponents once gave the domain answer "dimension 2 ≠ 3"
+        with pytest.raises(TypeError):
+            verify_cluster(z3, MonomialIdeal(2, [(2.5, 0), (0.5, 1), (0, 2)]))
+
     def test_character_multiset_failure(self):
         action = cyclic_action(4, (1, 2))
         report = verify_cluster(action, ideal(2, (1, 0), (0, 4)))
@@ -375,6 +380,43 @@ class TestOrbit:
         a, _ = orbit_cluster(z3, (F(1), F(2)))
         b, _ = orbit_cluster(z3, (F(1), F(2)))
         assert a.points == b.points
+
+    def test_orbit_compares_no_cyclotomic_numbers(self, monkeypatch):
+        # stabilizer and characters come from the integer fixing test alone
+        action = cyclic_action(6, (1, 5))
+        point = (CyclotomicNumber.root_of_unity(3) + 2, F(-1, 2))
+        want = orbit_cluster(action, point)
+        compared = []
+        eq = CyclotomicNumber.__eq__
+
+        def counted(a, b):
+            compared.append((a, b))
+            return eq(a, b)
+
+        monkeypatch.setattr(CyclotomicNumber, "__eq__", counted)
+        got = orbit_cluster(action, point)
+        assert compared == []
+        monkeypatch.undo()
+        assert got == want
+        assert got[1].is_free
+
+    @pytest.mark.parametrize("action,point", [
+        (cyclic_action(6, (1, 5)), (F(1), F(2))),
+        (cyclic_action(4, (1, 2)), (F(0), F(1))),
+        (cyclic_action(6, (2, 3)), (F(0), F(0))),
+        (product_action((2, 4), ((1, 0), (0, 1))), (F(3), F(0))),
+    ], ids=["free", "partial", "origin", "product-axis"])
+    def test_orbit_characters_make_no_cyclotomic_number(self, action, point, monkeypatch):
+        cluster, freeness = orbit_cluster(action, point)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cyclotomic number was built")
+
+        monkeypatch.setattr(CyclotomicNumber, "from_polynomial", forbidden)
+        monkeypatch.setattr(CyclotomicNumber, "__post_init__", forbidden)
+        chars = cluster_module._orbit_characters(
+            action.group, freeness.fixed_point_counts, freeness.orbit_size)
+        assert chars == cluster.characters
 
 
 def _rank_cases():

@@ -28,6 +28,11 @@ class TestCharacter:
         with pytest.raises(ValueError):
             Character((2, 3), (1,))
 
+    def test_non_integer_components_rejected(self):
+        # 1.5 % 2 stayed 1.5, and .order() then raised
+        with pytest.raises(TypeError):
+            FiniteAbelianGroup((2,)).character((1.5,))
+
     def test_arithmetic(self):
         a = Character((6,), (4,))
         b = Character((6,), (3,))
@@ -64,6 +69,11 @@ class TestFiniteAbelianGroup:
         for divisors in [(1,), (0,), (-3,), (2, 1)]:
             with pytest.raises(ValueError):
                 FiniteAbelianGroup(divisors)
+
+    def test_non_integer_divisor_rejected(self):
+        # int() would make Z/2 of it
+        with pytest.raises(TypeError):
+            FiniteAbelianGroup((2.5,))
 
     def test_enumerations(self):
         g = FiniteAbelianGroup((2, 3))
@@ -115,6 +125,10 @@ class TestActionData:
         assert weight_of_monomial(a, (0, 1)).components == (4,)
         assert weight_of_monomial(a, (3, 2)).components == ((3 + 8) % 5,)
         assert weight_of_monomial(a, (1, 1)).is_trivial
+
+    def test_weight_of_non_integer_exponents_rejected(self):
+        with pytest.raises(TypeError):
+            weight_of_monomial(sl2_action(5), (1.5, 0))
 
 
 class TestRegularRepresentation:

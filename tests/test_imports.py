@@ -1,8 +1,9 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every private name it defines."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,72 @@ def test_detector_sees_unused_and_reexported_names():
         "    sys.exit(x)\n"
     )
     assert unused_imports(source) == ["line 2: os"]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _read_name(node):
+    """The name a Name or Attribute node reads, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Private definitions of a package that no code in it refers to.
+
+    sources maps module names to their source.  A private definition is a
+    module-level function or class, or a method, whose name has one leading
+    underscore.  It is referenced when some Name or Attribute of the package
+    reads its name outside the definition itself, so a function that only
+    calls itself is unreferenced.
+    """
+    definition = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = []
+    reads = Counter()
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        defs = [node for node in tree.body if isinstance(node, definition)]
+        defs += [node for cls in defs if isinstance(cls, ast.ClassDef)
+                 for node in cls.body if isinstance(node, definition[:2])]
+        defined += [(module, node) for node in defs if _is_private(node.name)]
+        reads.update(_read_name(node) for node in ast.walk(tree))
+
+    def own_reads(node) -> int:
+        return sum(_read_name(sub) == node.name for sub in ast.walk(node))
+
+    return sorted(f"{module}: {node.name}" for module, node in defined
+                  if reads[node.name] == own_reads(node))
+
+
+def test_no_unreferenced_private_names():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_detector_sees_unreferenced_private_names():
+    sources = {
+        "a": (
+            "def _used():\n"
+            "    return 1\n"
+            "def _dead():\n"
+            "    return _used()\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "def __dunder__():\n"
+            "    pass\n"
+            "class _Dead:\n"
+            "    def _method(self):\n"
+            "        return self._helper()\n"
+            "    def _helper(self):\n"
+            "        return 0\n"
+        ),
+        "b": "import a\nx = a._Dead\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        "a: _dead", "a: _method", "a: _recursive",
+    ]

@@ -42,6 +42,18 @@ class TestMonomial:
         assert not m.is_one
         assert mono(0, 0).is_one
 
+    @pytest.mark.parametrize("exponents", [(1.5, 0), ("2", 0)], ids=["float", "str"])
+    def test_non_integer_exponents_rejected(self, exponents):
+        # int() would read these as x1 and x1^2
+        with pytest.raises(TypeError):
+            Monomial(exponents)
+
+    def test_bool_and_int_subclass_exponents_accepted(self):
+        class Exponent(int):
+            pass
+
+        assert Monomial((True, Exponent(2))) == mono(1, 2)
+
     def test_multiplication_division(self):
         assert mono(1, 2) * mono(3, 0) == mono(4, 2)
         assert mono(4, 2).divide(mono(1, 2)) == mono(3, 0)
