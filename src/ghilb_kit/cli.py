@@ -26,8 +26,7 @@ from ghilb_kit.cluster import (
 from ghilb_kit.cyclotomic import CyclotomicNumber, parse_cyclotomic, to_text as cyclo_text
 from ghilb_kit.group_rep import ActionData, Character, FiniteAbelianGroup
 from ghilb_kit.monomial_algebra import MonomialIdeal, coinvariant_algebra, parse_monomial
-from ghilb_kit.tangent import eq8_map, mckay_table, relative_data, relative_tangent_space, \
-    stratification_rep, tangent_space
+from ghilb_kit.tangent import _staircase_relative, mckay_table, tangent_space
 
 
 class SpecParseError(ValueError):
@@ -332,23 +331,20 @@ def cmd_tangent_report(action: ActionData, args) -> int:
         return 1
     cluster = GCluster(kind="monomial", action=action, ideal=ideal, staircase=report.staircase,
                        quotient_dim=report.quotient_dim, characters=report.characters)
-    coinv = coinvariant_algebra(action)
-    shared = relative_data(coinv, cluster)
     tangent = tangent_space(action, cluster)
-    relative = relative_tangent_space(coinv, shared)
-    strat = stratification_rep(coinv, shared)
-    eq8 = eq8_map(coinv, shared)
+    # a rank loss in the restriction raises, so it is always injective here
+    relative_dim, strat_characters, target_dim = _staircase_relative(tangent)
     combined = {
         "action": canonical_action_text(action),
         "ideal": [g.to_text() for g in ideal.min_gens],
         "tangent_dim": tangent.dimension,
-        "relative_tangent_dim": relative.dimension,
-        "strat_characters": _characters_json(strat.characters),
+        "relative_tangent_dim": relative_dim,
+        "strat_characters": _characters_json(strat_characters),
         "eq8": {
-            "injective": eq8.injective,
-            "isomorphism": eq8.isomorphism,
-            "source_dim": eq8.source_dim,
-            "target_dim": eq8.target_dim,
+            "injective": True,
+            "isomorphism": relative_dim == target_dim,
+            "source_dim": relative_dim,
+            "target_dim": target_dim,
         },
     }
     _write_report(combined, args)

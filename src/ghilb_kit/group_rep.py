@@ -36,9 +36,11 @@ class Character:
     components: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.divisors) != len(self.components):
+        divisors = tuple(map(operator.index, self.divisors))
+        if len(divisors) != len(self.components):
             raise ValueError("character arity does not match the divisor sequence")
-        reduced = tuple(operator.index(c) % d for c, d in zip(self.components, self.divisors))
+        reduced = tuple(map(operator.mod, map(operator.index, self.components), divisors))
+        object.__setattr__(self, "divisors", divisors)
         object.__setattr__(self, "components", reduced)
 
     @property
@@ -129,6 +131,7 @@ class ActionData:
     weights: tuple[Character, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "num_variables", operator.index(self.num_variables))
         if self.num_variables < 1:
             raise ValueError("need at least one variable")
         weights = tuple(self.weights)

@@ -20,20 +20,27 @@ The unknowns of either Hom space are slots, the weight-compatible pairs of a
 source generator and a quotient basis element.  For monomial input every
 equation equates two slots or kills one (multiplying by a monomial is
 injective on monomials), so one union-find solves both Hom spaces without
-elimination.  The three relative operations share one RelativeData (see
-relative_data), which takes one of two paths:
+elimination.  The relative data takes one of three routes:
 
-* a monomial cluster or MonomialIdeal works on coinvariant basis indices:
-  the spanning set is the basis monomials in the ideal, and the minimal
-  generators are those with no quotient by a variable in the ideal;
+* the CLI's numbers for a verified monomial cluster come from its staircase
+  alone (_staircase_relative): Sbar/Ibar = S/I, so the relative tangent
+  space is the part of tangent_space that vanishes on the invariant minimal
+  generators, and the stratification characters are the weights of the
+  others.  No coinvariant algebra is built;
+* the library's results return unit rows over the coinvariant basis, so a
+  monomial cluster or MonomialIdeal works on coinvariant basis indices
+  (_MonomialRelative; stratification_rep reads the generators of Ibar off
+  the minimal generators directly).  The three operations share one
+  RelativeData (see relative_data);
 * raw rows (and subspace clusters) take the dense path, which eliminates
   over the rationals (eq8_map's rank test included) and is the test oracle
-  of the index path.  It is the only elimination in this module.
+  of the other two.  It is the only elimination in this module.
 """
 
 from __future__ import annotations
 
 import bisect
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -166,6 +173,33 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -
         hom_basis=_hom_matrices(kernel, slots, len(gens), len(staircase)),
         dimension=len(kernel),
     )
+
+
+def _staircase_relative(hom: EquivariantHomSpace) -> tuple[int, tuple[Character, ...], int]:
+    """Relative tangent dimension, stratification characters and eq8 target
+    dimension of a verified monomial cluster, from its tangent_space.
+
+    A G-cluster's staircase avoids every invariant monomial but 1, so
+    Sbar/Ibar = S/I, the invariant minimal generators vanish in Sbar and the
+    others generate Ibar.  A homomorphism sends an invariant generator f to
+    a multiple of 1, and it is a relative one exactly when that multiple is
+    0 for every such f.  The Hom basis holds indicators of disjoint slot
+    classes, so the relative classes that are nonzero on the other
+    generators are independent: fewer of them than relative classes means
+    the restriction to the minimal generators (eq8, injective on monomial
+    input) lost rank, a fault raised as IntegrityError.  eq8's target counts
+    the weight-compatible pairs of a non-invariant generator and a
+    staircase monomial.
+    """
+    unit = next(c for c, m in enumerate(hom.target_basis) if m.is_one)
+    invariant = [k for k, w in enumerate(hom.generator_weights) if w.is_trivial]
+    moving = [k for k, w in enumerate(hom.generator_weights) if not w.is_trivial]
+    relative = [M for M in hom.hom_basis if not any(M[f][unit] for f in invariant)]
+    if sum(any(any(M[k]) for k in moving) for M in relative) < len(relative):
+        raise IntegrityError("a relative tangent vector vanishes on the minimal generators")
+    columns = Counter(hom.target_weights)
+    target_dim = sum(columns[hom.generator_weights[k]] for k in moving)
+    return len(relative), tuple(sorted(hom.generator_weights[k] for k in moving)), target_dim
 
 
 def _slots(row_weights, col_weights) -> list[tuple[int, int]]:
@@ -366,13 +400,13 @@ class _MonomialRelative(RelativeData):
 
     def __init__(self, coinv: CoinvariantAlgebra, ideal: MonomialIdeal) -> None:
         self.coinv = coinv
+        self.ideal = ideal
         up, down = coinv.variable_steps()
         gens = {g.exponents for g in ideal.min_gens}
         # graded-lex order lists every divisor m/x_v before m
         inside = [False] * coinv.dim
         for i, m in enumerate(coinv.basis):
             inside[i] = m.exponents in gens or any(d is not None and inside[d] for d in down[i])
-        self.inside = inside
         self.pivots = [i for i in range(coinv.dim) if inside[i]]
         self.qcols = [i for i in range(coinv.dim) if not inside[i]]
         # ideal closure: x_v * b_p is zero or again a pivot
@@ -381,17 +415,12 @@ class _MonomialRelative(RelativeData):
         self.row_weights = [coinv.weights[p] for p in self.pivots]
 
     def row(self, j: int) -> tuple[Fraction, ...]:
-        row = [Q0] * self.coinv.dim
-        row[self.pivots[j]] = Q1
-        return tuple(row)
+        return _unit_row(self.coinv.dim, self.pivots[j])
 
     @cached_property
     def generator_indices(self) -> list[int]:
-        """Pivots p with no b_p / x_v among the pivots: the minimal generators."""
-        down = self.coinv.variable_steps()[1]
-        inside = self.inside
-        return [j for j, p in enumerate(self.pivots)
-                if not any(d is not None and inside[d] for d in down[p])]
+        """The rows of the generators of Ibar (see _generator_pivots)."""
+        return [bisect.bisect_left(self.pivots, p) for p in _generator_pivots(self.coinv, self.ideal)]
 
     @cached_property
     def kernel(self) -> list[list[Fraction]]:
@@ -430,6 +459,30 @@ class _MonomialRelative(RelativeData):
         restrictions have disjoint supports and the nonzero ones are independent.
         """
         return sum(any(r) for r in matrix)
+
+
+def _unit_row(dim: int, i: int) -> tuple[Fraction, ...]:
+    row = [Q0] * dim
+    row[i] = Q1
+    return tuple(row)
+
+
+def _generator_pivots(coinv: CoinvariantAlgebra, ideal: MonomialIdeal) -> list[int]:
+    """Basis indices of the Sbar-module generators of Ibar, ascending.
+
+    Ibar is spanned by the basis monomials in the ideal, and the basis is
+    closed under division, so such a monomial generates Ibar exactly when no
+    quotient m/x_v lies in the ideal: when it is a minimal generator.  The
+    minimal generators off the basis are multiples of invariant generators,
+    zero in Sbar.  min_gens is in graded-lex order, as the basis is.
+    """
+    pivots = []
+    for g in ideal.min_gens:
+        try:
+            pivots.append(coinv.index_of(g))
+        except ValueError:
+            pass
+    return pivots
 
 
 def relative_data(coinv: CoinvariantAlgebra, subspace) -> RelativeData:
@@ -475,8 +528,16 @@ def stratification_rep(coinv: CoinvariantAlgebra, subspace) -> StratRep:
 
     The minimal generators are the echelon spanning rows that survive modulo
     mbar*Ibar, the span of the products (variable) * (row); their count is
-    the number of minimal generators of Ibar as a module.
+    the number of minimal generators of Ibar as a module.  A monomial
+    cluster or MonomialIdeal reads them off its minimal generators
+    (_generator_pivots) without building RelativeData.
     """
+    if isinstance(subspace, GCluster) and subspace.kind == "monomial":
+        subspace = subspace.ideal
+    if isinstance(subspace, MonomialIdeal):
+        pivots = _generator_pivots(coinv, subspace)
+        return StratRep(generators=tuple(_unit_row(coinv.dim, p) for p in pivots),
+                        characters=tuple(sorted(coinv.weights[p] for p in pivots)))
     data = relative_data(coinv, subspace)
     gens = tuple(data.row(j) for j in data.generator_indices)
     chars = tuple(sorted(data.row_weights[j] for j in data.generator_indices))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -23,7 +24,6 @@ from ghilb_kit.cli import (
 import ghilb_kit.cli as cli_module
 import ghilb_kit.cluster as cluster_module
 import ghilb_kit.monomial_algebra as monomial_module
-import ghilb_kit.tangent as tangent_module
 from ghilb_kit.group_rep import ActionData
 
 
@@ -227,10 +227,16 @@ class TestExitCodes:
         assert json.loads(out)["is_cluster"] is False
 
     def test_integrity_error_exits_three(self, monkeypatch, capsys):
-        # a library fault is not a negative answer: losing one rank on the
-        # monomial eq8 path raises IntegrityError
-        monkeypatch.setattr(tangent_module._MonomialRelative, "restricted_rank",
-                            staticmethod(lambda matrix: len(matrix) - 1))
+        # a library fault is not a negative answer: a tangent space with an
+        # all-zero class loses rank on the minimal generators
+        def with_zero_class(action, cluster):
+            hom = tangent_space(action, cluster)
+            zero = tuple(tuple(0 for _ in row) for row in hom.hom_basis[0])
+            return dataclasses.replace(hom, hom_basis=hom.hom_basis + (zero,),
+                                       dimension=hom.dimension + 1)
+
+        tangent_space = cli_module.tangent_space
+        monkeypatch.setattr(cli_module, "tangent_space", with_zero_class)
         code, out, err = run("tangent", "cyclic:3:1,2", "--ideal", "x2,x1^3", capsys=capsys)
         assert code == 3
         assert out == ""
@@ -250,20 +256,6 @@ class TestExitCodes:
         assert out == ""
         assert err == ("ghilb: internal error: characters missing from the basis: "
                        "[Character(1,), Character(2,)]\n")
-
-    def test_tangent_closure_check_exits_three(self, monkeypatch, capsys):
-        # with the division table emptied, the ideal's image is no longer closed
-        steps = monomial_module.CoinvariantAlgebra.variable_steps
-
-        def no_divisions(coinv):
-            up, down = steps(coinv)
-            return up, [[None] * len(row) for row in down]
-
-        monkeypatch.setattr(monomial_module.CoinvariantAlgebra, "variable_steps", no_divisions)
-        code, out, err = run("tangent", "cyclic:3:1,2", "--ideal", "x2,x1^3", capsys=capsys)
-        assert code == 3
-        assert out == ""
-        assert err == "ghilb: internal error: ideal closure failed on basis indices\n"
 
     def test_partial_fixing_check_exits_three(self, monkeypatch, capsys):
         # each g fixes all points of an abelian orbit or none of them
@@ -560,6 +552,8 @@ class TestEachQueryOnce:
                             counting("_fixed_point_counts", cluster_module._fixed_point_counts))
         monkeypatch.setattr(cli_module, "verify_cluster",
                             counting("verify_cluster", cli_module.verify_cluster))
+        monkeypatch.setattr(monomial_module.CoinvariantAlgebra, "__init__",
+                            counting("CoinvariantAlgebra", monomial_module.CoinvariantAlgebra.__init__))
         return calls
 
     # one invariant walk at most per query; no orbit tau solves for its relations
@@ -572,10 +566,11 @@ class TestEachQueryOnce:
          {"quotient_staircase": 1, "_invariant_staircase": 1}),
         (("tau", "cyclic:2:1,1", "--ideal", "x1^3,x2"),
          {"quotient_staircase": 1, "_invariant_staircase": 0}),
+        # tangent reads its numbers off the cluster's staircase
         (("tangent", "cyclic:3:1,2", "--ideal", "x2,x1^3"),
-         {"quotient_staircase": 1, "_invariant_staircase": 1}),
+         {"quotient_staircase": 1, "_invariant_staircase": 0, "CoinvariantAlgebra": 0}),
         (("eq8-check", "cyclic:7:1,2,4", "--ideal", "x2,x3^2,x1^3*x3,x1^4"),
-         {"quotient_staircase": 1, "_invariant_staircase": 1}),
+         {"quotient_staircase": 1, "_invariant_staircase": 0, "CoinvariantAlgebra": 0}),
         (("tangent", "cyclic:3:1,2", "--ideal", "x1,x2"),
          {"quotient_staircase": 1, "_invariant_staircase": 0}),
         (("clusters", "cyclic:7:1,2,4"),
@@ -591,7 +586,7 @@ class TestEachQueryOnce:
          {"_fixed_point_counts": 1, "verify_cluster": 0, "_invariant_staircase": 1,
           "kernel_basis_rows": 0}),
         (("coinv", "cyclic:3:1,2"), {"_invariant_staircase": 1}),
-        (("mckay", "cyclic:5:1,2"), {"_invariant_staircase": 1}),
+        (("mckay", "cyclic:5:1,2"), {"_invariant_staircase": 1, "CoinvariantAlgebra": 1}),
     ])
     def test_call_counts(self, argv, expected, calls, capsys):
         main(list(argv))

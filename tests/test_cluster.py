@@ -553,7 +553,8 @@ class TestTau:
 
     def test_non_scalar_reduction_is_integrity_error(self, z2):
         # staircase {1, x, x^2} contains the invariant x^2: not a cluster
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError,
+                           match=r"invariant generator x1\^2 does not reduce to a scalar"):
             tau_support(z2, ideal(2, (3, 0), (0, 1)))
 
     def test_subspace_cluster_tau(self, z2):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import ghilb_kit.cyclotomic as cyclotomic_module
 from conftest import cyclic_action, product_action
 from ghilb_kit.cyclotomic import (
     CyclotomicNumber,
@@ -19,7 +20,7 @@ from ghilb_kit.cyclotomic import (
     parse_cyclotomic,
     to_text,
 )
-from ghilb_kit.group_rep import FiniteAbelianGroup
+from ghilb_kit.group_rep import FiniteAbelianGroup, IntegrityError
 
 F = Fraction
 
@@ -69,6 +70,18 @@ class TestCyclotomicPolynomial:
         for m in range(1, 121):
             expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
             assert cyclotomic_polynomial(m) == tuple(int(c) for c in expected)
+
+    def test_inexact_division_is_integrity_error(self, monkeypatch):
+        # Phi_d divides x^m - 1 for every d | m, so a remainder is a fault
+        divmod_ = cyclotomic_module._poly_divmod
+        monkeypatch.setattr(cyclotomic_module, "_poly_divmod",
+                            lambda num, den: (divmod_(num, den)[0], [1]))
+        cyclotomic_polynomial.cache_clear()
+        try:
+            with pytest.raises(IntegrityError, match="cyclotomic division left a remainder"):
+                cyclotomic_polynomial(6)
+        finally:
+            cyclotomic_polynomial.cache_clear()
 
 
 class TestArithmetic:
@@ -193,6 +206,12 @@ class TestEmbedding:
         assert image ** 3 == 1
         assert image != 1
         assert image == CyclotomicNumber.root_of_unity(6) ** 2
+
+    def test_missing_own_field_is_integrity_error(self, monkeypatch):
+        # hashing looks for the least field holding a number; its own conductor's always does
+        monkeypatch.setattr(cyclotomic_module, "solve_rows", lambda rows, rhs: None)
+        with pytest.raises(IntegrityError, match="a number always lies in its own conductor's field"):
+            hash(CyclotomicNumber.root_of_unity(4))
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError):

@@ -33,6 +33,12 @@ class TestCharacter:
         with pytest.raises(TypeError):
             FiniteAbelianGroup((2,)).character((1.5,))
 
+    def test_non_integer_divisors_rejected(self):
+        # 1 % 2.5 made Character(1.0,), and .order() then raised
+        with pytest.raises(TypeError):
+            Character((2.5,), (1,))
+        assert type(Character((True,), (0,)).divisors[0]) is int
+
     def test_arithmetic(self):
         a = Character((6,), (4,))
         b = Character((6,), (3,))
@@ -96,6 +102,14 @@ class TestActionData:
             ActionData(g, 2, (g.character((1,)),))
         with pytest.raises(ValueError):
             ActionData(g, 0, ())
+
+    def test_non_integer_num_variables_rejected(self):
+        # 2.0 passed, and the cluster search then failed deep inside
+        g = FiniteAbelianGroup((3,))
+        weights = (g.character((1,)), g.character((2,)))
+        with pytest.raises(TypeError):
+            ActionData(g, 2.0, weights)
+        assert type(ActionData(g, True, weights[:1]).num_variables) is int
 
     def test_weights_must_match_group(self):
         g = FiniteAbelianGroup((3,))

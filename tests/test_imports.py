@@ -120,3 +120,61 @@ def test_detector_sees_unreferenced_private_names():
     assert unreferenced_private_names(sources) == [
         "a: _dead", "a: _method", "a: _recursive",
     ]
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def integrity_messages(source: str) -> list[tuple[int, tuple[str, ...]]]:
+    """(line, constant text) of each `raise IntegrityError(message)` in a module.
+
+    The constant text of a message is its literal pieces, stripped: the whole
+    string of a plain literal, the parts between the fields of an f-string.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "IntegrityError" and call.args):
+            continue
+        message = call.args[0]
+        pieces = message.values if isinstance(message, ast.JoinedStr) else [message]
+        text = tuple(p.value.strip() for p in pieces
+                     if isinstance(p, ast.Constant) and isinstance(p.value, str) and p.value.strip())
+        found.append((node.lineno, text))
+    return found
+
+
+def unreached_integrity_messages(sources: dict[str, str], tests: list[str]) -> list[str]:
+    """IntegrityError messages whose constant text no single test source contains whole."""
+    return sorted(f"{module} line {line}: {' ... '.join(text)}"
+                  for module, source in sorted(sources.items())
+                  for line, text in integrity_messages(source)
+                  if not any(all(piece in test for piece in text) for test in tests))
+
+
+def test_every_integrity_error_is_reached_by_a_test():
+    # an internal check no test provokes may have a wrong message or be dead
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    tests = [path.read_text() for path in TESTS.rglob("*.py")]
+    assert unreached_integrity_messages(sources, tests) == []
+
+
+def test_detector_sees_unreached_integrity_errors():
+    sources = {
+        "a": (
+            "def f(x):\n"
+            "    if x:\n"
+            "        raise IntegrityError('plain check failed')\n"
+            "    raise IntegrityError(f'value {x} is off by {x + 1} units')\n"
+            "def g():\n"
+            "    raise ValueError('not an internal check')\n"
+        ),
+    }
+    tests = ["match='value 3 is off by'", "err == 'units'"]
+    assert unreached_integrity_messages(sources, tests) == [
+        "a line 3: plain check failed", "a line 4: value ... is off by ... units",
+    ]
+    assert unreached_integrity_messages(sources, tests + ["value 3 is off by 4 units"]) == [
+        "a line 3: plain check failed",
+    ]

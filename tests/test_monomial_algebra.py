@@ -10,10 +10,11 @@ from fractions import Fraction
 
 import pytest
 
+import ghilb_kit.monomial_algebra as monomial_module
 from conftest import cyclic_action, product_action, sl2_action
 from ghilb_kit.cluster import enumerate_torus_fixed_clusters, verify_cluster
 from ghilb_kit.exact_linalg import kernel_basis_rows
-from ghilb_kit.group_rep import Character, weight_of_monomial
+from ghilb_kit.group_rep import Character, IntegrityError, weight_of_monomial
 from ghilb_kit.monomial_algebra import (
     CoinvariantAlgebra,
     Monomial,
@@ -312,6 +313,17 @@ class TestCoinvariantAlgebra:
             assert set(coinv.weights) == set(action.group.characters())
             assert coinv.dim >= action.group.order
             assert coinv.basis[0].is_one
+
+    def test_basis_without_the_unit_is_integrity_error(self, monkeypatch):
+        walk = monomial_module._invariant_staircase
+
+        def without_unit(action):
+            gens, basis, indices = walk(action)
+            return gens, basis[1:], indices[1:]
+
+        monkeypatch.setattr(monomial_module, "_invariant_staircase", without_unit)
+        with pytest.raises(IntegrityError, match="coinvariant basis must contain the unit monomial"):
+            coinvariant_algebra(sl2_action(3))
 
     def test_unit_weight_basis_is_exactly_regular(self):
         coinv = coinvariant_algebra(product_action((2, 6), ((1, 0), (0, 1))))

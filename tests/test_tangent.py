@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import random
 import sys
@@ -23,12 +25,14 @@ from ghilb_kit.cluster import (
 from ghilb_kit.cyclotomic import CyclotomicNumber
 from ghilb_kit.group_rep import Character
 from ghilb_kit.monomial_algebra import (
+    CoinvariantAlgebra,
     Monomial,
     MonomialIdeal,
     coinvariant_algebra,
     quotient_staircase,
 )
 from ghilb_kit.tangent import (
+    _staircase_relative,
     eq8_map,
     mckay_table,
     relative_data,
@@ -327,6 +331,13 @@ class TestRelativeTangentSpace:
         with pytest.raises(ValueError, match="not an ideal"):
             relative_tangent_space(coinv, [row_for(coinv, {mono(1, 0): 1})])
 
+    def test_constraint_closure_check_is_integrity_error(self, z3, monkeypatch):
+        # past a faulty closure test, a non-ideal span fails during assembly
+        coinv = coinvariant_algebra(z3)
+        monkeypatch.setattr(tangent_module, "_closed_under_variables", lambda *args: True)
+        with pytest.raises(IntegrityError, match="ideal closure failed during constraint assembly"):
+            relative_tangent_space(coinv, [row_for(coinv, {mono(1, 0): 1})])
+
     def test_non_graded_rejected(self, z3):
         coinv = coinvariant_algebra(z3)
         # closed under multiplication (cross terms hit the invariant x1*x2)
@@ -405,6 +416,88 @@ class TestMonomialPath:
         shared = relative_data(coinv, enumerate_torus_fixed_clusters(z3, coinv)[0])
         with pytest.raises(ValueError, match="another coinvariant algebra"):
             stratification_rep(coinvariant_algebra(z3), shared)
+
+    def test_closure_check_is_integrity_error(self, z3, monkeypatch):
+        # with the division table emptied, the ideal's image is no longer closed
+        steps = CoinvariantAlgebra.variable_steps
+
+        def no_divisions(coinv):
+            up, down = steps(coinv)
+            return up, [[None] * len(row) for row in down]
+
+        monkeypatch.setattr(CoinvariantAlgebra, "variable_steps", no_divisions)
+        coinv = coinvariant_algebra(z3)
+        with pytest.raises(IntegrityError, match="ideal closure failed on basis indices"):
+            relative_tangent_space(coinv, ideal(2, (0, 1), (3, 0)))
+
+
+def sweep_actions() -> list:
+    """Faithful Z/r (1, a) for r <= 16, Z/r (a, b, c) for 1 <= a <= b <= c < r <= 8,
+    and the 2x2 and 3x3 products in SL(3)."""
+    actions = [cyclic_action(r, (1, a)) for r in range(2, 17) for a in range(1, r)]
+    actions += [cyclic_action(r, w) for r in range(2, 9)
+                for w in itertools.combinations_with_replacement(range(1, r), 3)]
+    for d in (2, 3):
+        for w1, w2 in itertools.product(itertools.product(range(d), repeat=2), repeat=2):
+            w3 = tuple(-a - b for a, b in zip(w1, w2))
+            actions.append(product_action((d, d), (w1, w2, w3)))
+    return [a for a in actions if a.is_faithful()]
+
+
+class TestStaircaseRelative:
+    """The CLI's relative numbers, read off tangent_space, against both library routes."""
+
+    @staticmethod
+    def numbers(coinv, subspace) -> tuple:
+        data = relative_data(coinv, subspace)
+        eq8 = eq8_map(coinv, data)
+        assert eq8.injective and eq8.source_dim == relative_tangent_space(coinv, data).dimension
+        return eq8.source_dim, stratification_rep(coinv, data).characters, eq8.target_dim
+
+    def test_equals_index_and_dense_paths(self):
+        # the dense path on every cluster of the sweep takes most of a minute,
+        # so it checks one seeded cluster of each action with dim <= 40
+        rng = random.Random(16)
+        clusters = dense = 0
+        for action in sweep_actions():
+            coinv = coinvariant_algebra(action)
+            found = enumerate_torus_fixed_clusters(action, coinv)
+            sample = rng.randrange(len(found))
+            for k, cluster in enumerate(found):
+                got = _staircase_relative(tangent_space(action, cluster))
+                assert got == self.numbers(coinv, cluster), (action, cluster.ideal)
+                clusters += 1
+                if k == sample and coinv.dim <= 40:
+                    rows = subspace_rows_of_monomial_cluster(coinv, cluster)
+                    assert got == self.numbers(coinv, rows), (action, cluster.ideal)
+                    dense += 1
+        assert clusters > 2000 and dense > 250
+
+    def test_rank_loss_is_integrity_error(self, z3):
+        hom = tangent_space(z3, enumerate_torus_fixed_clusters(z3)[0])
+        zero = tuple(tuple(F(0) for _ in row) for row in hom.hom_basis[0])
+        with pytest.raises(IntegrityError, match="vanishes on the minimal generators"):
+            _staircase_relative(dataclasses.replace(hom, hom_basis=hom.hom_basis + (zero,)))
+
+    def test_strat_on_random_ideals_equals_index_and_dense_paths(self):
+        rng = random.Random(23)
+        actions = [cyclic_action(5, (1, 2)), cyclic_action(7, (1, 2, 4)), cyclic_action(4, (1, 1, 2)),
+                   product_action((2, 2), ((1, 0), (0, 1), (1, 1)))]
+        checked = 0
+        for action in actions:
+            coinv = coinvariant_algebra(action)
+            n = action.num_variables
+            targets = [c.ideal for c in enumerate_torus_fixed_clusters(action, coinv)]
+            for _ in range(40):
+                gens = [tuple(rng.randrange(5) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+                targets.append(ideal(n, *gens))
+            for target in targets:
+                got = stratification_rep(coinv, target)
+                assert got == stratification_rep(coinv, relative_data(coinv, target)), target
+                rows = subspace_rows_of_monomial_cluster(coinv, target)
+                assert got == stratification_rep(coinv, rows), target
+                checked += 1
+        assert checked > 160
 
 
 class TestNoElimination:
