@@ -541,6 +541,8 @@ def tau_support(action: ActionData, cluster, coinv: Optional[CoinvariantAlgebra]
         ideal = cluster.ideal if isinstance(cluster, GCluster) else cluster
         if not isinstance(ideal, MonomialIdeal):
             raise TypeError("tau_support expects a GCluster or a MonomialIdeal")
+        if ideal.num_vars != action.num_variables:
+            raise ValueError(f"the ideal has {ideal.num_vars} variables, the action {action.num_variables}")
         values = []
         for g in gens:
             if not ideal.contains(g):

@@ -7,8 +7,7 @@ Two Hom spaces are computed exactly over the rationals:
   pairwise lcm (Taylor) relations; multiplication into S/I is the staircase
   basis with zero extension through the ideal.
 * relative_tangent_space: Hom^G_Sbar(Ibar, Sbar/Ibar) for an ideal subspace
-  of the coinvariant algebra, as the weight-compatible images of a spanning
-  set compatible with multiplication by every variable.
+  of the coinvariant algebra, by one of the two routes below.
 
 On top of these sit the stratification representation Ibar/(mbar Ibar) on the
 minimal generators, the restriction-to-generators map from the relative
@@ -16,25 +15,22 @@ tangent space into the weight-preserving linear maps out of it, and the
 per-action McKay table aggregating stratification characters over all
 torus-fixed clusters.
 
-The unknowns of either Hom space are slots, the weight-compatible pairs of a
+The unknowns of a Hom space are slots, the weight-compatible pairs of a
 source generator and a quotient basis element.  For monomial input every
-equation equates two slots or kills one (multiplying by a monomial is
-injective on monomials), so one union-find solves both Hom spaces without
-elimination.  The relative data takes one of three routes:
+Taylor relation equates two slots or kills one (multiplying by a monomial
+is injective on monomials), so a union-find solves tangent_space without
+elimination.  The relative data takes one of two routes:
 
-* the CLI's numbers for a verified monomial cluster come from its staircase
-  alone (_staircase_relative): Sbar/Ibar = S/I, so the relative tangent
-  space is the part of tangent_space that vanishes on the invariant minimal
-  generators, and the stratification characters are the weights of the
-  others.  No coinvariant algebra is built;
-* the library's results return unit rows over the coinvariant basis, so a
-  monomial cluster or MonomialIdeal works on coinvariant basis indices
-  (_MonomialRelative; stratification_rep reads the generators of Ibar off
-  the minimal generators directly).  The three operations share one
-  RelativeData (see relative_data);
-* raw rows (and subspace clusters) take the dense path, which eliminates
+* the staircase route, for a monomial ideal I: with J the ideal of the
+  positive-degree invariant monomials, Sbar/Ibar = S/(I + J), so the
+  relative tangent space is the part of tangent_space(I + J) that vanishes
+  on the invariant minimal generators (_relative_classes).  The CLI reads
+  its numbers off a verified cluster's own staircase, where I + J = I
+  (_staircase_relative); the library lifts the same classes to unit rows
+  over the coinvariant basis (_StaircaseRelative);
+* the dense route, for raw rows (and subspace clusters), which eliminates
   over the rationals (eq8_map's rank test included) and is the test oracle
-  of the other two.  It is the only elimination in this module.
+  of the other.  It is the only elimination in this module.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import Optional, Union
 
 from ghilb_kit.cluster import (
     GCluster,
@@ -149,7 +145,9 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -
     gens = ideal.min_gens
     gen_weights = [weight_of_monomial(action, g.exponents) for g in gens]
     slots = _slots(gen_weights, stair_weights)
-    slots_of_gen = _slots_by_row(slots, len(gens))
+    slots_of_gen: list[list[tuple[int, int]]] = [[] for _ in gens]
+    for s, (k, t) in enumerate(slots):
+        slots_of_gen[k].append((t, s))
 
     # the relation (lcm/g_i)*e_i - (lcm/g_j)*e_j reaches each staircase
     # monomial from at most one slot of each side, so every target either
@@ -175,31 +173,39 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -
     )
 
 
-def _staircase_relative(hom: EquivariantHomSpace) -> tuple[int, tuple[Character, ...], int]:
-    """Relative tangent dimension, stratification characters and eq8 target
-    dimension of a verified monomial cluster, from its tangent_space.
+def _relative_classes(hom: EquivariantHomSpace) -> list:
+    """The relative classes of hom = tangent_space(K), K a monomial ideal holding J.
 
-    A G-cluster's staircase avoids every invariant monomial but 1, so
-    Sbar/Ibar = S/I, the invariant minimal generators vanish in Sbar and the
-    others generate Ibar.  A homomorphism sends an invariant generator f to
-    a multiple of 1, and it is a relative one exactly when that multiple is
-    0 for every such f.  The Hom basis holds indicators of disjoint slot
-    classes, so the relative classes that are nonzero on the other
+    K's staircase avoids every invariant monomial but 1, so a homomorphism
+    sends an invariant minimal generator f to a multiple of 1, and any other
+    invariant monomial u*g (g a generator, u not 1) to u*phi(g), which has no
+    1-term; it is a relative one exactly when every such multiple is 0.  The
+    Hom basis holds indicators of disjoint slot classes, so those are the
+    classes off every slot (f, 1), and the ones nonzero on the other
     generators are independent: fewer of them than relative classes means
-    the restriction to the minimal generators (eq8, injective on monomial
-    input) lost rank, a fault raised as IntegrityError.  eq8's target counts
-    the weight-compatible pairs of a non-invariant generator and a
-    staircase monomial.
+    eq8 (injective on monomial input) lost rank, a fault.
     """
-    unit = next(c for c, m in enumerate(hom.target_basis) if m.is_one)
+    unit = next((c for c, m in enumerate(hom.target_basis) if m.is_one), None)
     invariant = [k for k, w in enumerate(hom.generator_weights) if w.is_trivial]
     moving = [k for k, w in enumerate(hom.generator_weights) if not w.is_trivial]
     relative = [M for M in hom.hom_basis if not any(M[f][unit] for f in invariant)]
     if sum(any(any(M[k]) for k in moving) for M in relative) < len(relative):
         raise IntegrityError("a relative tangent vector vanishes on the minimal generators")
+    return relative
+
+
+def _staircase_relative(hom: EquivariantHomSpace) -> tuple[int, tuple[Character, ...], int]:
+    """Relative tangent dimension, stratification characters and eq8 target
+    dimension of a verified monomial cluster, from its tangent_space.
+
+    A G-cluster's ideal holds J, so Sbar/Ibar = S/I; the non-invariant
+    minimal generators generate Ibar, and eq8's target counts their
+    weight-compatible pairs with a staircase monomial.
+    """
+    relative = _relative_classes(hom)
+    moving = [w for w in hom.generator_weights if not w.is_trivial]
     columns = Counter(hom.target_weights)
-    target_dim = sum(columns[hom.generator_weights[k]] for k in moving)
-    return len(relative), tuple(sorted(hom.generator_weights[k] for k in moving)), target_dim
+    return len(relative), tuple(sorted(moving)), sum(columns[w] for w in moving)
 
 
 def _slots(row_weights, col_weights) -> list[tuple[int, int]]:
@@ -210,20 +216,11 @@ def _slots(row_weights, col_weights) -> list[tuple[int, int]]:
     return [(j, c) for j, w in enumerate(row_weights) for c in cols_of.get(w, ())]
 
 
-def _slots_by_row(slots: list[tuple[int, int]], nrows: int) -> list[list[tuple[int, int]]]:
-    """For each row, its pairs (col, slot index) in slot order."""
-    out: list[list[tuple[int, int]]] = [[] for _ in range(nrows)]
-    for s, (j, c) in enumerate(slots):
-        out[j].append((c, s))
-    return out
-
-
 def _union_find_kernel(nslots: int, equations) -> list[list[Fraction]]:
     """Kernel of equations a[s] = a[s'] and a[s] = 0, given as lists of 1 or 2 slots.
 
     It is spanned by the indicators of the slot classes that the equalities
-    join and no single-slot equation kills.  Listed by descending largest
-    slot (a class's free column), these are the canonical kernel_basis_rows.
+    join and no single-slot equation kills (see _indicator_basis).
     """
     parent = list(range(nslots))
     killed = [False] * nslots
@@ -242,13 +239,18 @@ def _union_find_kernel(nslots: int, equations) -> list[list[Fraction]]:
     classes: dict[int, list[int]] = {}
     for s in range(nslots):
         classes.setdefault(find(s), []).append(s)
+    return _indicator_basis(nslots, [m for root, m in classes.items() if not killed[root]])
+
+
+def _indicator_basis(nslots: int, classes) -> list[list[Fraction]]:
+    """Indicators of disjoint slot classes by descending largest slot (a class's
+    free column): the canonical kernel_basis_rows basis of their span."""
     kernel = []
-    for root, members in sorted(classes.items(), key=lambda kv: -kv[1][-1]):
-        if not killed[root]:
-            vec = [Q0] * nslots
-            for s in members:
-                vec[s] = Q1
-            kernel.append(vec)
+    for members in sorted(classes, key=max, reverse=True):
+        vec = [Q0] * nslots
+        for s in members:
+            vec[s] = Q1
+        kernel.append(vec)
     return kernel
 
 
@@ -281,10 +283,11 @@ class RelativeData:
     """One relative tangent computation, shared by the public operations.
 
     Build it with relative_data and pass it in place of the subspace to
-    relative_tangent_space, stratification_rep and eq8_map; each part is
-    computed on first use.  The spanning rows of the ideal subspace are
-    indexed by j (row_weights), the quotient columns by c (qcols, qweights),
-    and the unknowns of the Hom space are the weight-compatible slots (j, c).
+    relative_tangent_space, stratification_rep and eq8_map; the dense route
+    computes each part on first use.  The spanning rows of the ideal
+    subspace are indexed by j (row_weights), the quotient columns by c
+    (qcols, qweights), and the unknowns of the Hom space are the
+    weight-compatible slots (j, c).
     Subclasses provide row, generator_indices, kernel and restricted_rank.
     """
 
@@ -389,76 +392,50 @@ class _DenseRelative(RelativeData):
         return kernel_basis_rows(equations, len(self.slots))
 
 
-class _MonomialRelative(RelativeData):
-    """Relative data of a monomial ideal, on coinvariant basis indices.
+class _StaircaseRelative(RelativeData):
+    """Relative data of a monomial ideal I, lifted from hom = tangent_space(I + J).
 
-    The image of the ideal in S-bar is spanned by the basis monomials it
-    contains (the pivots), so every step is a lookup in the variable-step
-    tables: no coefficient row of the coinvariant dimension is formed
-    except the unit rows the public results return.
+    The quotient columns are the staircase of I + J, and the pivots (the
+    basis monomials in I) the other basis indices.  A relative class of hom
+    fixes phi on the pivots in ascending order: a generator of Ibar keeps
+    its row of hom, and any other pivot is x_v*d for a pivot d below it, so
+    phi(x_v*d) = x_v*phi(d) moves the entry at each column q to the column
+    of x_v*q, or drops it when x_v*q lies in I + J.  The lifted classes are
+    disjoint 0/1 indicators again.
     """
 
-    def __init__(self, coinv: CoinvariantAlgebra, ideal: MonomialIdeal) -> None:
+    def __init__(self, coinv: CoinvariantAlgebra, hom: EquivariantHomSpace) -> None:
         self.coinv = coinv
-        self.ideal = ideal
-        up, down = coinv.variable_steps()
-        gens = {g.exponents for g in ideal.min_gens}
-        # graded-lex order lists every divisor m/x_v before m
-        inside = [False] * coinv.dim
-        for i, m in enumerate(coinv.basis):
-            inside[i] = m.exponents in gens or any(d is not None and inside[d] for d in down[i])
-        self.pivots = [i for i in range(coinv.dim) if inside[i]]
-        self.qcols = [i for i in range(coinv.dim) if not inside[i]]
-        # ideal closure: x_v * b_p is zero or again a pivot
-        if any(k is not None and not inside[k] for p in self.pivots for k in up[p]):
-            raise IntegrityError("ideal closure failed on basis indices")
+        relative = _relative_classes(hom)
+        self.qcols = [coinv.index_of(m) for m in hom.target_basis]
+        qpos = {q: c for c, q in enumerate(self.qcols)}
+        self.pivots = [i for i in range(coinv.dim) if i not in qpos]
         self.row_weights = [coinv.weights[p] for p in self.pivots]
+        # the minimal generators of I + J in the basis are those of I
+        generators = _generator_pivots(coinv, hom.source_generators)
+        self.generator_indices = [j for j, p in enumerate(self.pivots) if p in generators]
+
+        up, down = coinv.variable_steps()
+        entries: dict[int, dict[int, int]] = {}  # pivot -> {column: class}
+        members: list[list[int]] = [[] for _ in relative]
+        for j, p in enumerate(self.pivots):
+            if p in generators:
+                k = generators[p]
+                entries[p] = {c: n for n, M in enumerate(relative) for c, e in enumerate(M[k]) if e}
+            else:
+                v, d = next((v, d) for v, d in enumerate(down[p]) if d is not None and d not in qpos)
+                entries[p] = {c2: n for c, n in entries[d].items()
+                              if (c2 := qpos.get(up[self.qcols[c]][v])) is not None}
+            for c, n in entries[p].items():
+                members[n].append(self.slot_index[(j, c)])
+        self.kernel = _indicator_basis(len(self.slots), members)
 
     def row(self, j: int) -> tuple[Fraction, ...]:
         return _unit_row(self.coinv.dim, self.pivots[j])
 
-    @cached_property
-    def generator_indices(self) -> list[int]:
-        """The rows of the generators of Ibar (see _generator_pivots)."""
-        return [bisect.bisect_left(self.pivots, p) for p in _generator_pivots(self.coinv, self.ideal)]
-
-    @cached_property
-    def kernel(self) -> list[list[Fraction]]:
-        """The Hom space, from equations a[l, c2] = a[j, c] and a[s] = 0.
-
-        For a variable x_v and a pivot b_p (row j), compatibility reads, at
-        each quotient column c2: a[l, c2] - a[j, c] = 0, where b_l = x_v*b_p
-        (no term when that product is zero) and b_q(c2) = x_v*b_q(c) (no term
-        when the product is zero or lies in the ideal).  So every equation
-        equates two slots or kills one, and the union-find solves them.
-        """
-        up = self.coinv.variable_steps()[0]
-        row_of = {p: j for j, p in enumerate(self.pivots)}
-        qpos = {q: c for c, q in enumerate(self.qcols)}
-        slots_of_row = _slots_by_row(self.slots, len(self.pivots))
-        equations = []
-        for v in range(self.coinv.action.num_variables):
-            for j, p in enumerate(self.pivots):
-                terms: dict[int, list[int]] = {}
-                l = up[p][v]
-                if l is not None:
-                    for c2, s in slots_of_row[row_of[l]]:
-                        terms.setdefault(c2, []).append(s)
-                for c, s in slots_of_row[j]:
-                    c2 = qpos.get(up[self.qcols[c]][v])
-                    if c2 is not None:
-                        terms.setdefault(c2, []).append(s)
-                equations.extend(terms.values())
-        return _union_find_kernel(len(self.slots), equations)
-
-    @staticmethod
-    def restricted_rank(matrix) -> int:
-        """Rank of the kernel rows restricted to some slots.
-
-        The kernel rows are indicators of disjoint slot classes, so their
-        restrictions have disjoint supports and the nonzero ones are independent.
-        """
-        return sum(any(r) for r in matrix)
+    # the kernel rows are indicators of disjoint slot classes, each nonzero on
+    # the generator rows (_relative_classes), so their restrictions there are independent
+    restricted_rank = staticmethod(len)
 
 
 def _unit_row(dim: int, i: int) -> tuple[Fraction, ...]:
@@ -467,50 +444,66 @@ def _unit_row(dim: int, i: int) -> tuple[Fraction, ...]:
     return tuple(row)
 
 
-def _generator_pivots(coinv: CoinvariantAlgebra, ideal: MonomialIdeal) -> list[int]:
-    """Basis indices of the Sbar-module generators of Ibar, ascending.
+def _generator_pivots(coinv: CoinvariantAlgebra, gens) -> dict[int, int]:
+    """Basis index -> position in gens of each generator that is a basis monomial.
 
-    Ibar is spanned by the basis monomials in the ideal, and the basis is
-    closed under division, so such a monomial generates Ibar exactly when no
-    quotient m/x_v lies in the ideal: when it is a minimal generator.  The
-    minimal generators off the basis are multiples of invariant generators,
-    zero in Sbar.  min_gens is in graded-lex order, as the basis is.
+    For the minimal generators of I these are the Sbar-module generators of
+    Ibar, ascending: Ibar is spanned by the basis monomials in I, and the
+    basis is closed under division, so such a monomial generates Ibar
+    exactly when no quotient m/x_v lies in I.  The minimal generators off
+    the basis are multiples of invariant generators, zero in Sbar.  Both
+    min_gens and the basis are in graded-lex order.
     """
-    pivots = []
-    for g in ideal.min_gens:
+    pivots = {}
+    for k, g in enumerate(gens):
         try:
-            pivots.append(coinv.index_of(g))
+            pivots[coinv.index_of(g)] = k
         except ValueError:
             pass
     return pivots
 
 
+def _monomial_ideal(coinv: CoinvariantAlgebra, subspace) -> Optional[MonomialIdeal]:
+    """The ideal of a monomial GCluster or MonomialIdeal on the action's variables, else None."""
+    if isinstance(subspace, GCluster) and subspace.kind == "monomial":
+        subspace = subspace.ideal
+    if not isinstance(subspace, MonomialIdeal):
+        return None
+    if subspace.num_vars != coinv.action.num_variables:
+        raise ValueError(f"the ideal has {subspace.num_vars} variables, the action {coinv.action.num_variables}")
+    return subspace
+
+
 def relative_data(coinv: CoinvariantAlgebra, subspace) -> RelativeData:
     """The shared relative tangent computation for an ideal subspace of S-bar.
 
-    A monomial GCluster or a MonomialIdeal takes the index path; rows (or a
-    subspace GCluster) take the dense path.  A RelativeData built for the
-    same coinvariant algebra is returned as it is.
+    A monomial GCluster or a MonomialIdeal I takes the staircase route: one
+    tangent_space of I + J, J the ideal of the positive-degree invariant
+    monomials, lifted to the coinvariant basis (_StaircaseRelative); a
+    cluster of the algebra's own action holds J, so its staircase serves.
+    Rows (or a subspace GCluster) take the dense path.  A RelativeData built
+    for the same coinvariant algebra is returned as it is.
     """
     if isinstance(subspace, RelativeData):
         if subspace.coinv is not coinv:
             raise ValueError("relative data was built for another coinvariant algebra")
         return subspace
-    if isinstance(subspace, GCluster) and subspace.kind == "monomial":
-        return _MonomialRelative(coinv, subspace.ideal)
-    if isinstance(subspace, MonomialIdeal):
-        return _MonomialRelative(coinv, subspace)
-    return _DenseRelative(coinv, subspace)
+    ideal = _monomial_ideal(coinv, subspace)
+    if ideal is None:
+        return _DenseRelative(coinv, subspace)
+    if not (isinstance(subspace, GCluster) and subspace.action == coinv.action):
+        subspace = MonomialIdeal(ideal.num_vars, ideal.min_gens + coinv.invariant_gens)
+    return _StaircaseRelative(coinv, tangent_space(coinv.action, subspace))
 
 
 def relative_tangent_space(coinv: CoinvariantAlgebra, subspace) -> EquivariantHomSpace:
     """Hom^G_Sbar(Ibar, Sbar/Ibar) for an ideal subspace of the coinvariant algebra.
 
-    Unknowns are the weight-compatible images of the echelon spanning rows;
-    the constraints force compatibility with multiplication by each variable,
-    which pins down a module homomorphism (the variables generate the
-    algebra, and a homomorphism is determined on a spanning set).  The
-    subspace is anything relative_data accepts.
+    On the dense route, unknowns are the weight-compatible images of the
+    echelon spanning rows; the constraints force compatibility with
+    multiplication by each variable, which pins down a module homomorphism
+    (the variables generate the algebra, and a homomorphism is determined on
+    a spanning set).  The subspace is anything relative_data accepts.
     """
     data = relative_data(coinv, subspace)
     return EquivariantHomSpace(
@@ -532,10 +525,9 @@ def stratification_rep(coinv: CoinvariantAlgebra, subspace) -> StratRep:
     cluster or MonomialIdeal reads them off its minimal generators
     (_generator_pivots) without building RelativeData.
     """
-    if isinstance(subspace, GCluster) and subspace.kind == "monomial":
-        subspace = subspace.ideal
-    if isinstance(subspace, MonomialIdeal):
-        pivots = _generator_pivots(coinv, subspace)
+    ideal = _monomial_ideal(coinv, subspace)
+    if ideal is not None:
+        pivots = list(_generator_pivots(coinv, ideal.min_gens))
         return StratRep(generators=tuple(_unit_row(coinv.dim, p) for p in pivots),
                         characters=tuple(sorted(coinv.weights[p] for p in pivots)))
     data = relative_data(coinv, subspace)
@@ -551,8 +543,10 @@ def eq8_map(coinv: CoinvariantAlgebra, subspace) -> Eq8Report:
     Ibar/(mbar Ibar) to Sbar/Ibar, of dimension sum over characters of
     (multiplicity in the generators) * (multiplicity in the quotient).
     Reports whether the restriction is injective and an isomorphism.  On a
-    monomial ideal it is always injective (graded Nakayama), so there a
-    lower rank raises IntegrityError instead of answering False.
+    monomial ideal it is always injective (graded Nakayama): the staircase
+    route checks that as it picks the relative classes, and a lower rank
+    raises IntegrityError there (_relative_classes) instead of answering
+    False.
     """
     data = relative_data(coinv, subspace)
     # one slot per weight-compatible (generator, quotient column) pair, so
@@ -561,10 +555,7 @@ def eq8_map(coinv: CoinvariantAlgebra, subspace) -> Eq8Report:
     target = [s for s, (j, _) in enumerate(data.slots) if j in gen_rows]
     matrix = tuple(tuple(vec[s] for s in target) for vec in data.kernel)
     source_dim = len(data.kernel)
-    rank = data.restricted_rank(matrix)
-    if rank < source_dim and isinstance(data, _MonomialRelative):
-        raise IntegrityError("a relative tangent vector vanishes on the minimal generators")
-    injective = rank == source_dim
+    injective = data.restricted_rank(matrix) == source_dim
     return Eq8Report(
         matrix=matrix,
         source_dim=source_dim,

@@ -9,8 +9,10 @@ the closed forms of the clusters of cyclic surface quotients, and the
 subgroup the weights generate, summed over the box of weight orders.
 Apart from data containers, the package supplies only the field arithmetic
 of CyclotomicNumber (outside its own oracles), the cyclotomic polynomials,
-monomial weights and the invariant generators; no routine under test is
-shared.
+monomial weights, the invariant generators and, to the index route of
+the monomial relative tangent space, the coinvariant basis with its
+variable-step tables (the staircase-search oracles check those through
+the cluster enumeration); nothing else under test is shared.
 """
 
 from __future__ import annotations
@@ -356,6 +358,81 @@ def oracle_relative_tangent_dim(coinv, rows) -> int:
                     equations.append(eq)
 
     return nunk - oracle_rank(equations)
+
+
+def oracle_monomial_relative(coinv, ideal):
+    """(pivots, qcols, kernel) of Hom^G_Sbar(Ibar, Sbar/Ibar) for a monomial ideal.
+
+    Works on coinvariant basis indices.  Ibar is spanned by the basis
+    monomials in the ideal, the pivots: a minimal generator, or x_v times a
+    pivot.  For a variable x_v and the pivot b_p of row j, compatibility
+    phi(x_v*b_p) = x_v*phi(b_p) reads a[l, c2] = a[j, c] at each quotient
+    column c2, where b_l = x_v*b_p and b_q(c2) = x_v*b_q(c); a side whose
+    product is zero or lies in the ideal drops out.  So each equation
+    equates two slots or kills one, and the kernel is spanned by the
+    indicators of the joined classes that nothing kills, listed by
+    descending largest slot.  The index tables come from
+    coinv.variable_steps; the image of the ideal must be closed under the
+    variables, else an AssertionError.
+    """
+    up, down = coinv.variable_steps()
+    gens = {g.exponents for g in ideal.min_gens}
+    inside = []
+    for i, m in enumerate(coinv.basis):
+        # graded-lex order lists every divisor m/x_v before m
+        inside.append(m.exponents in gens or any(d is not None and inside[d] for d in down[i]))
+    pivots = [i for i in range(coinv.dim) if inside[i]]
+    qcols = [i for i in range(coinv.dim) if not inside[i]]
+    assert all(k is None or inside[k] for p in pivots for k in up[p]), \
+        "ideal closure failed on basis indices"
+
+    cols_of = {}
+    for c, q in enumerate(qcols):
+        cols_of.setdefault(coinv.weights[q], []).append(c)
+    slots_of_row = []
+    nslots = 0
+    for p in pivots:
+        cols = cols_of.get(coinv.weights[p], [])
+        slots_of_row.append([(c, nslots + t) for t, c in enumerate(cols)])
+        nslots += len(cols)
+    row_of = {p: j for j, p in enumerate(pivots)}
+    qpos = {q: c for c, q in enumerate(qcols)}
+    parent = list(range(nslots))
+    killed = []
+
+    def find(s):
+        while parent[s] != s:
+            s = parent[s]
+        return s
+
+    for v in range(coinv.action.num_variables):
+        for j, p in enumerate(pivots):
+            terms = {}
+            if up[p][v] is not None:
+                for c2, s in slots_of_row[row_of[up[p][v]]]:
+                    terms.setdefault(c2, []).append(s)
+            for c, s in slots_of_row[j]:
+                c2 = qpos.get(up[qcols[c]][v])
+                if c2 is not None:
+                    terms.setdefault(c2, []).append(s)
+            for eq in terms.values():
+                if len(eq) == 1:
+                    killed.append(eq[0])
+                else:
+                    parent[find(eq[0])] = find(eq[1])
+
+    dead = {find(s) for s in killed}
+    classes = {}
+    for s in range(nslots):
+        if find(s) not in dead:
+            classes.setdefault(find(s), []).append(s)
+    kernel = []
+    for members in sorted(classes.values(), key=max, reverse=True):
+        vec = [Fraction(0)] * nslots
+        for s in members:
+            vec[s] = Fraction(1)
+        kernel.append(vec)
+    return pivots, qcols, kernel
 
 
 def oracle_strat(coinv, rows):

@@ -551,6 +551,11 @@ class TestTau:
         point = tau_support(z2, ideal(2, (0, 1), (2, 0)))
         assert all(v == 0 for v in point.values)
 
+    def test_ideal_on_other_variables_rejected(self):
+        # Z/3 (1, 2) acts on two variables; (x1, x2, x3) lives on three
+        with pytest.raises(ValueError, match="the ideal has 3 variables, the action 2"):
+            tau_support(cyclic_action(3, (1, 2)), ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
     def test_non_scalar_reduction_is_integrity_error(self, z2):
         # staircase {1, x, x^2} contains the invariant x^2: not a cluster
         with pytest.raises(IntegrityError,

@@ -178,3 +178,40 @@ def test_detector_sees_unreached_integrity_errors():
     assert unreached_integrity_messages(sources, tests + ["value 3 is off by 4 units"]) == [
         "a line 3: plain check failed",
     ]
+
+
+def repeated_integrity_messages(sources: dict[str, str]) -> list[str]:
+    """IntegrityError messages whose constant text is raised at more than one site."""
+    sites: dict[tuple[str, ...], list[str]] = {}
+    for module, source in sorted(sources.items()):
+        for line, text in integrity_messages(source):
+            sites.setdefault(text, []).append(f"{module} line {line}")
+    return sorted(f"{' ... '.join(text)}: {', '.join(where)}"
+                  for text, where in sites.items() if len(where) > 1)
+
+
+def test_each_integrity_error_is_raised_at_one_site():
+    # one message, one check: a repeated message hides which check failed
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert repeated_integrity_messages(sources) == []
+
+
+def test_detector_sees_repeated_integrity_errors():
+    sources = {
+        "a": (
+            "def f(x):\n"
+            "    if x:\n"
+            "        raise IntegrityError('plain check failed')\n"
+            "    raise IntegrityError(f'value {x} is off')\n"
+        ),
+        "b": (
+            "def g(y):\n"
+            "    if y:\n"
+            "        raise IntegrityError(f'value {y + 1} is off')\n"
+            "    raise IntegrityError('another check failed')\n"
+            "    raise ValueError('plain check failed')\n"
+        ),
+    }
+    assert repeated_integrity_messages(sources) == [
+        "value ... is off: a line 4, b line 3",
+    ]

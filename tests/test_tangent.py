@@ -43,6 +43,7 @@ from ghilb_kit.tangent import (
 from oracles import (
     _mult_monomial_vector,
     oracle_hj_special_characters,
+    oracle_monomial_relative,
     oracle_relative_tangent_dim,
     oracle_strat,
     oracle_tangent_dim,
@@ -363,7 +364,7 @@ class TestRelativeTangentSpace:
 
 
 class TestMonomialPath:
-    """The index path for monomial clusters against the dense path on unit rows."""
+    """The staircase route for monomial input against the index oracle and the dense path."""
 
     @staticmethod
     def random_actions(seed: int, count: int) -> list:
@@ -417,7 +418,33 @@ class TestMonomialPath:
         with pytest.raises(ValueError, match="another coinvariant algebra"):
             stratification_rep(coinvariant_algebra(z3), shared)
 
-    def test_closure_check_is_integrity_error(self, z3, monkeypatch):
+    def test_random_ideals_equal_index_oracle(self):
+        # seeded monomial ideals that are not clusters, the unit ideal and (x1)
+        # among them, against the index route on the coinvariant basis
+        rng = random.Random(17)
+        actions = sweep_actions()
+        checked = 0
+        for count in range(1200):
+            action = rng.choice(actions)
+            coinv = coinvariant_algebra(action)
+            n = action.num_variables
+            if count == 0:
+                gens = [(0,) * n]
+            elif count == 1:
+                gens = [(1,) + (0,) * (n - 1)]
+            else:
+                gens = [tuple(rng.randrange(6) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+            target = ideal(n, *gens)
+            if verify_cluster(action, target).is_cluster:
+                continue
+            data = relative_data(coinv, target)
+            assert (data.pivots, data.qcols, data.kernel) == oracle_monomial_relative(coinv, target), \
+                (action, target)
+            assert stratification_rep(coinv, target) == stratification_rep(coinv, data), (action, target)
+            checked += 1
+        assert checked >= 1000
+
+    def test_oracle_closure_check_sees_a_broken_division_table(self, z3, monkeypatch):
         # with the division table emptied, the ideal's image is no longer closed
         steps = CoinvariantAlgebra.variable_steps
 
@@ -427,8 +454,16 @@ class TestMonomialPath:
 
         monkeypatch.setattr(CoinvariantAlgebra, "variable_steps", no_divisions)
         coinv = coinvariant_algebra(z3)
-        with pytest.raises(IntegrityError, match="ideal closure failed on basis indices"):
-            relative_tangent_space(coinv, ideal(2, (0, 1), (3, 0)))
+        with pytest.raises(AssertionError, match="ideal closure failed on basis indices"):
+            oracle_monomial_relative(coinv, ideal(2, (0, 1), (3, 0)))
+
+    @pytest.mark.parametrize("fn", [relative_tangent_space, stratification_rep, eq8_map],
+                             ids=lambda fn: fn.__name__)
+    def test_ideal_on_other_variables_rejected(self, fn):
+        # Z/3 (1, 2) acts on two variables; (x1, x2, x3) lives on three
+        coinv = coinvariant_algebra(cyclic_action(3, (1, 2)))
+        with pytest.raises(ValueError, match="the ideal has 3 variables, the action 2"):
+            fn(coinv, ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def sweep_actions() -> list:
@@ -445,7 +480,8 @@ def sweep_actions() -> list:
 
 
 class TestStaircaseRelative:
-    """The CLI's relative numbers, read off tangent_space, against both library routes."""
+    """The CLI's relative numbers, read off tangent_space, against the library's
+    relative data, the index oracle and the dense path."""
 
     @staticmethod
     def numbers(coinv, subspace) -> tuple:
@@ -464,8 +500,11 @@ class TestStaircaseRelative:
             found = enumerate_torus_fixed_clusters(action, coinv)
             sample = rng.randrange(len(found))
             for k, cluster in enumerate(found):
+                data = relative_data(coinv, cluster)
+                assert (data.pivots, data.qcols, data.kernel) == \
+                    oracle_monomial_relative(coinv, cluster.ideal), (action, cluster.ideal)
                 got = _staircase_relative(tangent_space(action, cluster))
-                assert got == self.numbers(coinv, cluster), (action, cluster.ideal)
+                assert got == self.numbers(coinv, data), (action, cluster.ideal)
                 clusters += 1
                 if k == sample and coinv.dim <= 40:
                     rows = subspace_rows_of_monomial_cluster(coinv, cluster)
@@ -535,6 +574,24 @@ class TestNoElimination:
             for cluster in enumerate_torus_fixed_clusters(action, coinv):
                 fn(action, coinv, cluster)
         assert calls == Counter()
+
+    def test_shared_data_solves_once(self, calls, monkeypatch):
+        # one relative_data feeds all three operations from one tangent_space
+        solve = tangent_module.tangent_space
+
+        def counted(*args):
+            calls["tangent_space"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(tangent_module, "tangent_space", counted)
+        for action in (cyclic_action(7, (1, 2, 4)), product_action((2, 4), ((1, 0), (0, 1)))):
+            coinv = coinvariant_algebra(action)
+            for cluster in enumerate_torus_fixed_clusters(action, coinv):
+                calls.clear()
+                shared = relative_data(coinv, cluster)
+                for fn in (relative_tangent_space, stratification_rep, eq8_map):
+                    fn(coinv, shared)
+                assert calls == Counter({"tangent_space": 1}), (action, cluster.ideal)
 
     def test_counter_sees_eq8_rank_check(self, calls):
         # the dense counterpart: on subspace rows the rank test eliminates once
@@ -645,10 +702,18 @@ class TestEq8:
         cluster = enumerate_torus_fixed_clusters(z3)[0]
         rows = subspace_rows_of_monomial_cluster(coinv, cluster)
         assert eq8_map(coinv, cluster).source_dim > 0
-        for path in (tangent_module._MonomialRelative, tangent_module._DenseRelative):
-            monkeypatch.setattr(path, "restricted_rank", staticmethod(lambda matrix: len(matrix) - 1))
+        solve = tangent_module.tangent_space
+
+        def with_zero_class(action, target):
+            hom = solve(action, target)
+            zero = tuple(tuple(F(0) for _ in row) for row in hom.hom_basis[0])
+            return dataclasses.replace(hom, hom_basis=hom.hom_basis + (zero,))
+
+        monkeypatch.setattr(tangent_module, "tangent_space", with_zero_class)
         with pytest.raises(IntegrityError, match="vanishes on the minimal generators"):
             eq8_map(coinv, cluster)
+        monkeypatch.setattr(tangent_module._DenseRelative, "restricted_rank",
+                            staticmethod(lambda matrix: len(matrix) - 1))
         # the dense path still reports the rank as a domain answer
         report = eq8_map(coinv, rows)
         assert not report.injective and not report.isomorphism
