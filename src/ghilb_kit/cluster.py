@@ -165,10 +165,14 @@ def _echelon(coinv: CoinvariantAlgebra, rows):
     return rref_rows(rows, zero, one)
 
 
-def _closed_under_variables(coinv: CoinvariantAlgebra, rref, pivots) -> bool:
-    """Whether the span of reduced echelon rows is closed under every variable."""
-    return all(row_space_contains(rref, pivots, coinv.monomial_times_vector(var, row))
-               for var in coinv.variables() for row in rref)
+def _variable_images(coinv: CoinvariantAlgebra, rows) -> list[list[list]]:
+    """The product table images[v][j] = x_v * rows[j] over the coinvariant basis."""
+    return [[coinv.monomial_times_vector(var, row) for row in rows] for var in coinv.variables()]
+
+
+def _closed_under_variables(rref, pivots, images) -> bool:
+    """Whether the span of reduced echelon rows holds their product table."""
+    return all(row_space_contains(rref, pivots, image) for by_var in images for image in by_var)
 
 
 def is_ideal_subspace(coinv: CoinvariantAlgebra, subspace) -> bool:
@@ -179,7 +183,8 @@ def is_ideal_subspace(coinv: CoinvariantAlgebra, subspace) -> bool:
     variables generate the algebra, so closure under them is equivalent to
     closure under every basis monomial.
     """
-    return _closed_under_variables(coinv, *_echelon(coinv, subspace))
+    rref, pivots = _echelon(coinv, subspace)
+    return _closed_under_variables(rref, pivots, _variable_images(coinv, rref))
 
 
 def _monomial_report(action: ActionData, ideal: MonomialIdeal) -> ClusterReport:
@@ -206,7 +211,7 @@ def _subspace_report(action: ActionData, coinv: CoinvariantAlgebra, rref, pivots
     pivot_set = set(pivots)
     chars = tuple(sorted(w for i, w in enumerate(coinv.weights) if i not in pivot_set))
     report = ClusterReport.from_quotient(action.group, dim, chars)
-    if report.is_cluster and not _closed_under_variables(coinv, rref, pivots):
+    if report.is_cluster and not _closed_under_variables(rref, pivots, _variable_images(coinv, rref)):
         return ClusterReport(False, dim, chars, "subspace fails the ideal-closure test")
     return report
 
@@ -288,9 +293,12 @@ def enumerate_torus_fixed_clusters(action: ActionData,
     generators and the frontier at its leaf; MonomialIdeal keeps the minimal
     ones.  Every leaf carries each character once, so its sorted characters
     are group.characters() in order: one tuple, shared by every cluster.
+    A coinv of another action raises ValueError.
     """
     if coinv is None:
         coinv = coinvariant_algebra(action)
+    elif coinv.action != action:
+        raise ValueError("the coinvariant algebra was built for another action")
     order = action.group.order
 
     # missing[i] counts the divisors m/x_i of basis[i] not yet in the staircase
@@ -522,8 +530,11 @@ def tau_support(action: ActionData, cluster, coinv: Optional[CoinvariantAlgebra]
     pairs to 0 with every h is constant there and is evaluated at one point.
     The values v_j = p^(e_j) satisfy every multiplicative relation among the
     generators by construction (sum c_j e_j = 0 makes both sides p^E), so the
-    point lies on the quotient without a check.
+    point lies on the quotient without a check.  A coinv of another action
+    raises ValueError.
     """
+    if coinv is not None and coinv.action != action:
+        raise ValueError("the coinvariant algebra was built for another action")
     gens = tuple(coinv.invariant_gens) if coinv is not None else tuple(invariant_generators(action))
 
     if isinstance(cluster, GCluster) and cluster.kind == "orbit":

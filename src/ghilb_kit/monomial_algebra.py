@@ -157,6 +157,8 @@ class MonomialIdeal:
         object.__setattr__(self, "min_gens", tuple(minimal))
 
     def contains(self, m: Monomial) -> bool:
+        if m.num_vars != self.num_vars:
+            raise ValueError(f"the ideal has {self.num_vars} variables, the monomial {m.num_vars}")
         return any(g.divides(m) for g in self.min_gens)
 
     def __repr__(self) -> str:

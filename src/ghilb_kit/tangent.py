@@ -30,13 +30,14 @@ elimination.  The relative data takes one of two routes:
   over the coinvariant basis (_StaircaseRelative);
 * the dense route, for raw rows (and subspace clusters), which eliminates
   over the rationals (eq8_map's rank test included) and is the test oracle
-  of the other.  It is the only elimination in this module.
+  of the other, so it uses none of its solver; one product table of the rows
+  by the variables feeds its ideal test, generators and Hom equations
+  (_DenseRelative).  It is the only elimination in this module.
 """
 
 from __future__ import annotations
 
-import bisect
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,10 +48,11 @@ from ghilb_kit.cluster import (
     IntegrityError,
     _closed_under_variables,
     _echelon,
+    _variable_images,
     enumerate_torus_fixed_clusters,
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber
-from ghilb_kit.exact_linalg import kernel_basis_rows, reduce_vector, rref_rows
+from ghilb_kit.exact_linalg import kernel_basis_rows, rref_rows
 from ghilb_kit.group_rep import ActionData, Character, weight_of_monomial
 from ghilb_kit.monomial_algebra import (
     CoinvariantAlgebra,
@@ -265,20 +267,6 @@ def _hom_matrices(kernel, slots: list[tuple[int, int]], nrows: int, ncols: int) 
     return tuple(out)
 
 
-def _echelon_insert(rows: list, pivots: list, vec: list) -> bool:
-    """Insert vec into an ascending-pivot echelon list; False if dependent."""
-    res = reduce_vector(rows, pivots, vec)
-    lead = next((i for i, e in enumerate(res) if e), None)
-    if lead is None:
-        return False
-    inv = Q1 / res[lead]
-    res = [e * inv for e in res]
-    at = bisect.bisect_left(pivots, lead)
-    rows.insert(at, res)
-    pivots.insert(at, lead)
-    return True
-
-
 class RelativeData:
     """One relative tangent computation, shared by the public operations.
 
@@ -309,7 +297,12 @@ class RelativeData:
 
 
 class _DenseRelative(RelativeData):
-    """Relative data of a row span, by exact elimination over the rationals."""
+    """Relative data of a row span, by exact elimination over the rationals.
+
+    The product table images[v][j] = x_v * row_j is formed once, here, for the
+    ideal test, the generators and the Hom equations; the kernel reads the
+    residues of the products x_v * b_q off the echelon form.
+    """
 
     def __init__(self, coinv: CoinvariantAlgebra, subspace) -> None:
         self.coinv = coinv
@@ -319,7 +312,8 @@ class _DenseRelative(RelativeData):
         if any(isinstance(e, CyclotomicNumber) for row in rows for e in row):
             raise ValueError("tangent computations work over the rationals")
         self.rref, self.pivots = _echelon(coinv, rows)
-        if not _closed_under_variables(coinv, self.rref, self.pivots):
+        self.images = _variable_images(coinv, self.rref)
+        if not _closed_under_variables(self.rref, self.pivots, self.images):
             raise ValueError("subspace is not an ideal in the coinvariant algebra")
         try:
             self.row_weights = [coinv.vector_weight(r) for r in self.rref]
@@ -333,17 +327,14 @@ class _DenseRelative(RelativeData):
 
     @cached_property
     def generator_indices(self) -> list[int]:
-        # the subspace is an ideal, so products by the variables span mbar*Ibar
-        mrows = []
-        for var in self.coinv.variables():
-            for r in self.rref:
-                prod = self.coinv.monomial_times_vector(var, r)
-                if any(prod):
-                    mrows.append(prod)
-        work, work_pivots = rref_rows(mrows)
-        work = [list(r) for r in work]
-        work_pivots = list(work_pivots)
-        return [j for j, row in enumerate(self.rref) if _echelon_insert(work, work_pivots, row)]
+        # the table spans mbar*Ibar, with coordinates lam_l = image[p_l] over the
+        # rows; row j is a generator exactly when no vector of that span has its
+        # last nonzero coordinate at j: when j is no pivot of the coordinates
+        # taken in reverse order
+        ends = set(rref_rows([[image[p] for p in reversed(self.pivots)]
+                              for by_var in self.images for image in by_var])[1])
+        last = len(self.pivots) - 1
+        return [j for j in range(len(self.pivots)) if last - j not in ends]
 
     @staticmethod
     def restricted_rank(matrix) -> int:
@@ -352,43 +343,37 @@ class _DenseRelative(RelativeData):
 
     @cached_property
     def kernel(self) -> list[list[Fraction]]:
-        coinv = self.coinv
-        nq = len(self.qcols)
+        basis, qcols = self.coinv.basis, self.qcols
+        # the residue of each basis monomial modulo the span, in quotient
+        # coordinates: b_q itself at a quotient column, -rref[i] at the pivot p_i
+        residue = {basis[q]: [(c, Q1)] for c, q in enumerate(qcols)}
+        residue.update((basis[p], [(c, -row[q]) for c, q in enumerate(qcols) if row[q]])
+                       for p, row in zip(self.pivots, self.rref))
+        slots_of_row: list[list[tuple[int, int]]] = [[] for _ in self.rref]
+        for s, (j, c) in enumerate(self.slots):
+            slots_of_row[j].append((c, s))
+
         equations: list[list[Fraction]] = []
-        for var in coinv.variables():
-            # residues of var*b_q modulo the subspace, in quotient coordinates
-            rho = []
-            for q in self.qcols:
-                vec = [Q0] * coinv.dim
-                vec[q] = Q1
-                image = coinv.monomial_times_vector(var, vec)
-                red = reduce_vector(self.rref, self.pivots, image)
-                rho.append([red[q2] for q2 in self.qcols])
-            for j, row in enumerate(self.rref):
-                image = coinv.monomial_times_vector(var, row)
-                # rref is fully reduced, so pivot coordinates read off the
-                # coefficients of the expansion over the rows directly
-                lam = [image[p] for p in self.pivots]
-                residual = reduce_vector(self.rref, self.pivots, image)
-                if any(residual):
+        for var, by_row in zip(self.coinv.variables(), self.images):
+            # var*b_q is a basis monomial or zero in S-bar
+            rho = [residue.get(var * basis[q], ()) for q in qcols]
+            for j, image in enumerate(by_row):
+                # rref is fully reduced, so the image lies in the span exactly when
+                # it is sum_l lam_l*row_l, lam_l its entry at the pivot p_l
+                lam = [(l, image[p]) for l, p in enumerate(self.pivots) if image[p]]
+                if any(image[q] != sum(x * self.rref[l][q] for l, x in lam) for q in qcols):
                     raise IntegrityError("ideal closure failed during constraint assembly")
-                for c2 in range(nq):
-                    eq: dict[int, Fraction] = {}
-                    for l, coeff in enumerate(lam):
-                        if coeff:
-                            s = self.slot_index.get((l, c2))
-                            if s is not None:
-                                eq[s] = eq.get(s, Q0) + coeff
-                    for c in range(nq):
-                        s = self.slot_index.get((j, c))
-                        if s is not None and rho[c][c2]:
-                            eq[s] = eq.get(s, Q0) - rho[c][c2]
-                    if eq:
-                        row_vec = [Q0] * len(self.slots)
-                        for s, coeff in eq.items():
-                            row_vec[s] = coeff
-                        if any(row_vec):
-                            equations.append(row_vec)
+                # phi(var*row_j) = sum_l lam_l*phi(row_l) is var*phi(row_j) modulo
+                # the span, one equation per quotient column
+                eqs: defaultdict[int, Counter] = defaultdict(Counter)
+                for l, x in lam:
+                    for c2, s in slots_of_row[l]:
+                        eqs[c2][s] += x
+                for c, s in slots_of_row[j]:
+                    for c2, value in rho[c]:
+                        eqs[c2][s] -= value
+                equations += [[eq.get(s, Q0) for s in range(len(self.slots))]
+                              for eq in eqs.values() if any(eq.values())]
         return kernel_basis_rows(equations, len(self.slots))
 
 

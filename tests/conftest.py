@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from ghilb_kit.cluster import orbit_cluster, tau_support
@@ -34,6 +36,19 @@ def assert_orbit_matches_oracle(action, point):
     tau = tau_support(action, cluster)
     assert tau == want_tau
     return tau
+
+
+def sweep_actions() -> list:
+    """Faithful Z/r (1, a) for r <= 16, Z/r (a, b, c) for 1 <= a <= b <= c < r <= 8,
+    and the 2x2 and 3x3 products in SL(3)."""
+    actions = [cyclic_action(r, (1, a)) for r in range(2, 17) for a in range(1, r)]
+    actions += [cyclic_action(r, w) for r in range(2, 9)
+                for w in itertools.combinations_with_replacement(range(1, r), 3)]
+    for d in (2, 3):
+        for w1, w2 in itertools.product(itertools.product(range(d), repeat=2), repeat=2):
+            w3 = tuple(-a - b for a, b in zip(w1, w2))
+            actions.append(product_action((d, d), (w1, w2, w3)))
+    return [a for a in actions if a.is_faithful()]
 
 
 # faithful two-variable actions with |G| <= 12, used for the wide sweeps

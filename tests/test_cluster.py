@@ -286,6 +286,13 @@ class TestEnumerate:
         assert clusters[0].ideal.min_gens == (mono(1),)
         assert clusters[0].staircase == (mono(0),)
 
+    @pytest.mark.parametrize("other", [cyclic_action(5, (1, 3)), cyclic_action(7, (1, 3))],
+                             ids=["same-group", "other-group"])
+    def test_coinvariant_algebra_of_another_action_rejected(self, other):
+        # the basis of 1/5(1,3) would pass off a non-cluster of 1/5(1,2) as a cluster
+        with pytest.raises(ValueError, match="built for another action"):
+            enumerate_torus_fixed_clusters(cyclic_action(5, (1, 2)), coinvariant_algebra(other))
+
     def test_ideals_contain_all_invariant_generators(self, z3):
         from ghilb_kit.monomial_algebra import invariant_generators
         gens = invariant_generators(z3)
@@ -309,6 +316,12 @@ class TestFactories:
         assert verify_cluster(z2, cluster).is_cluster
         with pytest.raises(ValueError, match="not a G-cluster"):
             subspace_cluster(coinv, [[F(0), F(1), F(0)], [F(0), F(0), F(1)]])
+
+    def test_subspace_rows_of_ideal_on_other_variables_rejected(self):
+        # Z/3 (1, 2) acts on two variables; (x1, x2, x3) lives on three
+        coinv = coinvariant_algebra(cyclic_action(3, (1, 2)))
+        with pytest.raises(ValueError, match="the ideal has 3 variables, the monomial 2"):
+            subspace_rows_of_monomial_cluster(coinv, ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def test_gcluster_payload_validation(self, z2):
         with pytest.raises(ValueError):
@@ -537,7 +550,7 @@ class TestTau:
 
     def test_orbit_generator_of_nontrivial_weight_is_integrity_error(self, z2):
         cluster, _ = orbit_cluster(z2, (F(1), F(2)))
-        coinv = SimpleNamespace(invariant_gens=(mono(1, 0),))
+        coinv = SimpleNamespace(action=z2, invariant_gens=(mono(1, 0),))
         with pytest.raises(IntegrityError, match="not constant on the orbit"):
             tau_support(z2, cluster, coinv)
 
@@ -555,6 +568,13 @@ class TestTau:
         # Z/3 (1, 2) acts on two variables; (x1, x2, x3) lives on three
         with pytest.raises(ValueError, match="the ideal has 3 variables, the action 2"):
             tau_support(cyclic_action(3, (1, 2)), ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+    def test_coinvariant_algebra_of_another_action_rejected(self):
+        # 1/3(1,1) has other invariant generators than 1/3(1,2)
+        action = cyclic_action(3, (1, 2))
+        cluster = enumerate_torus_fixed_clusters(action)[0]
+        with pytest.raises(ValueError, match="built for another action"):
+            tau_support(action, cluster, coinvariant_algebra(cyclic_action(3, (1, 1))))
 
     def test_non_scalar_reduction_is_integrity_error(self, z2):
         # staircase {1, x, x^2} contains the invariant x^2: not a cluster

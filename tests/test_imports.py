@@ -215,3 +215,52 @@ def test_detector_sees_repeated_integrity_errors():
     assert repeated_integrity_messages(sources) == [
         "value ... is off: a line 4, b line 3",
     ]
+
+
+def method_references(source: str, class_name: str, names) -> list[str]:
+    """'method: name' for each of names that a method of the class reads.
+
+    A read is a Name or an Attribute anywhere in the method's body.  A class
+    missing from the source is reported, so that a renamed class does not
+    pass unseen.
+    """
+    classes = [node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef) and node.name == class_name]
+    if not classes:
+        return [f"no class {class_name}"]
+    return sorted(f"{method.name}: {name}" for cls in classes for method in cls.body
+                  if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for name in {_read_name(node) for node in ast.walk(method)} & set(names))
+
+
+# the solver of the staircase route, which the dense route checks as its oracle
+STAIRCASE_ROUTE = ("variable_steps", "tangent_space", "_relative_classes", "_union_find_kernel",
+                   "_indicator_basis", "_StaircaseRelative")
+
+
+def test_dense_route_shares_nothing_with_the_staircase_route():
+    source = (PACKAGE / "tangent.py").read_text()
+    assert method_references(source, "_DenseRelative", STAIRCASE_ROUTE) == []
+
+
+def test_detector_sees_method_references():
+    source = (
+        "def steps():\n"
+        "    return 0\n"
+        "class Route:\n"
+        "    table = steps\n"
+        "    def build(self):\n"
+        "        return steps()\n"
+        "    @property\n"
+        "    def walk(self):\n"
+        "        return self.coinv.steps(), self.solve\n"
+        "    def clean(self):\n"
+        "        return 1\n"
+        "class Other:\n"
+        "    def build(self):\n"
+        "        return steps(), self.solve\n"
+    )
+    assert method_references(source, "Route", ("steps", "solve", "unused")) == [
+        "build: steps", "walk: solve", "walk: steps",
+    ]
+    assert method_references(source, "Missing", ("steps",)) == ["no class Missing"]

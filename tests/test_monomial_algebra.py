@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import ghilb_kit.monomial_algebra as monomial_module
-from conftest import cyclic_action, product_action, sl2_action
+from conftest import cyclic_action, product_action, sl2_action, sweep_actions
 from ghilb_kit.cluster import enumerate_torus_fixed_clusters, verify_cluster
 from ghilb_kit.exact_linalg import kernel_basis_rows
 from ghilb_kit.group_rep import Character, IntegrityError, weight_of_monomial
@@ -120,6 +120,13 @@ class TestMonomialIdeal:
         assert ideal.contains(mono(0, 1))
         assert not ideal.contains(mono(1, 0))
         assert not ideal.contains(mono(0, 0))
+
+    def test_contains_rejects_other_variable_counts(self):
+        ideal = MonomialIdeal(2, (mono(1, 0), mono(0, 1)))
+        with pytest.raises(ValueError, match="the ideal has 2 variables, the monomial 1"):
+            ideal.contains(mono(1))
+        with pytest.raises(ValueError, match="the ideal has 2 variables, the monomial 3"):
+            ideal.contains(mono(0, 0, 1))
 
 
 class TestQuotientStaircase:
@@ -313,6 +320,20 @@ class TestCoinvariantAlgebra:
             assert set(coinv.weights) == set(action.group.characters())
             assert coinv.dim >= action.group.order
             assert coinv.basis[0].is_one
+
+    def test_variable_steps_are_products_and_exact_quotients(self):
+        for action in sweep_actions():
+            coinv = coinvariant_algebra(action)
+            n = action.num_variables
+            index = {m: i for i, m in enumerate(coinv.basis)}
+            up, down = coinv.variable_steps()
+            assert len(up) == len(down) == coinv.dim
+            for i, m in enumerate(coinv.basis):
+                for v in range(n):
+                    x = Monomial(tuple(int(k == v) for k in range(n)))
+                    assert up[i][v] == index.get(m * x), (action, m, v)
+                    # the basis is downward closed, so an exact quotient is in it
+                    assert down[i][v] == (index[m.divide(x)] if m.exponents[v] else None), (action, m, v)
 
     def test_basis_without_the_unit_is_integrity_error(self, monkeypatch):
         walk = monomial_module._invariant_staircase

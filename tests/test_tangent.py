@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import hashlib
 import math
 import random
 import sys
@@ -12,13 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ABELIAN_N2_CORPUS, cyclic_action, product_action, sl2_action
+from conftest import ABELIAN_N2_CORPUS, cyclic_action, product_action, sl2_action, sweep_actions
 from ghilb_kit import exact_linalg
 from ghilb_kit import tangent as tangent_module
 from ghilb_kit.cluster import (
     IntegrityError,
     enumerate_torus_fixed_clusters,
+    is_ideal_subspace,
     orbit_cluster,
+    subspace_cluster,
     subspace_rows_of_monomial_cluster,
     verify_cluster,
 )
@@ -363,6 +365,96 @@ class TestRelativeTangentSpace:
         assert hom.dimension == 0
 
 
+def deformed_chains():
+    """(action, coinv, rows) of every deformed chain of 1/r(1, r-1), r = 3..7,
+    at t in {1, 2, -3/2, 5/7}: 80 non-monomial ideal subspaces."""
+    for r in range(3, 8):
+        action = sl2_action(r)
+        coinv = coinvariant_algebra(action)
+        for k in range(r - 1):
+            for t in (F(1), F(2), F(-3, 2), F(5, 7)):
+                yield action, coinv, deformed_chain_rows(coinv, r, k, t)
+
+
+def cluster_unit_rows(action):
+    """(action, coinv, rows) of every torus-fixed cluster of an action, as unit rows."""
+    coinv = coinvariant_algebra(action)
+    for cluster in enumerate_torus_fixed_clusters(action, coinv):
+        yield action, coinv, [list(r) for r in subspace_rows_of_monomial_cluster(coinv, cluster)]
+
+
+def random_graded_ideals():
+    """(action, coinv, rows) of 40 seeded ideal subspaces, each generated by one to
+    three binomials of a nontrivial weight, in reduced echelon form.  Unlike unit
+    rows and the chains, their pivot rows reach the quotient columns in the Hom
+    equations, and not every spanning row outside mbar*Ibar is a generator."""
+    rng = random.Random(18)
+    for action in (cyclic_action(5, (1, 2)), cyclic_action(7, (1, 2, 4)),
+                   product_action((2, 4), ((1, 0), (0, 1), (1, 3))), cyclic_action(6, (1, 1, 4))):
+        coinv = coinvariant_algebra(action)
+        by_weight: dict = {}
+        for i, w in enumerate(coinv.weights):
+            by_weight.setdefault(w, []).append(i)
+        mixed = [w for w, indices in by_weight.items() if len(indices) > 1 and not w.is_trivial]
+        for _ in range(10):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                f = [F(0)] * coinv.dim
+                for i in rng.sample(by_weight[rng.choice(mixed)], 2):
+                    f[i] = F(rng.choice([1, -1, 2, 3])) / rng.choice([1, 2, 5])
+                gens.append(f)
+            rows = [coinv.monomial_times_vector(m, f) for f in gens for m in coinv.basis]
+            rref, _ = exact_linalg.rref_rows([r for r in rows if any(r)])
+            yield action, coinv, [list(r) for r in rref]
+
+
+def relative_repr(coinv, data) -> bytes:
+    """The repr of a relative data's parts and of the three operations on it."""
+    return repr((data.rref, data.pivots, data.qcols, data.generator_indices, data.kernel,
+                 relative_tangent_space(coinv, data), stratification_rep(coinv, data),
+                 eq8_map(coinv, data))).encode()
+
+
+class TestDenseGoldenOutput:
+    """sha256 of the dense route's output on row input, pinned so later changes
+    keep it byte-identical: its relative data with the three operations on it,
+    and the subspace verdicts on the same rows."""
+
+    @pytest.mark.parametrize("inputs,relative,verdicts", [
+        (deformed_chains,
+         "2fde3ae831a4e96aa8d80b0d20d11a56f838d61bf532fedb6256d284e20b5456",
+         "5fa8d9dde6bc9a86d06a3a028c3358b5e8e6943a60e9cbd29335d6e08ce232f9"),
+        (lambda: cluster_unit_rows(cyclic_action(7, (1, 2, 4))),
+         "d1dfb85ec9d2ff2050466fd6fe0f9bf89ed3eb072e0ac3bed9660672f781a15d",
+         "758a20f11d66ab61ddefc9584740ad0ed623efa0e3ca7e56897a4bd039ed289b"),
+        (lambda: cluster_unit_rows(product_action((2, 4), ((1, 0), (0, 1), (1, 3)))),
+         "434453dfc5035abe88c3d57fdf5b1ddeb707ef1066b5e45f0c706c04c4d7d219",
+         "4e279a97bc8176888c70b07ee6a725e9868d1df7faa878678be55d16e640db09"),
+        (lambda: cluster_unit_rows(cyclic_action(9, (1, 2, 6))),
+         "82706fd9eb6ec826802bc29e6ac2a9e3ddaf77942c094c32d805e99e87f95c51",
+         "79b35e4693799e9157df04ca1be1c225be5fe868fce3735ff15b8a85b1951b50"),
+    ], ids=["deformed-chains", "cyclic:7:1,2,4", "2x4;1,0|0,1|1,3", "cyclic:9:1,2,6"])
+    def test_digests(self, inputs, relative, verdicts):
+        rel, ver = hashlib.sha256(), hashlib.sha256()
+        for action, coinv, rows in inputs():
+            rel.update(relative_repr(coinv, relative_data(coinv, rows)))
+            ver.update(repr((verify_cluster(action, rows), is_ideal_subspace(coinv, rows),
+                             subspace_cluster(coinv, rows))).encode())
+        assert (rel.hexdigest(), ver.hexdigest()) == (relative, verdicts)
+
+    def test_random_graded_ideals(self):
+        rel = hashlib.sha256()
+        for _, coinv, rows in random_graded_ideals():
+            data = relative_data(coinv, rows)
+            rel.update(relative_repr(coinv, data))
+            strat = stratification_rep(coinv, data)
+            assert (strat.dimension, Counter(strat.characters)) == oracle_strat(coinv, rows), rows
+            # the dimension oracle takes seconds past dim 11; the digest pins the rest
+            if coinv.dim <= 11:
+                assert len(data.kernel) == oracle_relative_tangent_dim(coinv, rows), rows
+        assert rel.hexdigest() == "35820b64e9aff448ade932bca13e87d4c7ece206bcfcc2a5323ece1b5bc5207a"
+
+
 class TestMonomialPath:
     """The staircase route for monomial input against the index oracle and the dense path."""
 
@@ -464,19 +556,6 @@ class TestMonomialPath:
         coinv = coinvariant_algebra(cyclic_action(3, (1, 2)))
         with pytest.raises(ValueError, match="the ideal has 3 variables, the action 2"):
             fn(coinv, ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
-
-def sweep_actions() -> list:
-    """Faithful Z/r (1, a) for r <= 16, Z/r (a, b, c) for 1 <= a <= b <= c < r <= 8,
-    and the 2x2 and 3x3 products in SL(3)."""
-    actions = [cyclic_action(r, (1, a)) for r in range(2, 17) for a in range(1, r)]
-    actions += [cyclic_action(r, w) for r in range(2, 9)
-                for w in itertools.combinations_with_replacement(range(1, r), 3)]
-    for d in (2, 3):
-        for w1, w2 in itertools.product(itertools.product(range(d), repeat=2), repeat=2):
-            w3 = tuple(-a - b for a, b in zip(w1, w2))
-            actions.append(product_action((d, d), (w1, w2, w3)))
-    return [a for a in actions if a.is_faithful()]
 
 
 class TestStaircaseRelative:
