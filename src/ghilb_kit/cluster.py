@@ -150,9 +150,8 @@ def _field_context(rows):
                 cyclo = True
                 conductor = math.lcm(conductor, e.conductor)
     if not cyclo:
-        return Fraction(0), Fraction(1), [[Fraction(e) for e in row] for row in rows]
-    return (CyclotomicNumber.zero(conductor), CyclotomicNumber.one(conductor),
-            [[_to_conductor(e, conductor) for e in row] for row in rows])
+        return Fraction(1), [[Fraction(e) for e in row] for row in rows]
+    return CyclotomicNumber.one(conductor), [[_to_conductor(e, conductor) for e in row] for row in rows]
 
 
 def _echelon(coinv: CoinvariantAlgebra, rows):
@@ -161,8 +160,8 @@ def _echelon(coinv: CoinvariantAlgebra, rows):
     for r in rows:
         if len(r) != coinv.dim:
             raise ValueError(f"subspace rows must have {coinv.dim} columns")
-    zero, one, rows = _field_context(rows)
-    return rref_rows(rows, zero, one)
+    one, rows = _field_context(rows)
+    return rref_rows(rows, one)
 
 
 def _variable_images(coinv: CoinvariantAlgebra, rows) -> list[list[list]]:
@@ -301,10 +300,10 @@ def enumerate_torus_fixed_clusters(action: ActionData,
         raise ValueError("the coinvariant algebra was built for another action")
     order = action.group.order
 
-    # missing[i] counts the divisors m/x_i of basis[i] not yet in the staircase
-    up, down = coinv.variable_steps()
-    ups = [[k for k in row if k is not None] for row in up]
-    missing = [sum(d is not None for d in row) for row in down]
+    # missing[i] counts the divisors m/x_i of basis[i] not yet in the staircase;
+    # the basis is closed under division, so it starts at the nonzero exponents
+    ups = [[k for k in row if k is not None] for row in coinv.variable_steps()[0]]
+    missing = [action.num_variables - m.exponents.count(0) for m in coinv.basis]
     ready = {i for i, k in enumerate(missing) if not k}
     characters = tuple(action.group.characters())
     char_id = {chi: k for k, chi in enumerate(characters)}

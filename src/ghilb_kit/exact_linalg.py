@@ -21,11 +21,11 @@ Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
-def rref_rows(rows, zero=Q0, one=Q1):
+def rref_rows(rows, one=Q1):
     """Reduced row echelon form.
 
     Returns (reduced nonzero rows, pivot column indices).  Input rows are not
-    modified.
+    modified, and zero entries take part in no arithmetic.
     """
     work = [list(r) for r in rows]
     ncols = len(work[0]) if work else 0
@@ -41,11 +41,11 @@ def rref_rows(rows, zero=Q0, one=Q1):
             continue
         work[piv_r], work[sel] = work[sel], work[piv_r]
         inv = one / work[piv_r][col]
-        work[piv_r] = [e * inv for e in work[piv_r]]
+        work[piv_r] = [e * inv if e else e for e in work[piv_r]]
         for r in range(len(work)):
             if r != piv_r and work[r][col]:
                 f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[piv_r])]
+                work[r] = [a - f * b if b else a for a, b in zip(work[r], work[piv_r])]
         pivots.append(col)
         piv_r += 1
         if piv_r == len(work):
@@ -59,7 +59,7 @@ def reduce_vector(rref, pivots, vec):
     for row, p in zip(rref, pivots):
         if res[p]:
             f = res[p]
-            res = [a - f * b for a, b in zip(res, row)]
+            res = [a - f * b if b else a for a, b in zip(res, row)]
     return res
 
 
@@ -75,7 +75,7 @@ def kernel_basis_rows(rows, ncols, zero=Q0, one=Q1):
     unit (pivot) columns descending, so the basis itself is in a reduced
     echelon shape with pivots equal to 1.
     """
-    rref, pivots = rref_rows(rows, zero, one)
+    rref, pivots = rref_rows(rows, one)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols - 1, -1, -1):
@@ -100,7 +100,7 @@ def solve_rows(rows, rhs, ncols: Optional[int] = None):
     if not rows:
         return [Q0] * ncols
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = rref_rows(aug, Q0, Q1)
+    rref, pivots = rref_rows(aug, Q1)
     if ncols in pivots:
         return None
     x = [Q0] * ncols

@@ -115,24 +115,21 @@ def parse_monomial(text: str, num_vars: int) -> Monomial:
 def _staircase_levels(num_vars: int, is_generator) -> Iterator[list[tuple[int, ...]]]:
     """Exponent tuples outside a monomial ideal, one ascending degree level at a time.
 
-    The complement of a monomial ideal is downward closed, so every member of
-    degree d + 1 is x_i times a member of degree d.  A monomial whose divisors
-    m/x_i all lie outside the ideal is inside it exactly when it is a minimal
-    generator, so is_generator is the only test needed.  The levels end at
-    the first empty one.
+    The complement of a monomial ideal is downward closed, so a monomial m of
+    degree d + 1 lies outside it exactly when its divisors m/x_i all lie in
+    level d and m is not a minimal generator.  A pair (e, i) of level d with
+    x_i*e = m has e = m/x_i, so m is reached by as many pairs as it has
+    nonzero exponents just when all those divisors lie outside: a count
+    settles that, and is_generator is the only test needed.  The levels end
+    at the first empty one.
     """
     unit = (0,) * num_vars
     level = [] if is_generator(unit) else [unit]
-    outside = set(level)
     while level:
         yield level
-        ups = {e[:v] + (e[v] + 1,) + e[v + 1:] for e in level for v in range(num_vars)}
-        level = sorted(
-            up for up in ups
-            if all(up[:v] + (a - 1,) + up[v + 1:] in outside for v, a in enumerate(up) if a)
-            and not is_generator(up)
-        )
-        outside.update(level)
+        ups = Counter(e[:v] + (e[v] + 1,) + e[v + 1:] for e in level for v in range(num_vars))
+        level = sorted(up for up, reached in ups.items()
+                       if reached == num_vars - up.count(0) and not is_generator(up))
 
 
 @dataclass(frozen=True)

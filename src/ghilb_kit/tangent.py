@@ -37,6 +37,7 @@ elimination.  The relative data takes one of two routes:
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,8 +143,9 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -
             raise ValueError("quotient is not finite-dimensional")
         staircase = quotient_staircase(ideal, max(dim, 1))
 
-    stair_index = {m: t for t, m in enumerate(staircase)}
-    stair_weights = [weight_of_monomial(action, m.exponents) for m in staircase]
+    stair_exps = [m.exponents for m in staircase]
+    stair_index = {e: t for t, e in enumerate(stair_exps)}
+    stair_weights = [weight_of_monomial(action, e) for e in stair_exps]
     gens = ideal.min_gens
     gen_weights = [weight_of_monomial(action, g.exponents) for g in gens]
     slots = _slots(gen_weights, stair_weights)
@@ -159,7 +161,7 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -
         terms: dict[int, list[int]] = {}
         for k, (_, u) in relation.items():
             for t, s in slots_of_gen[k]:
-                target = stair_index.get(u * staircase[t])
+                target = stair_index.get(tuple(map(operator.add, u.exponents, stair_exps[t])))
                 if target is not None:
                     terms.setdefault(target, []).append(s)
         equations.extend(terms.values())

@@ -141,6 +141,43 @@ def oracle_monomials_of_degree(num_vars, degree):
             if sum(e) == degree]
 
 
+def oracle_staircase(num_vars, gens):
+    """Exponent tuples outside the ideal of the generator tuples gens, graded-lex.
+
+    The ideal must hold a pure power x_i^p_i of every variable, so every
+    monomial outside it lies in the box of exponents a_i < p_i; the box is
+    filtered by divisibility and sorted, with no walk.
+    """
+    bounds = [min(g[i] for g in gens if all(a == 0 for j, a in enumerate(g) if j != i))
+              for i in range(num_vars)]
+    box = itertools.product(*(range(b) for b in bounds))
+    outside = [e for e in box if not any(all(a <= b for a, b in zip(g, e)) for g in gens)]
+    return sorted(outside, key=lambda e: (sum(e), e))
+
+
+def oracle_coinvariant_staircase(action):
+    """Minimal invariant generators and coinvariant basis as exponent tuples, graded-lex.
+
+    The pure power x_i^p_i, p_i the order of weight_i, is invariant, so every
+    minimal generator lies in the box of exponents a_i <= p_i: it is an
+    invariant box member other than 1 that no other one divides.
+    """
+    n = action.num_variables
+
+    def invariant(e):
+        return weight_of_monomial(action, e).is_trivial
+
+    powers = [next(p for p in itertools.count(1)
+                   if invariant(tuple(p if j == i else 0 for j in range(n))))
+              for i in range(n)]
+    box = itertools.product(*(range(p + 1) for p in powers))
+    invariants = [e for e in box if any(e) and invariant(e)]
+    gens = sorted((e for e in invariants
+                   if not any(d != e and all(a <= b for a, b in zip(d, e)) for d in invariants)),
+                  key=lambda e: (sum(e), e))
+    return gens, oracle_staircase(n, gens)
+
+
 def oracle_staircases(action, basis):
     """All G-cluster staircases inside the coinvariant basis, by brute force.
 

@@ -264,3 +264,52 @@ def test_detector_sees_method_references():
         "build: steps", "walk: solve", "walk: steps",
     ]
     assert method_references(source, "Missing", ("steps",)) == ["no class Missing"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """'function: parameter' for each parameter its function's body never reads.
+
+    Every function and lambda counts, methods and nested functions included;
+    self and cls are exempt.  A read is a Name loading the parameter anywhere
+    in the body, a nested function's body included.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [f"{name}: {p.arg}" for p in params
+                  if p.arg not in ("self", "cls") and p.arg not in read]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    # a parameter nothing reads is an option that silently does nothing
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_detector_sees_unread_parameters():
+    source = (
+        "def f(a, b, *args, c=0, **kwargs):\n"
+        "    b = a\n"
+        "    return kwargs\n"
+        "class K:\n"
+        "    def m(self, x, y):\n"
+        "        def inner(z):\n"
+        "            return x\n"
+        "        return inner\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return 1\n"
+        "key = lambda m, n: m\n"
+    )
+    assert unread_parameters(source) == [
+        "<lambda>: n", "f: args", "f: b", "f: c", "inner: z", "m: y",
+    ]

@@ -26,7 +26,12 @@ from ghilb_kit.monomial_algebra import (
     quotient_staircase,
     taylor_syzygies,
 )
-from oracles import oracle_monomials_of_degree, oracle_rank
+from oracles import (
+    oracle_coinvariant_staircase,
+    oracle_monomials_of_degree,
+    oracle_rank,
+    oracle_staircase,
+)
 
 F = Fraction
 
@@ -170,6 +175,16 @@ class TestQuotientStaircase:
                 assert colength(ideal) > 300, ideal
         assert finite > 100
 
+    def test_matches_brute_force_box(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            gens = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+            gens += [tuple(rng.randint(1, 6) if w == v else 0 for w in range(n)) for v in range(n)]
+            ideal = MonomialIdeal(n, tuple(Monomial(g) for g in gens))
+            expected = [Monomial(e) for e in oracle_staircase(n, gens)]
+            assert quotient_staircase(ideal, 6 ** n) == expected, ideal
+
     def test_graded_lex_output(self):
         ideal = MonomialIdeal(2, (mono(3, 0), mono(0, 3), mono(1, 1)))
         stair = quotient_staircase(ideal, 20)
@@ -198,6 +213,16 @@ class TestInvariantGenerators:
                 assert g.degree >= 1
             for a, b in itertools.permutations(gens, 2):
                 assert not a.divides(b)
+
+    def test_coinvariant_staircase_matches_brute_force_box(self):
+        actions = [a for a in sweep_actions() if a.group.order <= 8]
+        assert len(actions) > 50
+        for action in actions:
+            gens, basis = oracle_coinvariant_staircase(action)
+            coinv = coinvariant_algebra(action)
+            assert [g.exponents for g in invariant_generators(action)] == gens, action
+            assert [g.exponents for g in coinv.invariant_gens] == gens, action
+            assert [m.exponents for m in coinv.basis] == basis, action
 
     def test_completeness_up_to_bound(self):
         for action in (sl2_action(4), cyclic_action(6, (1, 4))):

@@ -209,6 +209,23 @@ class TestTangentSpace:
                                         total[pos] += sign * coeff
                         assert not any(total)
 
+    def test_builds_only_the_taylor_monomials(self, monkeypatch):
+        # the lcm and the two quotients of each pair; the Taylor slots form no Monomial
+        built = Counter()
+        validate = Monomial.__post_init__
+
+        def counted(self):
+            built["Monomial"] += 1
+            validate(self)
+
+        action = cyclic_action(7, (1, 2, 4))
+        clusters = enumerate_torus_fixed_clusters(action)
+        monkeypatch.setattr(Monomial, "__post_init__", counted)
+        for cluster in clusters:
+            built.clear()
+            tangent_space(action, cluster)
+            assert built["Monomial"] == 3 * math.comb(len(cluster.ideal.min_gens), 2)
+
     def test_bare_ideal_past_four_times_the_order(self, z2):
         # a finite staircase larger than 4|G| has its Hom space like any other
         for action, target in (
