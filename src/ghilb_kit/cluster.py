@@ -225,9 +225,12 @@ def verify_cluster(action: ActionData, target) -> ClusterReport:
     the report when it has at most 4|G| monomials; a larger finite one is
     reported with its exact dimension only (a cluster has |G|).  Everything
     is derived from the target: the cached quotient data of a GCluster is
-    not read, and rows are checked in the action's coinvariant algebra.
+    not read, and rows are checked in the action's coinvariant algebra.  A
+    GCluster of another action raises ValueError.
     """
     if isinstance(target, GCluster):
+        if target.action != action:
+            raise ValueError("the cluster was built for another action")
         if target.kind == "monomial":
             return _monomial_report(action, target.ideal)
         if target.kind == "orbit":
@@ -302,7 +305,7 @@ def enumerate_torus_fixed_clusters(action: ActionData,
 
     # missing[i] counts the divisors m/x_i of basis[i] not yet in the staircase;
     # the basis is closed under division, so it starts at the nonzero exponents
-    ups = [[k for k in row if k is not None] for row in coinv.variable_steps()[0]]
+    ups = [[k for k in row if k is not None] for row in coinv.variable_steps()]
     missing = [action.num_variables - m.exponents.count(0) for m in coinv.basis]
     ready = {i for i, k in enumerate(missing) if not k}
     characters = tuple(action.group.characters())
@@ -499,7 +502,6 @@ def evaluation_kernel(action: ActionData, points_or_cluster):
         conductor = math.lcm(action.group.exponent, *(c.conductor for p in points for c in p))
         points = tuple(tuple(_to_conductor(c, conductor) for c in p) for p in points)
     one = CyclotomicNumber.one(conductor)
-    zero = CyclotomicNumber.zero(conductor)
     n = action.num_variables
 
     bound = max(action.group.order - 1, 0)
@@ -511,7 +513,7 @@ def evaluation_kernel(action: ActionData, points_or_cluster):
         ]
         monomials.sort(key=lambda m: m.grlex_key)
         rows = [[_evaluate(m, p, one) for m in monomials] for p in points]
-        kernel = kernel_basis_rows(rows, len(monomials), zero, one)
+        kernel = kernel_basis_rows(rows, len(monomials), one)
         rank = len(monomials) - len(kernel)
         if rank == len(points) or rank == prev_rank:
             return monomials, kernel
@@ -529,9 +531,11 @@ def tau_support(action: ActionData, cluster, coinv: Optional[CoinvariantAlgebra]
     pairs to 0 with every h is constant there and is evaluated at one point.
     The values v_j = p^(e_j) satisfy every multiplicative relation among the
     generators by construction (sum c_j e_j = 0 makes both sides p^E), so the
-    point lies on the quotient without a check.  A coinv of another action
-    raises ValueError.
+    point lies on the quotient without a check.  A GCluster or a coinv of
+    another action raises ValueError.
     """
+    if isinstance(cluster, GCluster) and cluster.action != action:
+        raise ValueError("the cluster was built for another action")
     if coinv is not None and coinv.action != action:
         raise ValueError("the coinvariant algebra was built for another action")
     gens = tuple(coinv.invariant_gens) if coinv is not None else tuple(invariant_generators(action))

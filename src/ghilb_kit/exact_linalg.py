@@ -67,7 +67,7 @@ def row_space_contains(rref, pivots, vec) -> bool:
     return not any(reduce_vector(rref, pivots, vec))
 
 
-def kernel_basis_rows(rows, ncols, zero=Q0, one=Q1):
+def kernel_basis_rows(rows, ncols, one=Q1):
     """Canonical basis of the right kernel of the matrix with the given rows.
 
     One vector per free column f: unit coordinate at f, entries at the pivot
@@ -77,6 +77,7 @@ def kernel_basis_rows(rows, ncols, zero=Q0, one=Q1):
     """
     rref, pivots = rref_rows(rows, one)
     pivot_set = set(pivots)
+    zero = one - one
     basis = []
     for f in range(ncols - 1, -1, -1):
         if f in pivot_set:
@@ -100,7 +101,7 @@ def solve_rows(rows, rhs, ncols: Optional[int] = None):
     if not rows:
         return [Q0] * ncols
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = rref_rows(aug, Q1)
+    rref, pivots = rref_rows(aug)
     if ncols in pivots:
         return None
     x = [Q0] * ncols

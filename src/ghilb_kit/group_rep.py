@@ -37,6 +37,8 @@ class Character:
 
     def __post_init__(self) -> None:
         divisors = tuple(map(operator.index, self.divisors))
+        if min(divisors, default=2) < 2:
+            raise ValueError("every divisor must be >= 2")
         if len(divisors) != len(self.components):
             raise ValueError("character arity does not match the divisor sequence")
         reduced = tuple(map(operator.mod, map(operator.index, self.components), divisors))

@@ -274,8 +274,8 @@ class CoinvariantAlgebra:
     The basis consists of the monomials outside that ideal, in graded-lex
     order; it is finite because x_i^(order of weight_i) is invariant.
     Products of basis monomials multiply exactly: the product monomial when it
-    stays in the basis, zero when it falls into the ideal.  Products are
-    looked up on demand (mult_index); no multiplication table is stored.
+    stays in the basis, zero when it falls into the ideal.  The one index
+    table is that of the products by the variables (variable_steps).
     """
 
     def __init__(self, action: ActionData) -> None:
@@ -291,7 +291,7 @@ class CoinvariantAlgebra:
         self.basis: tuple[Monomial, ...] = tuple(Monomial(e) for e in basis_exps)
         self.weights: tuple[Character, ...] = tuple(characters[i] for i in indices)
         self._index = {e: i for i, e in enumerate(basis_exps)}
-        self._steps: Optional[tuple] = None
+        self._steps: Optional[list[list[Optional[int]]]] = None
 
         if not self.basis or not self.basis[0].is_one:
             raise IntegrityError("coinvariant basis must contain the unit monomial")
@@ -310,30 +310,17 @@ class CoinvariantAlgebra:
         except KeyError:
             raise ValueError(f"{m.to_text()} is not a basis monomial") from None
 
-    def mult_index(self, i: int, j: int) -> Optional[int]:
-        """Basis index of basis[i]*basis[j], or None when the product is zero."""
-        return self._index.get((self.basis[i] * self.basis[j]).exponents)
+    def variable_steps(self) -> list[list[Optional[int]]]:
+        """Index table of multiplication by the variables, built on first use.
 
-    def variable_steps(self) -> tuple[list[list[Optional[int]]], list[list[Optional[int]]]]:
-        """Index tables of multiplication and division by the variables.
-
-        up[i][v] is the basis index of x_v * basis[i], or None when that
-        product is zero; down[i][v] is the index of basis[i] / x_v, or None
-        when x_v does not divide basis[i] (the basis is downward closed, so
-        every other quotient is a basis monomial).  Built on first use.
+        Entry [i][v] is the basis index of x_v * basis[i], or None when that
+        product is zero.
         """
         if self._steps is None:
             n = self.action.num_variables
-            up: list[list[Optional[int]]] = [[None] * n for _ in self.basis]
-            down: list[list[Optional[int]]] = [[None] * n for _ in self.basis]
-            for i, m in enumerate(self.basis):
-                e = m.exponents
-                for v in range(n):
-                    k = self._index.get(e[:v] + (e[v] + 1,) + e[v + 1:])
-                    if k is not None:
-                        up[i][v] = k
-                        down[k][v] = i
-            self._steps = (up, down)
+            # _index lists the basis exponents in basis order
+            self._steps = [[self._index.get(e[:v] + (e[v] + 1,) + e[v + 1:]) for v in range(n)]
+                           for e in self._index]
         return self._steps
 
     def variables(self) -> list[Monomial]:
@@ -363,9 +350,6 @@ class CoinvariantAlgebra:
         if weight is None:
             raise ValueError("zero vector has no weight")
         return weight
-
-    def character_multiplicities(self) -> Counter:
-        return Counter(self.weights)
 
 
 def _unit_monomials(num_vars: int) -> list[Monomial]:

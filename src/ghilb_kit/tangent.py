@@ -385,10 +385,13 @@ class _StaircaseRelative(RelativeData):
     The quotient columns are the staircase of I + J, and the pivots (the
     basis monomials in I) the other basis indices.  A relative class of hom
     fixes phi on the pivots in ascending order: a generator of Ibar keeps
-    its row of hom, and any other pivot is x_v*d for a pivot d below it, so
-    phi(x_v*d) = x_v*phi(d) moves the entry at each column q to the column
-    of x_v*q, or drops it when x_v*q lies in I + J.  The lifted classes are
-    disjoint 0/1 indicators again.
+    its row of hom, and each pivot p pushes phi(x_v*p) = x_v*phi(p) up the
+    product table to every pivot x_v*p not yet filled, moving the entry at
+    each column q to the column of x_v*q, or dropping it when x_v*q lies in
+    I + J.  A generator is no multiple of a pivot, and any other pivot has a
+    pivot divisor, which comes first; so every pivot is filled before the
+    walk reaches it, and phi is a homomorphism, so the divisor that fills it
+    does not matter.  The lifted classes are disjoint 0/1 indicators again.
     """
 
     def __init__(self, coinv: CoinvariantAlgebra, hom: EquivariantHomSpace) -> None:
@@ -402,19 +405,19 @@ class _StaircaseRelative(RelativeData):
         generators = _generator_pivots(coinv, hom.source_generators)
         self.generator_indices = [j for j, p in enumerate(self.pivots) if p in generators]
 
-        up, down = coinv.variable_steps()
+        up = coinv.variable_steps()
         entries: dict[int, dict[int, int]] = {}  # pivot -> {column: class}
         members: list[list[int]] = [[] for _ in relative]
         for j, p in enumerate(self.pivots):
             if p in generators:
                 k = generators[p]
                 entries[p] = {c: n for n, M in enumerate(relative) for c, e in enumerate(M[k]) if e}
-            else:
-                v, d = next((v, d) for v, d in enumerate(down[p]) if d is not None and d not in qpos)
-                entries[p] = {c2: n for c, n in entries[d].items()
-                              if (c2 := qpos.get(up[self.qcols[c]][v])) is not None}
             for c, n in entries[p].items():
                 members[n].append(self.slot_index[(j, c)])
+            for v, t in enumerate(up[p]):
+                if t is not None and t not in qpos and t not in entries:
+                    entries[t] = {c2: n for c, n in entries[p].items()
+                                  if (c2 := qpos.get(up[self.qcols[c]][v])) is not None}
         self.kernel = _indicator_basis(len(self.slots), members)
 
     def row(self, j: int) -> tuple[Fraction, ...]:

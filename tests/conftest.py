@@ -27,6 +27,15 @@ def sl2_action(r: int) -> ActionData:
     return cyclic_action(r, (1, r - 1))
 
 
+def product_index(coinv, i, j):
+    """Basis index of basis[i]*basis[j] in the coinvariant algebra, or None when
+    the product is zero, read off monomial_times_vector on the unit vector e_j."""
+    unit = [0] * coinv.dim
+    unit[j] = 1
+    image = coinv.monomial_times_vector(coinv.basis[i], unit)
+    return next((k for k, c in enumerate(image) if c), None)
+
+
 def assert_orbit_matches_oracle(action, point):
     """orbit_cluster and tau_support equal the cyclotomic-scalar oracle; returns the tau."""
     cluster, freeness = orbit_cluster(action, point)

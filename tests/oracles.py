@@ -408,16 +408,19 @@ def oracle_monomial_relative(coinv, ideal):
     product is zero or lies in the ideal drops out.  So each equation
     equates two slots or kills one, and the kernel is spanned by the
     indicators of the joined classes that nothing kills, listed by
-    descending largest slot.  The index tables come from
-    coinv.variable_steps; the image of the ideal must be closed under the
-    variables, else an AssertionError.
+    descending largest slot.  The product table comes from
+    coinv.variable_steps, and the divisions from the exponents; the image
+    of the ideal must be closed under the variables, else an AssertionError.
     """
-    up, down = coinv.variable_steps()
+    up = coinv.variable_steps()
     gens = {g.exponents for g in ideal.min_gens}
+    index = {m.exponents: i for i, m in enumerate(coinv.basis)}
     inside = []
-    for i, m in enumerate(coinv.basis):
+    for m in coinv.basis:
+        e = m.exponents
         # graded-lex order lists every divisor m/x_v before m
-        inside.append(m.exponents in gens or any(d is not None and inside[d] for d in down[i]))
+        inside.append(e in gens or any(a and inside[index[e[:v] + (a - 1,) + e[v + 1:]]]
+                                       for v, a in enumerate(e)))
     pivots = [i for i in range(coinv.dim) if inside[i]]
     qcols = [i for i in range(coinv.dim) if not inside[i]]
     assert all(k is None or inside[k] for p in pivots for k in up[p]), \

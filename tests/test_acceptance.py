@@ -13,7 +13,7 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import ABELIAN_N2_CORPUS, cyclic_action, sl2_action
+from conftest import ABELIAN_N2_CORPUS, cyclic_action, product_index, sl2_action
 from ghilb_kit.cluster import (
     enumerate_torus_fixed_clusters,
     is_ideal_subspace,
@@ -152,10 +152,10 @@ def test_criterion_6_coinvariant_dimensions():
         for r in range(2, 5):
             coinv = coinvariant_algebra(sl2_action(r))
             for i, j, k in itertools.product(range(coinv.dim), repeat=3):
-                ij = coinv.mult_index(i, j)
-                jk = coinv.mult_index(j, k)
-                left = coinv.mult_index(ij, k) if ij is not None else None
-                right = coinv.mult_index(i, jk) if jk is not None else None
+                ij = product_index(coinv, i, j)
+                jk = product_index(coinv, j, k)
+                left = product_index(coinv, ij, k) if ij is not None else None
+                right = product_index(coinv, i, jk) if jk is not None else None
                 assert left == right
 
 
@@ -183,7 +183,7 @@ def test_criterion_8_property_suites():
         for _ in range(200):  # weight homomorphism
             coinv = rng.choice(coinvs)
             i, j = rng.randrange(coinv.dim), rng.randrange(coinv.dim)
-            p = coinv.mult_index(i, j)
+            p = product_index(coinv, i, j)
             if p is not None:
                 assert coinv.weights[p] == coinv.weights[i] + coinv.weights[j]
 

@@ -516,6 +516,24 @@ class TestOrbitOracle:
         assert_orbit_matches_oracle(sl2_action(2), (z3, F(1)))
 
 
+# a cluster of Z/2 (1, 1) checked under Z/3 (1, 2) or Z/4 (1, 3): the orbit one
+# failed an internal check, and tau under Z/4 evaluated Z/4's generators on it
+OTHER_ACTIONS = [cyclic_action(3, (1, 2)), cyclic_action(4, (1, 3))]
+
+
+def z2_clusters():
+    z2 = sl2_action(2)
+    return [orbit_cluster(z2, (F(1), F(2)))[0], enumerate_torus_fixed_clusters(z2)[0]]
+
+
+@pytest.mark.parametrize("action", OTHER_ACTIONS, ids=["Z3", "Z4"])
+@pytest.mark.parametrize("fn", [verify_cluster, tau_support], ids=lambda fn: fn.__name__)
+def test_cluster_of_another_action_rejected(fn, action):
+    for cluster in z2_clusters():
+        with pytest.raises(ValueError, match="the cluster was built for another action"):
+            fn(action, cluster)
+
+
 class TestTau:
     def test_orbit_evaluates_each_generator_once(self, monkeypatch):
         action = sl2_action(4)

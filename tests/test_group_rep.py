@@ -37,7 +37,17 @@ class TestCharacter:
         # 1 % 2.5 made Character(1.0,), and .order() then raised
         with pytest.raises(TypeError):
             Character((2.5,), (1,))
-        assert type(Character((True,), (0,)).divisors[0]) is int
+
+        class Two(int):
+            pass
+
+        assert type(Character((Two(2),), (0,)).divisors[0]) is int
+
+    @pytest.mark.parametrize("divisors", [(-3,), (1,), (0,), (True,), (4, 1)])
+    def test_divisors_below_two_rejected(self, divisors):
+        # (-3,) reduced 5 to -1, (1,) was accepted and (0,) divided by zero
+        with pytest.raises(ValueError, match="every divisor must be >= 2"):
+            Character(divisors, (5,) * len(divisors))
 
     def test_arithmetic(self):
         a = Character((6,), (4,))

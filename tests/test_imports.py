@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -312,4 +313,63 @@ def test_detector_sees_unread_parameters():
     )
     assert unread_parameters(source) == [
         "<lambda>: n", "f: args", "f: b", "f: c", "inner: z", "m: y",
+    ]
+
+
+def unread_members(sources: dict[str, str], class_names, named: str) -> list[str]:
+    """'Class.member' for each method or property of the named classes that no
+    Attribute of the sources reads and no word of the text named names.
+
+    Dunder methods are exempt.  A class missing from the sources is reported,
+    so that a renamed class does not pass unseen.
+    """
+    reads = set()
+    members = {}
+    for source in sources.values():
+        tree = ast.parse(source)
+        reads.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+        members.update((cls.name, [node.name for node in cls.body
+                                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                                   and not node.name.startswith("__")])
+                       for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name in class_names)
+    words = set(re.findall(r"\w+", named))
+    return sorted([f"no class {name}" for name in class_names if name not in members] +
+                  [f"{cls}.{name}" for cls, names in members.items() for name in names
+                   if name not in reads and name not in words])
+
+
+# the classes of the coinvariant algebra and the relative data, read by the
+# library or rebound by the benchmark's tracer
+MACHINERY = ("CoinvariantAlgebra", "RelativeData", "_DenseRelative", "_StaircaseRelative")
+
+
+def test_machinery_has_no_members_only_tests_read():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    tracer = (PACKAGE.parent.parent / "perfbench" / "tracer.py").read_text()
+    assert unread_members(sources, MACHINERY, tracer) == []
+
+
+def test_detector_sees_unread_members():
+    sources = {
+        "a": (
+            "class Algebra:\n"
+            "    def __init__(self):\n"
+            "        self.size = 0\n"
+            "    @property\n"
+            "    def dim(self):\n"
+            "        return self.size\n"
+            "    def steps(self):\n"
+            "        return self.dim\n"
+            "    def unread(self):\n"
+            "        return steps()\n"
+            "    def traced(self):\n"
+            "        return 1\n"
+            "class Other:\n"
+            "    def helper(self):\n"
+            "        return 0\n"
+        ),
+        "b": "def f(algebra):\n    return algebra.steps()\n",
+    }
+    assert unread_members(sources, ("Algebra", "Other", "Missing"), "'Algebra.traced'") == [
+        "Algebra.unread", "Other.helper", "no class Missing",
     ]

@@ -553,15 +553,14 @@ class TestMonomialPath:
             checked += 1
         assert checked >= 1000
 
-    def test_oracle_closure_check_sees_a_broken_division_table(self, z3, monkeypatch):
-        # with the division table emptied, the ideal's image is no longer closed
+    def test_oracle_closure_check_sees_a_broken_product_table(self, z3, monkeypatch):
+        # with every nonzero product sent to the unit, the ideal's image is no longer closed
         steps = CoinvariantAlgebra.variable_steps
 
-        def no_divisions(coinv):
-            up, down = steps(coinv)
-            return up, [[None] * len(row) for row in down]
+        def products_to_unit(coinv):
+            return [[k if k is None else 0 for k in row] for row in steps(coinv)]
 
-        monkeypatch.setattr(CoinvariantAlgebra, "variable_steps", no_divisions)
+        monkeypatch.setattr(CoinvariantAlgebra, "variable_steps", products_to_unit)
         coinv = coinvariant_algebra(z3)
         with pytest.raises(AssertionError, match="ideal closure failed on basis indices"):
             oracle_monomial_relative(coinv, ideal(2, (0, 1), (3, 0)))
