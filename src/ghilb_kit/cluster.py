@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from ghilb_kit.cyclotomic import CyclotomicNumber, character_exponent, embed_to_conductor
-from ghilb_kit.exact_linalg import kernel_basis_rows, row_space_contains, rref_rows
+from ghilb_kit.cyclotomic import CyclotomicNumber, character_exponent, common_conductor, embed_to_conductor
+from ghilb_kit.exact_linalg import _as_fraction, kernel_basis_rows, row_space_contains, rref_rows
 from ghilb_kit.group_rep import (
     ActionData,
     Character,
@@ -133,25 +133,13 @@ class GCluster:
             raise ValueError(f"cluster of kind {self.kind!r} is missing its payload")
 
 
-def _to_conductor(c, conductor: int) -> CyclotomicNumber:
-    """A rational or cyclotomic scalar as an element of Q(zeta_conductor)."""
-    if isinstance(c, CyclotomicNumber):
-        return embed_to_conductor(c, conductor)
-    return CyclotomicNumber.from_rational(Fraction(c), conductor)
-
-
 def _field_context(rows):
     """Common exact field for a row matrix: rationals or one cyclotomic field."""
-    conductor = 1
-    cyclo = False
-    for row in rows:
-        for e in row:
-            if isinstance(e, CyclotomicNumber):
-                cyclo = True
-                conductor = math.lcm(conductor, e.conductor)
-    if not cyclo:
-        return Fraction(1), [[Fraction(e) for e in row] for row in rows]
-    return CyclotomicNumber.one(conductor), [[_to_conductor(e, conductor) for e in row] for row in rows]
+    entries = [e for row in rows for e in row]
+    if not any(isinstance(e, CyclotomicNumber) for e in entries):
+        return Fraction(1), [[_as_fraction(e) for e in row] for row in rows]
+    conductor = common_conductor(entries)
+    return CyclotomicNumber.one(conductor), [[embed_to_conductor(e, conductor) for e in row] for row in rows]
 
 
 def _echelon(coinv: CoinvariantAlgebra, rows):
@@ -426,11 +414,8 @@ def _coerce_point(action: ActionData, point) -> tuple[int, tuple[CyclotomicNumbe
     coords = list(point)
     if len(coords) != action.num_variables:
         raise ValueError(f"point must have {action.num_variables} coordinates")
-    conductor = action.group.exponent
-    for c in coords:
-        if isinstance(c, CyclotomicNumber):
-            conductor = math.lcm(conductor, c.conductor)
-    return conductor, tuple(_to_conductor(c, conductor) for c in coords)
+    conductor = math.lcm(action.group.exponent, common_conductor(coords))
+    return conductor, tuple(embed_to_conductor(c, conductor) for c in coords)
 
 
 def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
@@ -484,24 +469,22 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
     return cluster, report
 
 
-def evaluation_kernel(action: ActionData, points_or_cluster):
-    """Monomial list and kernel rows of the evaluation map at orbit points.
+def evaluation_kernel(action: ActionData, cluster: GCluster):
+    """Monomial list and kernel rows of the evaluation map at the points of an orbit cluster.
 
     The kernel is the linear span, inside the monomials of per-variable degree
     at most a bound, of the polynomials vanishing on the points.  The bound
     starts at |G|-1 and doubles until the evaluation rank stabilizes across a
     full step, certifying that the kernel cuts out exactly the point set.
-    Bare points are read in the smallest field holding them and the group's
-    roots of unity.
+    The cluster is one orbit_cluster built for this action; its points are
+    read in its own conductor's field.  Any other input raises ValueError.
     """
-    if isinstance(points_or_cluster, GCluster):
-        points = points_or_cluster.points
-        conductor = points_or_cluster.conductor
-    else:
-        points = tuple(points_or_cluster)
-        conductor = math.lcm(action.group.exponent, *(c.conductor for p in points for c in p))
-        points = tuple(tuple(_to_conductor(c, conductor) for c in p) for p in points)
-    one = CyclotomicNumber.one(conductor)
+    if not isinstance(cluster, GCluster) or cluster.kind != "orbit":
+        raise ValueError("evaluation_kernel expects an orbit cluster")
+    if cluster.action != action:
+        raise ValueError("the cluster was built for another action")
+    points = cluster.points
+    one = CyclotomicNumber.one(cluster.conductor)
     n = action.num_variables
 
     bound = max(action.group.order - 1, 0)

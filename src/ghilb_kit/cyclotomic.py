@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from ghilb_kit.exact_linalg import solve_rows
+from ghilb_kit.exact_linalg import _as_fraction, solve_rows
 from ghilb_kit.group_rep import Character, FiniteAbelianGroup, IntegrityError
 
 Q0 = Fraction(0)
@@ -152,7 +152,7 @@ class CyclotomicNumber:
     def __post_init__(self) -> None:
         coeffs = self.coeffs
         if type(coeffs) is not tuple or any(type(c) is not Fraction for c in coeffs):
-            coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+            coeffs = tuple(map(_as_fraction, coeffs))
             object.__setattr__(self, "coeffs", coeffs)
         deg = euler_phi(self.conductor)
         if len(coeffs) != deg:
@@ -174,7 +174,7 @@ class CyclotomicNumber:
 
     @classmethod
     def from_polynomial(cls, coeffs: Sequence[Rational], m: int) -> "CyclotomicNumber":
-        return cls(m, _reduce_mod_phi(*_numerators([Fraction(c) for c in coeffs]), m))
+        return cls(m, _reduce_mod_phi(*_numerators(list(map(_as_fraction, coeffs))), m))
 
     @classmethod
     def root_of_unity(cls, m: int, power: int = 1) -> "CyclotomicNumber":
@@ -296,8 +296,13 @@ class CyclotomicNumber:
         return f"CyclotomicNumber({to_text(self)!r})"
 
 
-def embed_to_conductor(a: CyclotomicNumber, new_conductor: int) -> CyclotomicNumber:
-    """Rewrite a in Q(zeta_m') for m | m'; the complex value is unchanged."""
+def embed_to_conductor(a: Union[CyclotomicNumber, Rational], new_conductor: int) -> CyclotomicNumber:
+    """Rewrite a in Q(zeta_m') for m | m'; the complex value is unchanged.
+
+    A rational a lies in Q = Q(zeta_1), so it embeds in every Q(zeta_m').
+    """
+    if not isinstance(a, CyclotomicNumber):
+        return CyclotomicNumber.from_rational(a, new_conductor)
     if new_conductor % a.conductor != 0:
         raise ValueError(f"{a.conductor} does not divide {new_conductor}")
     if new_conductor == a.conductor:
@@ -331,8 +336,9 @@ def _minimal_conductor_form(a: CyclotomicNumber) -> CyclotomicNumber:
     raise IntegrityError("a number always lies in its own conductor's field")
 
 
-def common_conductor(values: Sequence[CyclotomicNumber]) -> int:
-    return math.lcm(1, *(v.conductor for v in values))
+def common_conductor(values: Sequence[Union[CyclotomicNumber, Rational]]) -> int:
+    """The lcm m of the conductors of values, a rational counting as 1: all lie in Q(zeta_m)."""
+    return math.lcm(1, *(v.conductor for v in values if isinstance(v, CyclotomicNumber)))
 
 
 def character_exponent(group: FiniteAbelianGroup, g: Sequence[int], chi: Character) -> int:
@@ -387,7 +393,7 @@ def to_text(a: CyclotomicNumber) -> str:
 
 
 def parse_cyclotomic(text: str) -> CyclotomicNumber:
-    """Parse the text form; a bare rational is read in Q = Q(zeta_1)."""
+    """Parse the text form; a bare rational is read in Q = Q(zeta_1), so z needs a cyclo(m) tag."""
     text = text.strip()
     m = 1
     tag = re.match(r"^cyclo\((\d+)\)\s*:\s*(.*)$", text)
@@ -410,6 +416,8 @@ def parse_cyclotomic(text: str) -> CyclotomicNumber:
         match = _TERM_RE.match(term)
         if not match:
             raise ValueError(f"cannot parse term {term!r} of cyclotomic literal")
+        if not tag and "z" in term:
+            raise ValueError(f"a literal in z needs its cyclo(m) tag: {text!r}")
         if match.group("pow2") is not None:
             coef = Q1
             exp = int(match.group("exp2") or 1)

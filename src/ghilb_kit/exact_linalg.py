@@ -13,12 +13,26 @@ variables to 0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
+
+
+def _as_fraction(x) -> Fraction:
+    """x as a Fraction, when it is an exact rational: an int, a bool or a Fraction.
+
+    Fraction() would read a float as its binary value and parse a string, so
+    anything else raises TypeError.
+    """
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, numbers.Rational):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {type(x).__name__}")
 
 
 def rref_rows(rows, one=Q1):
@@ -121,7 +135,7 @@ class RationalMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        entries = tuple(Fraction(e) for e in self.entries)
+        entries = tuple(_as_fraction(e) for e in self.entries)
         if len(entries) != self.rows * self.cols:
             raise ValueError("entry count does not match rows*cols")
         object.__setattr__(self, "entries", entries)
@@ -135,7 +149,7 @@ class RationalMatrix:
                 raise ValueError("ragged rows")
         elif cols is None:
             cols = 0
-        flat = tuple(Fraction(e) for r in rows for e in r)
+        flat = tuple(e for r in rows for e in r)
         return cls(len(rows), cols, flat)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
@@ -163,5 +177,5 @@ def solve(m: RationalMatrix, b: Sequence[Fraction]) -> Optional[tuple[Fraction, 
     """Deterministic solution of m*x = b (free variables 0), or None."""
     if len(b) != m.rows:
         raise ValueError(f"right-hand side has length {len(b)}, expected {m.rows}")
-    x = solve_rows(m.row_lists(), [Fraction(e) for e in b], ncols=m.cols)
+    x = solve_rows(m.row_lists(), [_as_fraction(e) for e in b], ncols=m.cols)
     return None if x is None else tuple(x)

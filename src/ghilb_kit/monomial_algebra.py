@@ -54,7 +54,9 @@ class Monomial:
         return (self.degree, self.exponents)
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        if len(other.exponents) != len(self.exponents):
+            raise ValueError("variable counts differ")
+        return all(map(operator.le, self.exponents, other.exponents))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if len(other.exponents) != len(self.exponents):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from decimal import Decimal
 
 import pytest
 
@@ -25,6 +26,12 @@ def product_action(divisors, weights) -> ActionData:
 
 def sl2_action(r: int) -> ActionData:
     return cyclic_action(r, (1, r - 1))
+
+
+# scalars that are not exact rationals; Fraction() once read 0.1 as its binary
+# value and parsed "3/2", so each is rejected with TypeError
+inexact_scalars = pytest.mark.parametrize(
+    "bad", [0.1, "3/2", Decimal("0.5")], ids=["float", "str", "Decimal"])
 
 
 def product_index(coinv, i, j):

@@ -147,6 +147,14 @@ class TestExitCodes:
         assert out == ""
         assert err == "ghilb: error: bad --point value: zero denominator\n"
 
+    @pytest.mark.parametrize("cmd", ["orbit", "tau"])
+    def test_usage_untagged_z_point(self, cmd, capsys):
+        # untagged, z was read in Q(zeta_1) as 1 and the point (1, 1) got an answer
+        code, out, err = run(cmd, "cyclic:2:1,1", "--point", "z,1", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "ghilb: error: bad --point value: a literal in z needs its cyclo(m) tag: 'z'\n"
+
     def test_usage_unwritable_out(self, tmp_path, capsys):
         target = tmp_path / "missing" / "r.json"
         code, out, err = run("coinv", "cyclic:2:1,1", "--out", str(target), capsys=capsys)

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import ghilb_kit.cluster as cluster_module
-from conftest import assert_orbit_matches_oracle, cyclic_action, product_action, sl2_action
+from conftest import assert_orbit_matches_oracle, cyclic_action, inexact_scalars, product_action, sl2_action
 from ghilb_kit.cluster import (
     ClusterReport,
     GCluster,
@@ -159,6 +159,22 @@ class TestVerifySubspace:
     def test_column_mismatch(self, z3):
         with pytest.raises(ValueError):
             verify_cluster(z3, [[F(1), F(0)]])
+
+    @inexact_scalars
+    def test_inexact_entries_rejected(self, z2, bad):
+        zeta3 = CyclotomicNumber.root_of_unity(3)
+        for rows in ([[F(0), F(1), bad]], [[F(0), zeta3, bad]]):
+            for check in (lambda: verify_cluster(z2, rows),
+                          lambda: is_ideal_subspace(coinvariant_algebra(z2), rows)):
+                with pytest.raises(TypeError, match="expected an int or a Fraction"):
+                    check()
+
+    def test_int_bool_and_fraction_entries_read_alike(self, z2):
+        coinv = coinvariant_algebra(z2)
+        z4 = CyclotomicNumber.root_of_unity(4)
+        for rows, same in (([[0, True, -2]], [[F(0), F(1), F(-2)]]),
+                           ([[0, z4, True]], [[F(0), z4, F(1)]])):
+            assert subspace_cluster(coinv, rows) == subspace_cluster(coinv, same)
 
 
 class TestIsIdealSubspace:
@@ -389,6 +405,16 @@ class TestOrbit:
         for g, v in zip(point.generators, point.values):
             assert v == oracle_eval(g, (z, CyclotomicNumber.one(4)))
 
+    @inexact_scalars
+    def test_inexact_coordinates_rejected(self, z2, bad):
+        # 0.1 was placed as 3602879701896397/36028797018963968 and "3/2" was parsed
+        for point in ((bad, F(1)), (CyclotomicNumber.root_of_unity(4), bad)):
+            with pytest.raises(TypeError, match="expected an int or a Fraction"):
+                orbit_cluster(z2, point)
+
+    def test_int_and_bool_coordinates_read_as_fractions(self, z2):
+        assert orbit_cluster(z2, (True, 2)) == orbit_cluster(z2, (F(1), F(2)))
+
     def test_orbit_points_deterministic(self, z3):
         a, _ = orbit_cluster(z3, (F(1), F(2)))
         b, _ = orbit_cluster(z3, (F(1), F(2)))
@@ -474,6 +500,21 @@ class TestEvaluationKernel:
                     if coeff:
                         total = total + coeff * oracle_eval(m, p)
                 assert total == 0
+
+    def test_only_an_orbit_cluster_of_its_action(self, z2, z3):
+        # bare points skipped the field rule: Fractions raised AttributeError and
+        # a one-coordinate point on two variables got an answer
+        orbit, _ = orbit_cluster(z3, (F(2), F(1)))
+        monomial = monomial_cluster(z3, ideal(2, (1, 0), (0, 3)))
+        coinv = coinvariant_algebra(z3)
+        subspace = subspace_cluster(coinv, subspace_rows_of_monomial_cluster(coinv, monomial))
+        for other in ([(F(1), F(1))], [(CyclotomicNumber.root_of_unity(3),)], orbit.points,
+                      monomial, subspace):
+            with pytest.raises(ValueError, match="evaluation_kernel expects an orbit cluster"):
+                evaluation_kernel(z3, other)
+        for action in (z2, cyclic_action(3, (1, 1))):
+            with pytest.raises(ValueError, match="the cluster was built for another action"):
+                evaluation_kernel(action, orbit)
 
     @pytest.mark.parametrize("action,point", _rank_cases())
     def test_rank_certificate(self, action, point):

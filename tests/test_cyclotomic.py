@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import ghilb_kit.cyclotomic as cyclotomic_module
-from conftest import cyclic_action, product_action
+from conftest import cyclic_action, inexact_scalars, product_action
 from ghilb_kit.cyclotomic import (
     CyclotomicNumber,
     character_exponent,
@@ -244,6 +244,31 @@ class TestEmbedding:
         assert a2.conductor == b2.conductor == 12
         assert a2 == a and b2 == b
 
+    def test_rationals_lie_in_conductor_one(self):
+        # both raised AttributeError on a Fraction
+        half = embed_to_conductor(F(1, 2), 6)
+        assert half == CyclotomicNumber.from_rational(F(1, 2), 6)
+        assert half.conductor == 6
+        assert embed_to_conductor(3, 1) == CyclotomicNumber.from_rational(3, 1)
+        z4, z6 = CyclotomicNumber.root_of_unity(4), CyclotomicNumber.root_of_unity(6)
+        assert common_conductor([F(1, 2), z4, z6]) == 12
+        assert common_conductor([F(1, 2), 3, True]) == 1
+
+    @inexact_scalars
+    def test_inexact_scalars_rejected(self, bad):
+        for make in (lambda: embed_to_conductor(bad, 4),
+                     lambda: CyclotomicNumber.from_rational(bad, 4),
+                     lambda: CyclotomicNumber.from_polynomial([1, bad], 4),
+                     lambda: CyclotomicNumber(4, (F(1), bad))):
+            with pytest.raises(TypeError, match="expected an int or a Fraction"):
+                make()
+
+    def test_bool_int_and_fraction_coefficients_accepted(self):
+        want = CyclotomicNumber(4, (F(1), F(2)))
+        assert CyclotomicNumber(4, (True, 2)) == want
+        assert CyclotomicNumber.from_polynomial([True, F(2)], 4) == want
+        assert all(type(c) is Fraction for c in CyclotomicNumber(4, (True, 2)).coeffs)
+
     def test_rational_hash_matches_fraction_semantics(self):
         a = CyclotomicNumber.from_rational(F(3, 2), 4)
         b = CyclotomicNumber.from_rational(F(3, 2), 6)
@@ -367,6 +392,19 @@ class TestText:
     def test_negative_leading_term(self):
         z = CyclotomicNumber.root_of_unity(4)
         assert parse_cyclotomic(to_text(-z)) == -z
+
+    @pytest.mark.parametrize("text", ["z", "2*z + 1", "1 - z^2", " z ", "z^0"])
+    def test_untagged_z_rejected(self, text):
+        # read in Q(zeta_1), z was 1: "2*z + 1" came back as 3
+        with pytest.raises(ValueError, match=r"a literal in z needs its cyclo\(m\) tag"):
+            parse_cyclotomic(text)
+
+    def test_malformed_tag_reported_as_such(self):
+        with pytest.raises(ValueError, match="cannot parse term 'cyclo\\(4\\) z'"):
+            parse_cyclotomic("cyclo(4) z")
+
+    def test_tagged_conductor_one_reads_z_as_one(self):
+        assert parse_cyclotomic("cyclo(1): 2*z + 1") == 3
 
     def test_garbage_rejected(self):
         for bad in ("", "cyclo(4):", "z + q", "cyclo(x): 1"):

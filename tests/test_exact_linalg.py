@@ -18,6 +18,7 @@ from ghilb_kit.exact_linalg import (
     solve,
     solve_rows,
 )
+from conftest import inexact_scalars
 from oracles import oracle_rank, oracle_rref, oracle_same_rowspace
 
 F = Fraction
@@ -168,3 +169,17 @@ class TestRationalMatrix:
         m = RationalMatrix.from_rows([[1, 2], [3, 4]])
         assert all(isinstance(e, Fraction) for e in m.entries)
         assert m.row(1) == (F(3), F(4))
+
+    @inexact_scalars
+    def test_inexact_entries_rejected(self, bad):
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            RationalMatrix(1, 2, (F(1), bad))
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            RationalMatrix.from_rows([[1, bad]])
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            solve(RationalMatrix.from_rows([[1, 0], [0, 1]]), [1, bad])
+
+    def test_bool_int_and_fraction_entries_accepted(self):
+        m = RationalMatrix.from_rows([[True, 2], [F(1, 2), False]])
+        assert m.entries == (F(1), F(2), F(1, 2), F(0))
+        assert solve(m, [True, F(1, 4)]) == (F(1, 2), F(1, 4))

@@ -373,3 +373,114 @@ def test_detector_sees_unread_members():
     assert unread_members(sources, ("Algebra", "Other", "Missing"), "'Algebra.traced'") == [
         "Algebra.unread", "Other.helper", "no class Missing",
     ]
+
+
+def calls_by_function(source: str) -> list[tuple[str, ast.Call]]:
+    """(name of the innermost enclosing function, call) for each call of a module.
+
+    A call outside every function is under "<module>"; a lambda belongs to the
+    function that holds it.
+    """
+    found = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                found.append((name, child))
+            visit(child, name)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def conductor_rules(sources: dict[str, str]) -> list[str]:
+    """'module: function' for each function that decides a cyclotomic field itself:
+    it calls an lcm whose arguments read a .conductor attribute, or from_rational."""
+    found = set()
+    for module, source in sources.items():
+        for name, call in calls_by_function(source):
+            func = _read_name(call.func)
+            reads_conductor = any(isinstance(node, ast.Attribute) and node.attr == "conductor"
+                                  for arg in call.args for node in ast.walk(arg))
+            if func == "from_rational" or (func == "lcm" and reads_conductor):
+                found.add(f"{module}: {name}")
+    return sorted(found)
+
+
+def test_only_cyclotomic_places_scalars_in_a_field():
+    # which Q(zeta_m) holds some scalars, and what each one is there, is decided
+    # by common_conductor and embed_to_conductor alone
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py") if path.stem != "cyclotomic"}
+    assert conductor_rules(sources) == []
+
+
+def test_detector_sees_conductor_rules():
+    sources = {
+        "a": (
+            "import math\n"
+            "from math import lcm\n"
+            "def own(points):\n"
+            "    return math.lcm(4, *(c.conductor for p in points for c in p))\n"
+            "def loop(values):\n"
+            "    m = 1\n"
+            "    for v in values:\n"
+            "        m = lcm(m, v.conductor)\n"
+            "    return m\n"
+            "def lift(c, m):\n"
+            "    return CyclotomicNumber.from_rational(c, m)\n"
+            "def fine(action, values):\n"
+            "    return math.lcm(action.group.exponent, common_conductor(values))\n"
+            "top = math.lcm(1, x.conductor)\n"
+        ),
+    }
+    assert conductor_rules(sources) == ["a: <module>", "a: lift", "a: loop", "a: own"]
+
+
+def fraction_conversions(sources: dict[str, str]) -> list[str]:
+    """'module: function' for each function that calls Fraction(x) with one
+    argument that is not a literal."""
+    found = set()
+    for module, source in sources.items():
+        for name, call in calls_by_function(source):
+            if _read_name(call.func) != "Fraction" or len(call.args) != 1 or call.keywords:
+                continue
+            try:
+                ast.literal_eval(call.args[0])
+            except ValueError:
+                found.add(f"{module}: {name}")
+    return sorted(found)
+
+
+def test_scalars_become_fractions_through_one_check():
+    # Fraction(x) reads a float as its binary value and parses a string, so a
+    # scalar from outside passes exact_linalg._as_fraction, which rejects both.
+    # The parser converts the coefficient text its regex matched, and the
+    # cyclotomic reduction the integer numerators of its own arithmetic.
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert fraction_conversions(sources) == [
+        "cyclotomic: _reduce_mod_phi", "cyclotomic: parse_cyclotomic", "exact_linalg: _as_fraction",
+    ]
+
+
+def test_detector_sees_fraction_conversions():
+    sources = {
+        "a": (
+            "from fractions import Fraction\n"
+            "import fractions\n"
+            "Q1 = Fraction(1)\n"
+            "def rows(rs):\n"
+            "    return [[Fraction(e) for e in r] for r in rs]\n"
+            "def half(n, d):\n"
+            "    return Fraction(n, d), Fraction(-1), Fraction('1/2')\n"
+            "def qualified(x):\n"
+            "    return fractions.Fraction(x)\n"
+            "def nested():\n"
+            "    def inner(y):\n"
+            "        return Fraction(y + 1)\n"
+            "    return inner\n"
+        ),
+    }
+    assert fraction_conversions(sources) == ["a: inner", "a: qualified", "a: rows"]

@@ -66,6 +66,14 @@ class TestMonomial:
         with pytest.raises(ValueError):
             mono(1, 0).divide(mono(0, 1))
 
+    def test_divides_across_variable_counts_rejected(self):
+        # zip truncated: x1 on two variables divided x1 on one, and back
+        for a, b in ((mono(1, 0), mono(1)), (mono(1), mono(1, 0))):
+            with pytest.raises(ValueError, match="variable counts differ"):
+                a.divides(b)
+            with pytest.raises(ValueError, match="variable counts differ"):
+                a.divide(b)
+
     def test_divides_and_lcm(self):
         assert mono(1, 1).divides(mono(2, 1))
         assert not mono(2, 1).divides(mono(1, 1))
