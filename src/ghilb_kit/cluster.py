@@ -47,6 +47,8 @@ from ghilb_kit.monomial_algebra import (
 
 Scalar = Union[Fraction, CyclotomicNumber]
 
+_grlex_key = operator.attrgetter("grlex_key")
+
 
 @dataclass(frozen=True)
 class ClusterReport:
@@ -278,12 +280,15 @@ def enumerate_torus_fixed_clusters(action: ActionData,
 
     The search keeps its frontier: the basis indices off the staircase whose
     divisors m/x_i all lie on it, the only candidates for the next step.
-    Everything off the staircase is a multiple of an invariant generator or
-    of a frontier monomial, so each ideal is built from the invariant
-    generators and the frontier at its leaf; MonomialIdeal keeps the minimal
-    ones.  Every leaf carries each character once, so its sorted characters
-    are group.characters() in order: one tuple, shared by every cluster.
-    A coinv of another action raises ValueError.
+    Each leaf builds its cluster finished.  A minimal generator of its ideal
+    is a monomial off the staircase whose divisors m/x_i all lie on it: a
+    frontier monomial, or else an invariant generator g whose divisors g/x_i
+    (basis monomials, indexed once per call) are all on the staircase.  The
+    two graded-lex lists are merged, and MonomialIdeal takes the result as
+    it is, without minimalizing it again.  Every leaf carries each character
+    once, so its sorted characters are group.characters() in order: one
+    tuple, shared by every cluster.  A coinv of another action raises
+    ValueError.
     """
     if coinv is None:
         coinv = coinvariant_algebra(action)
@@ -335,19 +340,27 @@ def enumerate_torus_fixed_clusters(action: ActionData,
 
     extend(0)
 
-    clusters = [
-        GCluster(
+    basis, gens = coinv.basis, coinv.invariant_gens
+    # the divisors g/x_v of an invariant generator are basis monomials
+    gen_divisors = [[coinv.index_of(Monomial._unchecked(e[:v] + (e[v] - 1,) + e[v + 1:]))
+                     for v, a in enumerate(e) if a]
+                    for e in (g.exponents for g in gens)]
+    clusters = []
+    for stair, frontier in leaves:
+        on_stair = set(stair)
+        # both lists are in graded-lex order, so the sort merges two runs
+        min_gens = sorted([basis[i] for i in sorted(frontier)]
+                          + [g for g, divisors in zip(gens, gen_divisors) if on_stair.issuperset(divisors)],
+                          key=_grlex_key)
+        clusters.append(GCluster(
             kind="monomial",
             action=action,
-            ideal=MonomialIdeal(action.num_variables,
-                                coinv.invariant_gens + tuple(coinv.basis[i] for i in frontier)),
-            staircase=tuple(coinv.basis[i] for i in stair),
+            ideal=MonomialIdeal._unchecked(action.num_variables, tuple(min_gens)),
+            staircase=tuple(basis[i] for i in stair),
             quotient_dim=order,
             characters=characters,
-        )
-        for stair, frontier in leaves
-    ]
-    clusters.sort(key=lambda c: tuple(g.grlex_key for g in c.ideal.min_gens))
+        ))
+    clusters.sort(key=lambda c: tuple(map(_grlex_key, c.ideal.min_gens)))
     return clusters
 
 

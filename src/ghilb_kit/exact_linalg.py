@@ -161,6 +161,7 @@ class RationalMatrix:
     def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
+        vec = [_as_fraction(x) for x in vec]
         return [sum((a * b for a, b in zip(self.row(i), vec)), Q0) for i in range(self.rows)]
 
 

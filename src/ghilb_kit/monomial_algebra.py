@@ -36,6 +36,19 @@ class Monomial:
             raise ValueError("exponents must be nonnegative")
         object.__setattr__(self, "exponents", exps)
 
+    @classmethod
+    def _unchecked(cls, exponents: tuple[int, ...]) -> "Monomial":
+        """A Monomial on a tuple of non-negative ints, built without __post_init__.
+
+        Only for tuples that are such by construction: those the staircase
+        walks yield and the divisors cluster.py takes of them.  Everything
+        else goes through Monomial(...), which validates.  Only this module
+        and cluster.py may call it.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "exponents", exponents)
+        return m
+
     @property
     def num_vars(self) -> int:
         return len(self.exponents)
@@ -155,6 +168,19 @@ class MonomialIdeal:
                 minimal.append(m)
         object.__setattr__(self, "min_gens", tuple(minimal))
 
+    @classmethod
+    def _unchecked(cls, num_vars: int, min_gens: tuple[Monomial, ...]) -> "MonomialIdeal":
+        """A MonomialIdeal on generators that are already its minimal ones, in order.
+
+        min_gens must be an antichain of Monomials on num_vars variables in
+        ascending graded-lex order, which is what __post_init__ would make of
+        it; nothing is checked.  Only this module and cluster.py may call it.
+        """
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "num_vars", num_vars)
+        object.__setattr__(ideal, "min_gens", min_gens)
+        return ideal
+
     def contains(self, m: Monomial) -> bool:
         if m.num_vars != self.num_vars:
             raise ValueError(f"the ideal has {self.num_vars} variables, the monomial {m.num_vars}")
@@ -180,7 +206,7 @@ def quotient_staircase(ideal: MonomialIdeal, cap: int) -> Optional[list[Monomial
         found.extend(level)
         if len(found) > cap:
             return None
-    return [Monomial(e) for e in found]
+    return [Monomial._unchecked(e) for e in found]
 
 
 def colength(ideal: MonomialIdeal) -> Optional[int]:
@@ -248,7 +274,7 @@ def _invariant_staircase(
 
 def invariant_generators(action: ActionData) -> list[Monomial]:
     """Minimal monomial generators of the ideal of positive-degree invariants."""
-    return [Monomial(g) for g in _invariant_staircase(action)[0]]
+    return [Monomial._unchecked(g) for g in _invariant_staircase(action)[0]]
 
 
 def taylor_syzygies(ideal: MonomialIdeal) -> list[dict[int, tuple[int, Monomial]]]:
@@ -289,8 +315,8 @@ class CoinvariantAlgebra:
         self.action = action
         gen_exps, basis_exps, indices = _invariant_staircase(action)
         characters = tuple(action.group.characters())
-        self.invariant_gens: tuple[Monomial, ...] = tuple(Monomial(g) for g in gen_exps)
-        self.basis: tuple[Monomial, ...] = tuple(Monomial(e) for e in basis_exps)
+        self.invariant_gens: tuple[Monomial, ...] = tuple(map(Monomial._unchecked, gen_exps))
+        self.basis: tuple[Monomial, ...] = tuple(map(Monomial._unchecked, basis_exps))
         self.weights: tuple[Character, ...] = tuple(characters[i] for i in indices)
         self._index = {e: i for i, e in enumerate(basis_exps)}
         self._steps: Optional[list[list[Optional[int]]]] = None

@@ -436,6 +436,54 @@ class TestOutputFormats:
         assert lines["1.generators"] == "x1,x2^2"
 
 
+def _dumps(report) -> str:
+    return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+class TestRenderJson:
+    """render_json writes the bytes of json.dumps with indent=2 and sorted keys."""
+
+    @pytest.mark.parametrize("value", [
+        [], {}, [[]], [{}], {"a": []}, "", 0, -7, 10 ** 40, True, False, None,
+        ["a\"b", "c\\d", "\x00\x1f\n\t\x7f", "≠", "\u2028", ""],
+        [1, -2, 10 ** 30], [1, True], [True, False], [None, "x"], ("x", 1),
+        {"b": 1, "a": [1, "x", None], "ä": {"z": [[1, 2], ["3"]], "": False}},
+    ])
+    def test_pinned_values(self, value):
+        assert cli_module.render_json(value) == _dumps(value)
+
+    @pytest.mark.parametrize("value", [0.5, [1.5], {"a": [1, 0.25]}, [1, {"b": 2.0}], {1: "a"}, {"a": {1}}])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            cli_module.render_json(value)
+
+    @pytest.mark.parametrize("spec,ideal,bad_ideal,point,fixed_point", [
+        ("cyclic:5:1,2", "x2,x1^5", "x1^2,x2^2", "cyclo(5): z, 1", "0,0"),
+        ("2x2 ; 1,0 | 0,1 | 1,1", "x3,x1^2,x2^2", "x1,x2", "1,2,3", "0,0,1"),
+        ("cyclic:1:1", "x1", "x1^2", "2", "0"),
+    ])
+    def test_every_subcommand_report(self, spec, ideal, bad_ideal, point, fixed_point,
+                                     monkeypatch, capsys):
+        reports = []
+        render = cli_module.render_json
+
+        def recording(report):
+            reports.append(report)
+            return render(report)
+
+        monkeypatch.setattr(cli_module, "render_json", recording)
+        argvs = [("coinv", spec), ("clusters", spec), ("mckay", spec),
+                 ("verify", spec, "--ideal", ideal), ("verify", spec, "--ideal", bad_ideal),
+                 ("tau", spec, "--ideal", ideal), ("tau", spec, "--ideal", bad_ideal),
+                 ("tau", spec, "--point", point), ("tau", spec, "--point", fixed_point),
+                 ("orbit", spec, "--point", point), ("orbit", spec, "--point", fixed_point),
+                 ("tangent", spec, "--ideal", ideal), ("tangent", spec, "--ideal", bad_ideal)]
+        for argv in argvs:
+            _, out, _ = run(*argv, capsys=capsys)
+            assert len(reports) == 1, argv
+            assert out == _dumps(reports.pop()), argv
+
+
 class TestGoldenOutput:
     """sha256 of the default JSON stdout, pinned so later changes keep it byte-identical."""
 

@@ -183,3 +183,18 @@ class TestRationalMatrix:
         m = RationalMatrix.from_rows([[True, 2], [F(1, 2), False]])
         assert m.entries == (F(1), F(2), F(1, 2), F(0))
         assert solve(m, [True, F(1, 4)]) == (F(1, 2), F(1, 4))
+
+    @inexact_scalars
+    def test_apply_rejects_inexact_vectors(self, bad):
+        m = RationalMatrix.from_rows([[1, 2]])
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            m.apply([1, bad])
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            m.apply([bad, bad])
+
+    def test_apply_on_bool_int_and_fraction_vectors(self):
+        m = RationalMatrix.from_rows([[1, 2], [F(1, 2), -3]])
+        assert m.apply([1, 2]) == [F(5), F(-11, 2)]
+        assert m.apply([True, False]) == [F(1), F(1, 2)]
+        assert m.apply([F(1, 2), F(1, 4)]) == [F(1), F(-1, 2)]
+        assert all(type(v) is Fraction for v in m.apply([True, 3]))

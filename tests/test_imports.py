@@ -375,6 +375,36 @@ def test_detector_sees_unread_members():
     ]
 
 
+def unchecked_reads(sources: dict[str, str]) -> list[str]:
+    """'module line N' for each read of an attribute named _unchecked."""
+    return sorted(f"{module} line {node.lineno}" for module, source in sources.items()
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "_unchecked")
+
+
+# the walks of monomial_algebra and the enumeration of cluster build their
+# Monomials and ideals unchecked; every other caller goes through the checks
+UNCHECKED_BUILDERS = ("monomial_algebra", "cluster")
+
+
+def test_unchecked_constructors_stay_with_the_walks():
+    paths = [p for p in PACKAGE.glob("*.py") if p.stem not in UNCHECKED_BUILDERS]
+    paths += Path(__file__).resolve().parent.glob("*.py")
+    assert unchecked_reads({path.stem: path.read_text() for path in paths}) == []
+
+
+def test_detector_sees_unchecked_reads():
+    sources = {
+        "a": (
+            "def f(e):\n"
+            "    return Monomial._unchecked(e)\n"
+            "build = map(MonomialIdeal._unchecked, [])\n"
+        ),
+        "b": "def g(e):\n    return Monomial(e), unchecked(e)\n",
+    }
+    assert unchecked_reads(sources) == ["a line 2", "a line 3"]
+
+
 def calls_by_function(source: str) -> list[tuple[str, ast.Call]]:
     """(name of the innermost enclosing function, call) for each call of a module.
 

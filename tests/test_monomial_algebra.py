@@ -523,3 +523,37 @@ class TestCharacterIndices:
             stair = tuple(sorted(weight_of_monomial(action, m.exponents) for m in c.staircase))
             assert c.characters == stair == verify_cluster(action, c.ideal).characters
         assert len({id(c.characters) for c in clusters}) == 1
+
+
+class TestUncheckedConstruction:
+    """The walks and the enumeration build Monomials and ideals without their
+    checks; each must equal what the checked constructor makes of the same data."""
+
+    @staticmethod
+    def assert_checked(m):
+        assert all(type(a) is int for a in m.exponents), m
+        checked = Monomial(m.exponents)
+        assert m == checked and hash(m) == hash(checked)
+
+    def test_enumerated_ideals_equal_checked_ones(self):
+        for action in sweep_actions():
+            coinv = coinvariant_algebra(action)
+            n = action.num_variables
+            for c in enumerate_torus_fixed_clusters(action, coinv):
+                on_stair = set(c.staircase)
+                frontier = [m for m in coinv.basis if m not in on_stair and all(
+                    Monomial(m.exponents[:v] + (a - 1,) + m.exponents[v + 1:]) in on_stair
+                    for v, a in enumerate(m.exponents) if a)]
+                checked = MonomialIdeal(
+                    n, tuple(Monomial(m.exponents) for m in coinv.invariant_gens + tuple(frontier)))
+                assert c.ideal == checked, (action, c.ideal)
+                assert type(c.ideal.num_vars) is int and type(c.ideal.min_gens) is tuple
+
+    def test_walked_monomials_equal_checked_ones(self):
+        for action in sweep_actions():
+            coinv = coinvariant_algebra(action)
+            for m in coinv.basis + coinv.invariant_gens + tuple(invariant_generators(action)):
+                self.assert_checked(m)
+            ideal = MonomialIdeal(action.num_variables, coinv.invariant_gens)
+            for m in quotient_staircase(ideal, coinv.dim):
+                self.assert_checked(m)

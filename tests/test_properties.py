@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import assert_orbit_matches_oracle, product_action
+from ghilb_kit.cli import render_json
 from ghilb_kit.cluster import enumerate_torus_fixed_clusters, subspace_rows_of_monomial_cluster
 from ghilb_kit.cyclotomic import CyclotomicNumber, euler_phi
 from ghilb_kit.group_rep import weight_of_monomial
@@ -160,3 +162,21 @@ def test_inverse_equals_euclid_oracle(a):
     inv = a.inverse()
     assert a * inv == 1
     assert inv == oracle_inverse(a)
+
+
+# quotes, backslashes, control characters and non-ASCII text, as well as any text
+json_strings = st.text(st.sampled_from('"\\\x00\x08\t\n\x1f\x7f ax≠\u2028')) | st.text()
+json_ints = st.integers(-2 ** 70, 2 ** 70)
+json_values = st.recursive(
+    st.none() | st.booleans() | json_ints | json_strings
+    | st.lists(json_strings) | st.lists(json_ints),
+    lambda children: st.lists(children, max_size=5) | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(json_strings, children, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(json_values)
+def test_render_json_equals_json_dumps(value):
+    assert render_json(value) == json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
