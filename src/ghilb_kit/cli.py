@@ -319,10 +319,10 @@ def cmd_clusters(action: ActionData, args) -> int:
         characters = _characters_json(first.characters)
         # their generators and staircases are basis monomials and invariant generators
         text = {m.exponents: m.to_text() for m in coinv.basis + coinv.invariant_gens}
+        # a staircase inside the coinvariant basis leaves every invariant
+        # generator in the ideal, so tau is the origin for each cluster
+        tau = ["0"] * len(coinv.invariant_gens) if verdict.is_cluster else None
         for c in clusters:
-            tau = None
-            if verdict.is_cluster:
-                tau = [_scalar_json(v) for v in tau_support(action, c.ideal, coinv).values]
             report.append(_cluster_fields(
                 verdict,
                 [text[g.exponents] for g in c.ideal.min_gens],

@@ -267,6 +267,14 @@ def subspace_cluster(coinv: CoinvariantAlgebra, rows) -> GCluster:
     )
 
 
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 def enumerate_torus_fixed_clusters(action: ActionData,
                                    coinv: Optional[CoinvariantAlgebra] = None) -> list[GCluster]:
     """All monomial G-clusters supported at the origin, canonically sorted.
@@ -278,17 +286,28 @@ def enumerate_torus_fixed_clusters(action: ActionData,
     graded-lex keys of the minimal generator lists.  Pass the action's
     coinvariant algebra as coinv to reuse it; otherwise it is built here.
 
-    The search keeps its frontier: the basis indices off the staircase whose
-    divisors m/x_i all lie on it, the only candidates for the next step.
+    The search state is Python int bit masks, passed by value down the
+    recursion: bit i of a basis mask stands for basis[i], bit c of a
+    character mask for the character of index c (coinv.weight_indices).  A
+    node holds its staircase, its frontier (the basis indices off the
+    staircase whose divisors m/x_i all lie on it, the only candidates for
+    the next step), its unused characters, and the indices whose character
+    is unused.  Its candidates are the frontier indices at or past its start
+    with an unused character, walked lowest bit first, so in ascending
+    index order.  A node is cut when some unused character occurs at no
+    index from start on: ahead[start] masks the characters found there.
+    Backtracking restores only the counts of divisors still off the
+    staircase, which tell when an index joins the frontier.
+
     Each leaf builds its cluster finished.  A minimal generator of its ideal
     is a monomial off the staircase whose divisors m/x_i all lie on it: a
     frontier monomial, or else an invariant generator g whose divisors g/x_i
-    (basis monomials, indexed once per call) are all on the staircase.  The
+    (basis monomials, masked once per call) are all on the staircase.  The
     two graded-lex lists are merged, and MonomialIdeal takes the result as
     it is, without minimalizing it again.  Every leaf carries each character
     once, so its sorted characters are group.characters() in order: one
-    tuple, shared by every cluster.  A coinv of another action raises
-    ValueError.
+    tuple, read off coinv.weights and shared by every cluster.  A coinv of
+    another action raises ValueError.
     """
     if coinv is None:
         coinv = coinvariant_algebra(action)
@@ -300,63 +319,58 @@ def enumerate_torus_fixed_clusters(action: ActionData,
     # the basis is closed under division, so it starts at the nonzero exponents
     ups = [[k for k in row if k is not None] for row in coinv.variable_steps()]
     missing = [action.num_variables - m.exponents.count(0) for m in coinv.basis]
-    ready = {i for i, k in enumerate(missing) if not k}
-    characters = tuple(action.group.characters())
-    char_id = {chi: k for k, chi in enumerate(characters)}
-    chars = [char_id[w] for w in coinv.weights]
-    # suffix[i] holds the characters at indices >= i; equal sets are shared
-    suffix: list[frozenset] = [frozenset()] * (len(chars) + 1)
+    chars = coinv.weight_indices
+    # of_char[c] masks the indices of character c; ahead[i] masks the characters at indices >= i
+    of_char = [0] * order
+    ahead = [0] * (len(chars) + 1)
     for i in range(len(chars) - 1, -1, -1):
-        ahead = suffix[i + 1]
-        suffix[i] = ahead if chars[i] in ahead else ahead | {chars[i]}
+        of_char[chars[i]] |= 1 << i
+        ahead[i] = ahead[i + 1] | 1 << chars[i]
 
-    leaves: list[tuple[list[int], list[int]]] = []
-    chosen: list[int] = []
-    unused = set(range(order))
+    leaves: list[tuple[int, int]] = []
 
-    def extend(start: int) -> None:
+    def extend(start: int, stair: int, ready: int, unused: int, allowed: int) -> None:
         if not unused:
-            leaves.append((list(chosen), list(ready)))
+            leaves.append((stair, ready))
             return
-        if not unused <= suffix[start]:
+        if unused & ~ahead[start]:
             return
-        for idx in sorted(i for i in ready if i >= start and chars[i] in unused):
+        candidates = ready & allowed & (-1 << start)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            idx = low.bit_length() - 1
             c = chars[idx]
-            chosen.append(idx)
-            unused.remove(c)
-            ready.remove(idx)
+            grown = ready ^ low
             for u in ups[idx]:
                 missing[u] -= 1
                 if not missing[u]:
-                    ready.add(u)
-            extend(idx + 1)
+                    grown |= 1 << u
+            extend(idx + 1, stair | low, grown, unused ^ 1 << c, allowed & ~of_char[c])
             for u in ups[idx]:
-                if not missing[u]:
-                    ready.remove(u)
                 missing[u] += 1
-            ready.add(idx)
-            chosen.pop()
-            unused.add(c)
 
-    extend(0)
+    first = sum(1 << i for i, k in enumerate(missing) if not k)
+    extend(0, 0, first, (1 << order) - 1, (1 << len(chars)) - 1)
 
     basis, gens = coinv.basis, coinv.invariant_gens
     # the divisors g/x_v of an invariant generator are basis monomials
-    gen_divisors = [[coinv.index_of(Monomial._unchecked(e[:v] + (e[v] - 1,) + e[v + 1:]))
-                     for v, a in enumerate(e) if a]
+    gen_divisors = [sum(1 << coinv.index_of(Monomial._unchecked(e[:v] + (e[v] - 1,) + e[v + 1:]))
+                        for v, a in enumerate(e) if a)
                     for e in (g.exponents for g in gens)]
+    # group.characters() in order, each the weight of the lowest index of its character
+    characters = tuple(coinv.weights[next(_bits(m))] for m in of_char)
     clusters = []
     for stair, frontier in leaves:
-        on_stair = set(stair)
         # both lists are in graded-lex order, so the sort merges two runs
-        min_gens = sorted([basis[i] for i in sorted(frontier)]
-                          + [g for g, divisors in zip(gens, gen_divisors) if on_stair.issuperset(divisors)],
+        min_gens = sorted([basis[i] for i in _bits(frontier)]
+                          + [g for g, divisors in zip(gens, gen_divisors) if stair & divisors == divisors],
                           key=_grlex_key)
         clusters.append(GCluster(
             kind="monomial",
             action=action,
             ideal=MonomialIdeal._unchecked(action.num_variables, tuple(min_gens)),
-            staircase=tuple(basis[i] for i in stair),
+            staircase=tuple(basis[i] for i in _bits(stair)),
             quotient_dim=order,
             characters=characters,
         ))

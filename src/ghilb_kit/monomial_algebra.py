@@ -304,6 +304,10 @@ class CoinvariantAlgebra:
     Products of basis monomials multiply exactly: the product monomial when it
     stays in the basis, zero when it falls into the ideal.  The one index
     table is that of the products by the variables (variable_steps).
+
+    weights[i] is the character of basis[i], and weight_indices[i] the
+    integer position of weights[i] in group.characters(), as the walk of
+    the basis computed it.
     """
 
     def __init__(self, action: ActionData) -> None:
@@ -317,6 +321,7 @@ class CoinvariantAlgebra:
         characters = tuple(action.group.characters())
         self.invariant_gens: tuple[Monomial, ...] = tuple(map(Monomial._unchecked, gen_exps))
         self.basis: tuple[Monomial, ...] = tuple(map(Monomial._unchecked, basis_exps))
+        self.weight_indices: tuple[int, ...] = tuple(indices)
         self.weights: tuple[Character, ...] = tuple(characters[i] for i in indices)
         self._index = {e: i for i, e in enumerate(basis_exps)}
         self._steps: Optional[list[list[Optional[int]]]] = None

@@ -608,6 +608,8 @@ class TestEachQueryOnce:
                             counting("_fixed_point_counts", cluster_module._fixed_point_counts))
         monkeypatch.setattr(cli_module, "verify_cluster",
                             counting("verify_cluster", cli_module.verify_cluster))
+        monkeypatch.setattr(cli_module, "tau_support",
+                            counting("tau_support", cli_module.tau_support))
         monkeypatch.setattr(monomial_module.CoinvariantAlgebra, "__init__",
                             counting("CoinvariantAlgebra", monomial_module.CoinvariantAlgebra.__init__))
         return calls
@@ -619,7 +621,7 @@ class TestEachQueryOnce:
         (("verify", "cyclic:3:1,2", "--ideal", "x1^2,x2^2"),
          {"quotient_staircase": 1, "_invariant_staircase": 0}),
         (("tau", "cyclic:5:1,2", "--ideal", "x2,x1^5"),
-         {"quotient_staircase": 1, "_invariant_staircase": 1}),
+         {"quotient_staircase": 1, "_invariant_staircase": 1, "tau_support": 1}),
         (("tau", "cyclic:2:1,1", "--ideal", "x1^3,x2"),
          {"quotient_staircase": 1, "_invariant_staircase": 0}),
         # tangent reads its numbers off the cluster's staircase
@@ -629,8 +631,9 @@ class TestEachQueryOnce:
          {"quotient_staircase": 1, "_invariant_staircase": 0, "CoinvariantAlgebra": 0}),
         (("tangent", "cyclic:3:1,2", "--ideal", "x1,x2"),
          {"quotient_staircase": 1, "_invariant_staircase": 0}),
+        # an enumerated cluster lies over the origin, so clusters solves no tau
         (("clusters", "cyclic:7:1,2,4"),
-         {"quotient_staircase": 0, "verify_cluster": 0, "_invariant_staircase": 1}),
+         {"quotient_staircase": 0, "verify_cluster": 0, "_invariant_staircase": 1, "tau_support": 0}),
         (("orbit", "cyclic:4:1,3", "--point", "1,2"),
          {"_fixed_point_counts": 1, "verify_cluster": 0, "_invariant_staircase": 1,
           "kernel_basis_rows": 0}),

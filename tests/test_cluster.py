@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,14 @@ from types import SimpleNamespace
 import pytest
 
 import ghilb_kit.cluster as cluster_module
-from conftest import assert_orbit_matches_oracle, cyclic_action, inexact_scalars, product_action, sl2_action
+from conftest import (
+    assert_orbit_matches_oracle,
+    cyclic_action,
+    inexact_scalars,
+    product_action,
+    sl2_action,
+    sweep_actions,
+)
 from ghilb_kit.cluster import (
     ClusterReport,
     GCluster,
@@ -315,6 +323,46 @@ class TestEnumerate:
         for cluster in enumerate_torus_fixed_clusters(z3):
             for g in gens:
                 assert cluster.ideal.contains(g)
+
+    def test_enumeration_order_is_pinned(self):
+        # sha256 of each cluster's minimal generators and staircase, in output
+        # order, over the sweep, a trivial group and a one-variable action
+        digest = hashlib.sha256()
+        for action in sweep_actions() + [cyclic_action(1, (0, 0)), cyclic_action(7, (3,))]:
+            for c in enumerate_torus_fixed_clusters(action):
+                digest.update((" ".join(g.to_text() for g in c.ideal.min_gens) + " | "
+                               + " ".join(m.to_text() for m in c.staircase) + "\n").encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == "67e6926503710798e41d0c1f836dcf86066caad586b1c3bd7b869cb897cbbcad"
+
+    def test_search_reaches_its_leaves_in_lexicographic_index_order(self, monkeypatch):
+        # each node walks its candidates in ascending index order, so the
+        # staircases leave the search (before the final sort) in ascending
+        # lexicographic order of their basis index lists
+        built = []
+
+        def recording(**fields):
+            built.append(fields["staircase"])
+            return GCluster(**fields)
+
+        monkeypatch.setattr(cluster_module, "GCluster", recording)
+        for action in sweep_actions():
+            coinv = coinvariant_algebra(action)
+            built.clear()
+            clusters = enumerate_torus_fixed_clusters(action, coinv)
+            assert len(built) == len(clusters)
+            paths = [[coinv.index_of(m) for m in stair] for stair in built]
+            assert all(path == sorted(path) for path in paths), action
+            assert all(a < b for a, b in zip(paths, paths[1:])), action
+
+    def test_tau_of_every_enumerated_cluster_is_the_origin(self):
+        # the clusters command prints this constant instead of calling tau_support
+        for action in sweep_actions():
+            coinv = coinvariant_algebra(action)
+            for c in enumerate_torus_fixed_clusters(action, coinv):
+                point = tau_support(action, c.ideal, coinv)
+                assert point.generators == coinv.invariant_gens
+                assert point.values == (0,) * len(coinv.invariant_gens), (action, c.ideal)
 
 
 class TestFactories:

@@ -316,21 +316,31 @@ def test_detector_sees_unread_parameters():
     ]
 
 
-def unread_members(sources: dict[str, str], class_names, named: str) -> list[str]:
-    """'Class.member' for each method or property of the named classes that no
-    Attribute of the sources reads and no word of the text named names.
+def _instance_attributes(cls: ast.ClassDef) -> list[str]:
+    """Names a method of the class assigns as self.name, in first-seen order."""
+    names = [node.attr for node in ast.walk(cls)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+             and isinstance(node.value, ast.Name) and node.value.id == "self"]
+    return list(dict.fromkeys(names))
 
-    Dunder methods are exempt.  A class missing from the sources is reported,
-    so that a renamed class does not pass unseen.
+
+def unread_members(sources: dict[str, str], class_names, named: str) -> list[str]:
+    """'Class.member' for each method, property or instance attribute (set as
+    self.name) of the named classes that no Attribute of the sources reads and
+    no word of the text named names.
+
+    Dunder methods are exempt; an assignment is not a read.  A class missing
+    from the sources is reported, so that a renamed class does not pass unseen.
     """
     reads = set()
     members = {}
     for source in sources.values():
         tree = ast.parse(source)
-        reads.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store))
         members.update((cls.name, [node.name for node in cls.body
                                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                                   and not node.name.startswith("__")])
+                                   and not node.name.startswith("__")] + _instance_attributes(cls))
                        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name in class_names)
     words = set(re.findall(r"\w+", named))
     return sorted([f"no class {name}" for name in class_names if name not in members] +
@@ -355,6 +365,8 @@ def test_detector_sees_unread_members():
             "class Algebra:\n"
             "    def __init__(self):\n"
             "        self.size = 0\n"
+            "        self.kept = 0\n"
+            "        self.traced_count = 0\n"
             "    @property\n"
             "    def dim(self):\n"
             "        return self.size\n"
@@ -370,8 +382,8 @@ def test_detector_sees_unread_members():
         ),
         "b": "def f(algebra):\n    return algebra.steps()\n",
     }
-    assert unread_members(sources, ("Algebra", "Other", "Missing"), "'Algebra.traced'") == [
-        "Algebra.unread", "Other.helper", "no class Missing",
+    assert unread_members(sources, ("Algebra", "Other", "Missing"), "'Algebra.traced' traced_count") == [
+        "Algebra.kept", "Algebra.unread", "Other.helper", "no class Missing",
     ]
 
 

@@ -354,6 +354,15 @@ class TestCoinvariantAlgebra:
             assert coinv.dim >= action.group.order
             assert coinv.basis[0].is_one
 
+    def test_weight_indices_locate_the_weights(self):
+        for action in sweep_actions():
+            coinv = coinvariant_algebra(action)
+            characters = tuple(action.group.characters())
+            assert len(coinv.weight_indices) == coinv.dim
+            for i, w in enumerate(coinv.weights):
+                assert type(coinv.weight_indices[i]) is int
+                assert w == characters[coinv.weight_indices[i]], (action, i)
+
     def test_variable_steps_are_products(self):
         for action in sweep_actions():
             coinv = coinvariant_algebra(action)
