@@ -8,6 +8,7 @@ types and operations of the submodules.
 from ghilb_kit.group_rep import (
     ActionData,
     Character,
+    DomainError,
     FiniteAbelianGroup,
     is_regular_representation,
     isotypical_split,
@@ -66,6 +67,7 @@ __all__ = [
     "ClusterReport",
     "CoinvariantAlgebra",
     "CyclotomicNumber",
+    "DomainError",
     "Eq8Report",
     "EquivariantHomSpace",
     "FiniteAbelianGroup",

@@ -3,8 +3,9 @@
 Parses textual action specifications, dispatches the library computations,
 and prints deterministic JSON or TSV reports.  Exit status: 0 on success,
 1 on a domain failure (the input is well-formed but is not a cluster, not a
-free orbit, and so on), 2 on a usage error, 3 on an internal error (an
-IntegrityError: a consistency check failed, so the library is at fault).
+free orbit, not faithful, and so on: a negative report or a DomainError), 2
+on a usage error, 3 on an internal error (an IntegrityError, or any other
+ValueError a command lets through: the library is at fault).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ghilb_kit.cluster import (
     verify_cluster,
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber, parse_cyclotomic, to_text as cyclo_text
-from ghilb_kit.group_rep import ActionData, Character, FiniteAbelianGroup
+from ghilb_kit.group_rep import ActionData, Character, DomainError, FiniteAbelianGroup
 from ghilb_kit.monomial_algebra import MonomialIdeal, coinvariant_algebra, parse_monomial
 from ghilb_kit.tangent import _staircase_relative, mckay_table, tangent_space
 
@@ -520,7 +521,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         action = parse_action_spec(args.action)
-    except (SpecParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"ghilb: error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -528,10 +529,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"ghilb: error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except DomainError as exc:
         print(f"ghilb: error: {exc}", file=sys.stderr)
         return 1
-    except IntegrityError as exc:
+    except (IntegrityError, ValueError) as exc:
         print(f"ghilb: internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -26,12 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from ghilb_kit.cyclotomic import CyclotomicNumber, character_exponent, common_conductor, embed_to_conductor
+from ghilb_kit.cyclotomic import CyclotomicNumber, common_conductor, embed_to_conductor
 from ghilb_kit.exact_linalg import _as_fraction, kernel_basis_rows, row_space_contains, rref_rows
 from ghilb_kit.group_rep import (
     ActionData,
     Character,
+    DomainError,
     IntegrityError,
+    character_exponent,
     is_regular_representation,
     weight_of_monomial,
 )
@@ -241,7 +243,7 @@ def monomial_cluster(action: ActionData, ideal) -> GCluster:
         ideal = MonomialIdeal(action.num_variables, tuple(ideal))
     report = _monomial_report(action, ideal)
     if not report.is_cluster:
-        raise ValueError(f"not a G-cluster: {report.failure_reason}")
+        raise DomainError(f"not a G-cluster: {report.failure_reason}")
     return GCluster(
         kind="monomial",
         action=action,
@@ -257,7 +259,7 @@ def subspace_cluster(coinv: CoinvariantAlgebra, rows) -> GCluster:
     rref, pivots = _echelon(coinv, rows)
     report = _subspace_report(coinv.action, coinv, rref, pivots)
     if not report.is_cluster:
-        raise ValueError(f"not a G-cluster: {report.failure_reason}")
+        raise DomainError(f"not a G-cluster: {report.failure_reason}")
     return GCluster(
         kind="subspace",
         action=coinv.action,

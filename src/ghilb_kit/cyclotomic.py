@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ghilb_kit.exact_linalg import _as_fraction, solve_rows
-from ghilb_kit.group_rep import Character, FiniteAbelianGroup, IntegrityError
+from ghilb_kit.group_rep import Character, FiniteAbelianGroup, IntegrityError, character_exponent
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -339,17 +339,6 @@ def _minimal_conductor_form(a: CyclotomicNumber) -> CyclotomicNumber:
 def common_conductor(values: Sequence[Union[CyclotomicNumber, Rational]]) -> int:
     """The lcm m of the conductors of values, a rational counting as 1: all lie in Q(zeta_m)."""
     return math.lcm(1, *(v.conductor for v in values if isinstance(v, CyclotomicNumber)))
-
-
-def character_exponent(group: FiniteAbelianGroup, g: Sequence[int], chi: Character) -> int:
-    """The k in [0, m) with chi(g) = prod_i zeta_{d_i}^{g_i * c_i} = zeta_m^k, m = lcm(d_i)."""
-    if chi.divisors != group.elementary_divisors:
-        raise ValueError("character does not belong to the group")
-    if len(g) != len(group.elementary_divisors):
-        raise ValueError("element arity does not match the group")
-    m = group.exponent
-    return sum((m // di) * (gi % di) * ci
-               for gi, ci, di in zip(g, chi.components, group.elementary_divisors)) % m
 
 
 def character_value(group: FiniteAbelianGroup, g: Sequence[int],

@@ -28,6 +28,14 @@ class IntegrityError(RuntimeError):
     """
 
 
+class DomainError(ValueError):
+    """A well-formed input whose answer is "no": not faithful, not a cluster, and so on.
+
+    The CLI reports it with exit status 1.  Any other ValueError that
+    reaches the CLI is an internal error.
+    """
+
+
 @dataclass(frozen=True, order=True)
 class Character:
     """A character of a finite abelian group, stored reduced mod the divisors."""
@@ -145,26 +153,17 @@ class ActionData:
         object.__setattr__(self, "weights", weights)
 
     def is_faithful(self) -> bool:
-        """True iff the weights generate the whole character group.
+        """True iff only the identity acts trivially, that is, pairs to 0 with every weight.
 
-        The subgroup the weights generate is found by a search on residue
-        tuples, adding one weight at a time; no Character is built.
-        CoinvariantAlgebra runs it before its walk as a check independent
-        of the walk, which then checks its own output.
+        Those elements form the kernel of the action, the annihilator of the
+        subgroup the weights generate, so this is also the test that the
+        weights generate the whole character group.  CoinvariantAlgebra
+        calls it only when its walk misses a character.
         """
-        divisors = self.group.elementary_divisors
-        steps = [w.components for w in self.weights]
-        identity = self.group.identity
-        generated = {identity}
-        frontier = [identity]
-        while frontier:
-            chi = frontier.pop()
-            for w in steps:
-                nxt = tuple((a + b) % d for a, b, d in zip(chi, w, divisors))
-                if nxt not in generated:
-                    generated.add(nxt)
-                    frontier.append(nxt)
-        return len(generated) == self.group.order
+        elements = self.group.elements()
+        next(elements)  # the identity
+        return not any(all(character_exponent(self.group, g, w) == 0 for w in self.weights)
+                       for g in elements)
 
     def determinant_character(self) -> Character:
         det = self.group.trivial_character
@@ -174,6 +173,17 @@ class ActionData:
 
     def is_sl_action(self) -> bool:
         return self.determinant_character().is_trivial
+
+
+def character_exponent(group: FiniteAbelianGroup, g: Sequence[int], chi: Character) -> int:
+    """The k in [0, m) with chi(g) = prod_i zeta_{d_i}^{g_i * c_i} = zeta_m^k, m = lcm(d_i)."""
+    if chi.divisors != group.elementary_divisors:
+        raise ValueError("character does not belong to the group")
+    if len(g) != len(group.elementary_divisors):
+        raise ValueError("element arity does not match the group")
+    m = group.exponent
+    return sum((m // di) * (operator.index(gi) % di) * ci
+               for gi, ci, di in zip(g, chi.components, group.elementary_divisors)) % m
 
 
 def weight_of_monomial(action: ActionData, exponents: Sequence[int]) -> Character:

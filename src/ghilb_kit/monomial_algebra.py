@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from ghilb_kit.group_rep import ActionData, Character, IntegrityError
+from ghilb_kit.group_rep import ActionData, Character, DomainError, IntegrityError
 
 _ALIAS_NAMES = ("x", "y", "z", "w")
 
@@ -308,14 +308,13 @@ class CoinvariantAlgebra:
     weights[i] is the character of basis[i], and weight_indices[i] the
     integer position of weights[i] in group.characters(), as the walk of
     the basis computed it.
+
+    A correct walk misses a character exactly when the action is not
+    faithful; only then is action.is_faithful() asked, to tell a
+    DomainError from an IntegrityError.
     """
 
     def __init__(self, action: ActionData) -> None:
-        if not action.is_faithful():
-            raise ValueError(
-                "the weights do not generate the full character group; "
-                "the action is not faithful and the basis cannot carry every character"
-            )
         self.action = action
         gen_exps, basis_exps, indices = _invariant_staircase(action)
         characters = tuple(action.group.characters())
@@ -331,6 +330,11 @@ class CoinvariantAlgebra:
         present = set(indices)
         missing = [chi for i, chi in enumerate(characters) if i not in present]
         if missing:
+            if not action.is_faithful():
+                raise DomainError(
+                    "the weights do not generate the full character group; "
+                    "the action is not faithful and the basis cannot carry every character"
+                )
             raise IntegrityError(f"characters missing from the basis: {missing}")
 
     @property

@@ -54,7 +54,7 @@ from ghilb_kit.cluster import (
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber
 from ghilb_kit.exact_linalg import kernel_basis_rows, rref_rows
-from ghilb_kit.group_rep import ActionData, Character, weight_of_monomial
+from ghilb_kit.group_rep import ActionData, Character, DomainError, weight_of_monomial
 from ghilb_kit.monomial_algebra import (
     CoinvariantAlgebra,
     Monomial,
@@ -140,7 +140,7 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -
         ideal = cluster
         dim = colength(ideal)
         if dim is None:
-            raise ValueError("quotient is not finite-dimensional")
+            raise DomainError("quotient is not finite-dimensional")
         staircase = quotient_staircase(ideal, max(dim, 1))
 
     stair_exps = [m.exponents for m in staircase]
@@ -316,11 +316,11 @@ class _DenseRelative(RelativeData):
         self.rref, self.pivots = _echelon(coinv, rows)
         self.images = _variable_images(coinv, self.rref)
         if not _closed_under_variables(self.rref, self.pivots, self.images):
-            raise ValueError("subspace is not an ideal in the coinvariant algebra")
+            raise DomainError("subspace is not an ideal in the coinvariant algebra")
         try:
             self.row_weights = [coinv.vector_weight(r) for r in self.rref]
         except ValueError:
-            raise ValueError("subspace is not weight-graded") from None
+            raise DomainError("subspace is not weight-graded") from None
         pivot_set = set(self.pivots)
         self.qcols = [i for i in range(coinv.dim) if i not in pivot_set]
 

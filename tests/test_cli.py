@@ -117,9 +117,11 @@ class TestExitCodes:
         assert report["staircase"] is None
 
     def test_domain_failure_non_faithful(self, capsys):
-        code, _, err = run("coinv", "cyclic:4:2,2", capsys=capsys)
+        code, out, err = run("coinv", "cyclic:4:2,2", capsys=capsys)
         assert code == 1
-        assert "faithful" in err
+        assert out == ""
+        assert err == ("ghilb: error: the weights do not generate the full character group; "
+                       "the action is not faithful and the basis cannot carry every character\n")
 
     def test_usage_bad_action_text(self, capsys):
         code, _, err = run("verify", "cyclic:0:1", "--ideal", "x", capsys=capsys)
@@ -249,6 +251,18 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == "ghilb: internal error: a relative tangent vector vanishes on the minimal generators\n"
+
+    def test_bare_value_error_exits_three(self, monkeypatch, capsys):
+        # only a DomainError is a negative answer; any other ValueError a
+        # command lets through is a library fault
+        def fault(action):
+            raise ValueError("the coinvariant algebra was built for another action")
+
+        monkeypatch.setattr(cli_module, "coinvariant_algebra", fault)
+        code, out, err = run("coinv", "cyclic:3:1,2", capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "ghilb: internal error: the coinvariant algebra was built for another action\n"
 
     def test_coinvariant_check_exits_three(self, monkeypatch, capsys):
         # a walk that loses characters is a library fault, not a negative answer

@@ -34,7 +34,7 @@ from ghilb_kit.cluster import (
     verify_cluster,
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber
-from ghilb_kit.group_rep import is_regular_representation, weight_of_monomial
+from ghilb_kit.group_rep import DomainError, is_regular_representation, weight_of_monomial
 from ghilb_kit.monomial_algebra import Monomial, MonomialIdeal, coinvariant_algebra
 from oracles import (
     oracle_eval,
@@ -379,6 +379,13 @@ class TestFactories:
         assert cluster.kind == "subspace"
         assert verify_cluster(z2, cluster).is_cluster
         with pytest.raises(ValueError, match="not a G-cluster"):
+            subspace_cluster(coinv, [[F(0), F(1), F(0)], [F(0), F(0), F(1)]])
+
+    def test_non_clusters_are_domain_errors(self, z2):
+        with pytest.raises(DomainError, match="^not a G-cluster: dimension 1 ≠ 2$"):
+            monomial_cluster(z2, [mono(1, 0), mono(0, 1)])
+        coinv = coinvariant_algebra(z2)
+        with pytest.raises(DomainError, match="^not a G-cluster: "):
             subspace_cluster(coinv, [[F(0), F(1), F(0)], [F(0), F(0), F(1)]])
 
     def test_subspace_rows_of_ideal_on_other_variables_rejected(self):

@@ -11,7 +11,6 @@ import ghilb_kit.cyclotomic as cyclotomic_module
 from conftest import cyclic_action, inexact_scalars, product_action
 from ghilb_kit.cyclotomic import (
     CyclotomicNumber,
-    character_exponent,
     character_value,
     common_conductor,
     cyclotomic_polynomial,
@@ -20,7 +19,7 @@ from ghilb_kit.cyclotomic import (
     parse_cyclotomic,
     to_text,
 )
-from ghilb_kit.group_rep import FiniteAbelianGroup, IntegrityError
+from ghilb_kit.group_rep import FiniteAbelianGroup, IntegrityError, character_exponent
 
 F = Fraction
 
@@ -367,6 +366,18 @@ class TestCharacterExponent:
             assert character_exponent(group, gh, chi) == (k + character_exponent(group, h, chi)) % m
             assert character_exponent(group, g, chi + psi) == (k + character_exponent(group, g, psi)) % m
             assert character_value(group, g, chi) == CyclotomicNumber.root_of_unity(m, k)
+
+    def test_element_components_read_as_integers(self):
+        # character_exponent once returned 1.5 here, and character_value
+        # failed on it inside root_of_unity
+        group = FiniteAbelianGroup((4,))
+        chi = group.character((1,))
+        for pairing in (character_exponent, character_value):
+            with pytest.raises(TypeError):
+                pairing(group, (1.5,), chi)
+        assert character_exponent(group, (True,), chi) == 1
+        assert character_exponent(group, (7,), chi) == 3
+        assert character_value(group, (True,), chi) == CyclotomicNumber.root_of_unity(4)
 
 
 class TestText:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 
@@ -17,6 +18,7 @@ from ghilb_kit.group_rep import (
     regular_rep_multiset,
     weight_of_monomial,
 )
+from oracles import oracle_is_faithful
 
 
 class TestCharacter:
@@ -134,6 +136,19 @@ class TestActionData:
         assert not product_action((2, 2), ((1, 0), (1, 0))).is_faithful()
         assert product_action((2, 2), ((1, 1), (0, 1))).is_faithful()
         assert cyclic_action(1, (0,)).is_faithful()
+
+    @pytest.mark.parametrize("divisors", [(), *((r,) for r in range(2, 13)),
+                                          (2, 2), (2, 4), (3, 3), (2, 6), (4, 4)])
+    def test_faithful_equals_oracle_on_every_small_action(self, divisors):
+        # every action with one or two weights, and every triple up to order:
+        # faithfulness does not depend on the order of the weights
+        group = FiniteAbelianGroup(divisors)
+        chars = list(group.characters())
+        cases = [*itertools.product(chars, repeat=1), *itertools.product(chars, repeat=2),
+                 *itertools.combinations_with_replacement(chars, 3)]
+        for weights in cases:
+            action = ActionData(group, len(weights), weights)
+            assert action.is_faithful() == oracle_is_faithful(action), action
 
     def test_determinant_and_sl(self):
         for r in range(2, 8):

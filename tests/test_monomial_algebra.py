@@ -14,7 +14,7 @@ import ghilb_kit.monomial_algebra as monomial_module
 from conftest import cyclic_action, product_action, product_index, sl2_action, sweep_actions
 from ghilb_kit.cluster import enumerate_torus_fixed_clusters, verify_cluster
 from ghilb_kit.exact_linalg import kernel_basis_rows
-from ghilb_kit.group_rep import Character, IntegrityError, weight_of_monomial
+from ghilb_kit.group_rep import ActionData, Character, DomainError, IntegrityError, weight_of_monomial
 from ghilb_kit.monomial_algebra import (
     CoinvariantAlgebra,
     Monomial,
@@ -404,6 +404,22 @@ class TestCoinvariantAlgebra:
     def test_non_faithful_rejected(self):
         with pytest.raises(ValueError):
             coinvariant_algebra(cyclic_action(4, (2, 2)))
+
+    def test_non_faithful_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^the weights do not generate the full character group; "
+                           "the action is not faithful and the basis cannot carry every character$"):
+            coinvariant_algebra(product_action((2, 2), ((1, 0), (1, 0))))
+
+    def test_faithful_build_never_asks_is_faithful(self, monkeypatch):
+        # the walk certifies faithfulness; only a missing character asks
+        actions = sweep_actions()
+
+        def refuse(action):
+            raise AssertionError(f"is_faithful called on {action}")
+
+        monkeypatch.setattr(ActionData, "is_faithful", refuse)
+        for action in actions:
+            coinvariant_algebra(action)
 
     def test_mult_table_against_direct_product(self):
         coinv = coinvariant_algebra(sl2_action(4))

@@ -25,7 +25,7 @@ from ghilb_kit.cluster import (
     verify_cluster,
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber
-from ghilb_kit.group_rep import Character
+from ghilb_kit.group_rep import Character, DomainError
 from ghilb_kit.monomial_algebra import (
     CoinvariantAlgebra,
     Monomial,
@@ -246,6 +246,24 @@ class TestTangentSpace:
         cluster, _ = orbit_cluster(z2, (F(1), F(1)))
         with pytest.raises(ValueError):
             tangent_space(z2, cluster)
+
+    def test_negative_answers_are_domain_errors(self, z2, z3):
+        # a well-formed input the library answers "no" to; a wrong kind of
+        # input stays a plain ValueError
+        with pytest.raises(DomainError, match="^quotient is not finite-dimensional$"):
+            tangent_space(z2, ideal(2, (2, 0)))
+        coinv = coinvariant_algebra(z3)
+        with pytest.raises(DomainError, match="^subspace is not an ideal in the coinvariant algebra$"):
+            relative_tangent_space(coinv, [row_for(coinv, {mono(1, 0): 1})])
+        # x1 + x2 has weights 1 and 2, and x1 * (x1 + x2), x2 * (x1 + x2) stay in the span
+        mixed = [row_for(coinv, {mono(1, 0): 1, mono(0, 1): 1}),
+                 row_for(coinv, {mono(2, 0): 1}), row_for(coinv, {mono(0, 2): 1})]
+        with pytest.raises(DomainError, match="^subspace is not weight-graded$"):
+            relative_tangent_space(coinv, mixed)
+        cluster, _ = orbit_cluster(z2, (F(1), F(1)))
+        with pytest.raises(ValueError) as info:
+            tangent_space(z2, cluster)
+        assert type(info.value) is ValueError
 
 
 class TestRelativeTangentSpace:
