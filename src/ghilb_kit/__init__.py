@@ -10,7 +10,6 @@ from ghilb_kit.group_rep import (
     Character,
     DomainError,
     FiniteAbelianGroup,
-    is_regular_representation,
     isotypical_split,
     regular_rep_multiset,
     weight_of_monomial,
@@ -88,7 +87,6 @@ __all__ = [
     "evaluation_kernel",
     "invariant_generators",
     "is_ideal_subspace",
-    "is_regular_representation",
     "isotypical_split",
     "kernel_basis",
     "mckay_table",

@@ -25,7 +25,7 @@ from ghilb_kit.cluster import (
     verify_cluster,
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber, parse_cyclotomic, to_text as cyclo_text
-from ghilb_kit.group_rep import ActionData, Character, DomainError, FiniteAbelianGroup
+from ghilb_kit.group_rep import ActionData, Character, DomainError, FiniteAbelianGroup, character_index
 from ghilb_kit.monomial_algebra import MonomialIdeal, coinvariant_algebra, parse_monomial
 from ghilb_kit.tangent import _staircase_relative, mckay_table, tangent_space
 
@@ -140,6 +140,20 @@ def _character_json(chi: Character):
 
 def _characters_json(chars) -> list:
     return [_character_json(c) for c in chars]
+
+
+def _indices_json(divisors: tuple[int, ...], indices) -> list:
+    """_characters_json of the characters of these indices, read off by divmod."""
+    if len(divisors) == 1:
+        return list(indices)
+    out = []
+    for index in indices:
+        components = []
+        for d in reversed(divisors):
+            index, c = divmod(index, d)
+            components.append(c)
+        out.append(components[::-1])
+    return out
 
 
 def render_json(report) -> str:
@@ -302,7 +316,7 @@ def cmd_coinv(action: ActionData, args) -> int:
         "invariant_generators": [g.to_text() for g in coinv.invariant_gens],
         "dimension": coinv.dim,
         "staircase": [m.to_text() for m in coinv.basis],
-        "characters": _characters_json(coinv.weights),
+        "characters": _indices_json(action.group.elementary_divisors, coinv.weight_indices),
     }
     _write_report(report, args)
     return 0
@@ -313,11 +327,12 @@ def cmd_clusters(action: ActionData, args) -> int:
     clusters = enumerate_torus_fixed_clusters(action, coinv)
     report = []
     if clusters:
-        # every enumerated cluster has dimension |G| and the same characters
-        # tuple, so one verdict and one characters list serve them all
+        # every enumerated cluster has dimension |G| and each character once,
+        # so one verdict and one characters list serve them all
         first = clusters[0]
-        verdict = ClusterReport.from_quotient(action.group, first.quotient_dim, first.characters)
-        characters = _characters_json(first.characters)
+        indices = range(len(first.characters))
+        verdict = ClusterReport.from_quotient(action.group, first.quotient_dim, indices)
+        characters = _indices_json(action.group.elementary_divisors, indices)
         # their generators and staircases are basis monomials and invariant generators
         text = {m.exponents: m.to_text() for m in coinv.basis + coinv.invariant_gens}
         # a staircase inside the coinvariant basis leaves every invariant
@@ -357,7 +372,8 @@ def cmd_tau(action: ActionData, args) -> int:
         coords = _parse_point(action, args.point)
         cluster, freeness = orbit_cluster(action, coords)
         if not freeness.is_free:
-            report = ClusterReport.from_quotient(action.group, cluster.quotient_dim, cluster.characters)
+            report = ClusterReport.from_quotient(action.group, cluster.quotient_dim,
+                                                 map(character_index, cluster.characters))
             _write_report({
                 "point": [_scalar_json(c) for c in coords],
                 "orbit_size": freeness.orbit_size,
@@ -380,7 +396,8 @@ def cmd_tau(action: ActionData, args) -> int:
 def cmd_orbit(action: ActionData, args) -> int:
     coords = _parse_point(action, args.point)
     cluster, freeness = orbit_cluster(action, coords)
-    report_check = ClusterReport.from_quotient(action.group, cluster.quotient_dim, cluster.characters)
+    report_check = ClusterReport.from_quotient(action.group, cluster.quotient_dim,
+                                               map(character_index, cluster.characters))
     tau = None
     if report_check.is_cluster:
         tau = [_scalar_json(v) for v in tau_support(action, cluster).values]

@@ -34,8 +34,8 @@ from ghilb_kit.group_rep import (
     DomainError,
     IntegrityError,
     character_exponent,
-    is_regular_representation,
-    weight_of_monomial,
+    character_index,
+    weight_indexer,
 )
 from ghilb_kit.monomial_algebra import (
     CoinvariantAlgebra,
@@ -71,15 +71,21 @@ class ClusterReport:
     staircase: Optional[tuple[Monomial, ...]] = None
 
     @classmethod
-    def from_quotient(cls, group, dim: int, chars, staircase=None) -> "ClusterReport":
-        """The verdict on a quotient of dimension dim carrying the characters chars.
+    def from_quotient(cls, group, dim: int, indices, staircase=None) -> "ClusterReport":
+        """The verdict on a quotient of dimension dim whose basis has these character indices.
 
-        It is a cluster exactly when dim is |G| and chars is the regular
-        representation; chars is read only when the dimension matches.
+        indices lists the index (see group_rep) of each basis member's
+        character, in any order, or is None; the report holds the characters
+        sorted.  It is a cluster exactly when dim is |G| and the sorted
+        indices are 0, ..., |G| - 1: the regular representation.
         """
+        chars = None
+        if indices is not None:
+            indices = sorted(indices)
+            chars = tuple(map(group.indexed_characters.__getitem__, indices))
         if dim != group.order:
             return cls(False, dim, chars, f"dimension {dim} ≠ {group.order}", staircase)
-        if not is_regular_representation(group, chars):
+        if indices != list(range(dim)):
             reason = "character multiset is not the regular representation"
             return cls(False, dim, chars, reason, staircase)
         return cls(True, dim, chars, None, staircase)
@@ -179,6 +185,8 @@ def is_ideal_subspace(coinv: CoinvariantAlgebra, subspace) -> bool:
 
 
 def _monomial_report(action: ActionData, ideal: MonomialIdeal) -> ClusterReport:
+    if ideal.num_vars != action.num_variables:
+        raise ValueError(f"the ideal has {ideal.num_vars} variables, the action {action.num_variables}")
     # a cluster has |G| monomials, so a walk past 4|G| only needs the colength
     staircase = quotient_staircase(ideal, 4 * action.group.order)
     if staircase is None:
@@ -186,8 +194,8 @@ def _monomial_report(action: ActionData, ideal: MonomialIdeal) -> ClusterReport:
         if dim is None:
             return ClusterReport(False, None, None, "quotient not finite")
         return ClusterReport.from_quotient(action.group, dim, None)
-    chars = tuple(sorted(weight_of_monomial(action, m.exponents) for m in staircase))
-    return ClusterReport.from_quotient(action.group, len(staircase), chars, tuple(staircase))
+    indices = map(weight_indexer(action), (m.exponents for m in staircase))
+    return ClusterReport.from_quotient(action.group, len(staircase), indices, tuple(staircase))
 
 
 def _subspace_report(action: ActionData, coinv: CoinvariantAlgebra, rref, pivots) -> ClusterReport:
@@ -200,10 +208,10 @@ def _subspace_report(action: ActionData, coinv: CoinvariantAlgebra, rref, pivots
             return ClusterReport(False, dim, None, "subspace is not weight-graded")
         return ClusterReport.from_quotient(action.group, dim, None)
     pivot_set = set(pivots)
-    chars = tuple(sorted(w for i, w in enumerate(coinv.weights) if i not in pivot_set))
-    report = ClusterReport.from_quotient(action.group, dim, chars)
+    indices = (w for i, w in enumerate(coinv.weight_indices) if i not in pivot_set)
+    report = ClusterReport.from_quotient(action.group, dim, indices)
     if report.is_cluster and not _closed_under_variables(rref, pivots, _variable_images(coinv, rref)):
-        return ClusterReport(False, dim, chars, "subspace fails the ideal-closure test")
+        return ClusterReport(False, dim, report.characters, "subspace fails the ideal-closure test")
     return report
 
 
@@ -229,7 +237,7 @@ def verify_cluster(action: ActionData, target) -> ClusterReport:
             points = target.points
             counts = _fixed_point_counts(_group_exponents(action, target.conductor), points)
             chars = _orbit_characters(action.group, counts, len(points))
-            return ClusterReport.from_quotient(action.group, len(points), chars)
+            return ClusterReport.from_quotient(action.group, len(points), map(character_index, chars))
         target = target.rows
     elif isinstance(target, MonomialIdeal):
         return _monomial_report(action, target)
@@ -307,9 +315,8 @@ def enumerate_torus_fixed_clusters(action: ActionData,
     (basis monomials, masked once per call) are all on the staircase.  The
     two graded-lex lists are merged, and MonomialIdeal takes the result as
     it is, without minimalizing it again.  Every leaf carries each character
-    once, so its sorted characters are group.characters() in order: one
-    tuple, read off coinv.weights and shared by every cluster.  A coinv of
-    another action raises ValueError.
+    once, so its sorted characters are group.indexed_characters, one tuple
+    shared by every cluster.  A coinv of another action raises ValueError.
     """
     if coinv is None:
         coinv = coinvariant_algebra(action)
@@ -360,8 +367,7 @@ def enumerate_torus_fixed_clusters(action: ActionData,
     gen_divisors = [sum(1 << coinv.index_of(Monomial._unchecked(e[:v] + (e[v] - 1,) + e[v + 1:]))
                         for v, a in enumerate(e) if a)
                     for e in (g.exponents for g in gens)]
-    # group.characters() in order, each the weight of the lowest index of its character
-    characters = tuple(coinv.weights[next(_bits(m))] for m in of_char)
+    characters = action.group.indexed_characters
     clusters = []
     for stair, frontier in leaves:
         # both lists are in graded-lex order, so the sort merges two runs
@@ -426,13 +432,13 @@ def _orbit_characters(group, counts, size: int) -> tuple[Character, ...]:
     Points of one abelian orbit share their stabilizer, so each g fixes all
     of it or none, and H is the g that fix any.  The functions on G/H are
     Ind_H^G 1, each character trivial on H once, picked by the integer test
-    character_exponent == 0 on H in group.characters() order, which is sorted.
-    By orbit-stabilizer they number size, the count of distinct images.
+    character_exponent == 0 on H minus the identity in the sorted
+    group.indexed_characters.  By orbit-stabilizer they number size.
     """
     if any(fixed not in (0, size) for _, fixed in counts):
         raise IntegrityError("a group element fixes only part of an orbit")
-    stabilizer = [g for g, fixed in counts if fixed]
-    chars = tuple(chi for chi in group.characters()
+    stabilizer = [g for g, fixed in counts if fixed and any(g)]
+    chars = tuple(chi for chi in group.indexed_characters
                   if all(character_exponent(group, g, chi) == 0 for g in stabilizer))
     if len(chars) != size:
         raise IntegrityError("orbit character multiplicities do not sum to the orbit size")
@@ -470,7 +476,7 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
     images = (tuple(CyclotomicNumber.root_of_unity(conductor, k) * c if k and c else c
                     for k, c in zip(ks, base)) for _, ks in group_exponents)
     seen = {tuple(c.coeffs for c in image): image for image in images}
-    points = tuple(seen[k] for k in sorted(seen))
+    points = tuple(image for _, image in sorted(seen.items(), key=operator.itemgetter(0)))
     counts = _fixed_point_counts(group_exponents, points)
 
     size = len(points)
@@ -553,8 +559,9 @@ def tau_support(action: ActionData, cluster, coinv: Optional[CoinvariantAlgebra]
     gens = tuple(coinv.invariant_gens) if coinv is not None else tuple(invariant_generators(action))
 
     if isinstance(cluster, GCluster) and cluster.kind == "orbit":
+        weight_index = weight_indexer(action)
         for g in gens:
-            if not weight_of_monomial(cluster.action, g.exponents).is_trivial:
+            if weight_index(g.exponents):
                 raise IntegrityError(
                     f"invariant generator {g.to_text()} is not constant on the orbit"
                 )

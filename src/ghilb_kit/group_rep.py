@@ -6,6 +6,13 @@ Group elements and characters are both residue tuples (c_1, ..., c_k) with
 0 <= c_i < d_i, identified through the self-duality fixed by this basis.
 A diagonal action on affine n-space is the assignment of one character
 (the weight) to each variable.
+
+The index of a character reads its residues in mixed radix over the
+divisors, first component most significant: its position in
+group.characters() and in the Character order, 0 being trivial.  The
+library carries weights as indices (weight_indexer) and takes the
+Characters its fields hold from group.indexed_characters, one tuple per
+group instance.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class IntegrityError(RuntimeError):
@@ -113,6 +121,11 @@ class FiniteAbelianGroup:
         for tup in itertools.product(*(range(d) for d in self.elementary_divisors)):
             yield Character(self.elementary_divisors, tup)
 
+    @cached_property
+    def indexed_characters(self) -> tuple[Character, ...]:
+        """tuple(self.characters()), entry i of index i; equality and hash ignore it."""
+        return tuple(self.characters())
+
     def elements(self) -> Iterator[tuple[int, ...]]:
         """All group elements as residue tuples, identity first."""
         return itertools.product(*(range(d) for d in self.elementary_divisors))
@@ -186,6 +199,29 @@ def character_exponent(group: FiniteAbelianGroup, g: Sequence[int], chi: Charact
                for gi, ci, di in zip(g, chi.components, group.elementary_divisors)) % m
 
 
+def character_index(chi: Character) -> int:
+    """The index of chi: its position in group.characters() (see the module docstring)."""
+    index = 0
+    for c, d in zip(chi.components, chi.divisors):
+        index = index * d + c
+    return index
+
+
+def weight_indexer(action: ActionData) -> Callable[[Sequence[int]], int]:
+    """The map from an exponent tuple a (one int per variable, unchecked) to
+    the index of the weight of x^a; it builds no Character."""
+    columns = [(d, [w.components[k] for w in action.weights])
+               for k, d in enumerate(action.group.elementary_divisors)]
+
+    def index(exponents: Sequence[int]) -> int:
+        i = 0
+        for d, column in columns:
+            i = i * d + sum(map(operator.mul, exponents, column)) % d
+        return i
+
+    return index
+
+
 def weight_of_monomial(action: ActionData, exponents: Sequence[int]) -> Character:
     """Weight of x^a under the action: the sum of a_i copies of weight(x_i)."""
     if len(exponents) != action.num_variables:
@@ -204,21 +240,6 @@ def weight_of_monomial(action: ActionData, exponents: Sequence[int]) -> Characte
 def regular_rep_multiset(group: FiniteAbelianGroup) -> Counter:
     """Character multiset of the regular representation: every character once."""
     return Counter(group.characters())
-
-
-def is_regular_representation(group: FiniteAbelianGroup, chars: Iterable[Character]) -> bool:
-    """True iff the multiset equals the regular representation of the group.
-
-    That is |G| distinct characters of the group, each counted once; a
-    Counter is read as the multiset it counts, its zero counts ignored.
-    """
-    counts = Counter(chars)
-    present = [chi for chi, n in counts.items() if n]
-    return len(present) == group.order and all(
-        counts[chi] == 1 and isinstance(chi, Character)
-        and chi.divisors == group.elementary_divisors
-        for chi in present
-    )
 
 
 def isotypical_split(action: ActionData, basis: Iterable) -> dict[Character, list]:

@@ -17,9 +17,10 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
-from ghilb_kit.group_rep import ActionData, Character, DomainError, IntegrityError
+from ghilb_kit.group_rep import ActionData, Character, DomainError, IntegrityError, weight_indexer
 
 _ALIAS_NAMES = ("x", "y", "z", "w")
 
@@ -243,24 +244,18 @@ def _invariant_staircase(
     """Exponents of the minimal invariant generators and of the coinvariant basis.
 
     Both lists are in graded-lex order; the third list holds the weight of
-    each basis member as an integer index, as the invariance test computed
-    it.  The index reads the weight's residues in mixed radix over the
-    elementary divisors, first component most significant, so it is the
-    weight's position in group.characters() and in the Character order, and
-    a monomial is invariant exactly when its index is 0.  No Character is
-    built.  The basis is walked upward level by level; a candidate whose
-    divisors m/x_i are all basis monomials is a minimal generator exactly
-    when it is invariant.
+    each basis member as its integer index (weight_indexer), as the
+    invariance test computed it: a monomial is invariant exactly when its
+    index is 0.  No Character is built.  The basis is walked upward level by
+    level; a candidate whose divisors m/x_i are all basis monomials is a
+    minimal generator exactly when it is invariant.
     """
-    columns = [(d, [w.components[k] for w in action.weights])
-               for k, d in enumerate(action.group.elementary_divisors)]
+    weight_index = weight_indexer(action)
     gens: list[tuple[int, ...]] = []
     weights: dict[tuple[int, ...], int] = {}
 
     def invariant(e: tuple[int, ...]) -> bool:
-        index = 0
-        for d, column in columns:
-            index = index * d + sum(a * c for a, c in zip(e, column)) % d
+        index = weight_index(e)
         if index == 0 and any(e):
             gens.append(e)
             return True
@@ -305,9 +300,10 @@ class CoinvariantAlgebra:
     stays in the basis, zero when it falls into the ideal.  The one index
     table is that of the products by the variables (variable_steps).
 
-    weights[i] is the character of basis[i], and weight_indices[i] the
-    integer position of weights[i] in group.characters(), as the walk of
-    the basis computed it.
+    weight_indices[i] is the index of the character of basis[i] (its
+    position in group.characters()), as the walk of the basis computed it;
+    weights[i] is that character, taken from group.indexed_characters on
+    first use.
 
     A correct walk misses a character exactly when the action is not
     faithful; only then is action.is_faithful() asked, to tell a
@@ -317,25 +313,27 @@ class CoinvariantAlgebra:
     def __init__(self, action: ActionData) -> None:
         self.action = action
         gen_exps, basis_exps, indices = _invariant_staircase(action)
-        characters = tuple(action.group.characters())
         self.invariant_gens: tuple[Monomial, ...] = tuple(map(Monomial._unchecked, gen_exps))
         self.basis: tuple[Monomial, ...] = tuple(map(Monomial._unchecked, basis_exps))
         self.weight_indices: tuple[int, ...] = tuple(indices)
-        self.weights: tuple[Character, ...] = tuple(characters[i] for i in indices)
         self._index = {e: i for i, e in enumerate(basis_exps)}
         self._steps: Optional[list[list[Optional[int]]]] = None
 
         if not self.basis or not self.basis[0].is_one:
             raise IntegrityError("coinvariant basis must contain the unit monomial")
         present = set(indices)
-        missing = [chi for i, chi in enumerate(characters) if i not in present]
-        if missing:
+        if len(present) < action.group.order:
             if not action.is_faithful():
                 raise DomainError(
                     "the weights do not generate the full character group; "
                     "the action is not faithful and the basis cannot carry every character"
                 )
+            missing = [chi for i, chi in enumerate(action.group.characters()) if i not in present]
             raise IntegrityError(f"characters missing from the basis: {missing}")
+
+    @cached_property
+    def weights(self) -> tuple[Character, ...]:
+        return tuple(map(self.action.group.indexed_characters.__getitem__, self.weight_indices))
 
     @property
     def dim(self) -> int:

@@ -54,7 +54,7 @@ from ghilb_kit.cluster import (
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber
 from ghilb_kit.exact_linalg import kernel_basis_rows, rref_rows
-from ghilb_kit.group_rep import ActionData, Character, DomainError, weight_of_monomial
+from ghilb_kit.group_rep import ActionData, Character, DomainError, character_index, weight_indexer
 from ghilb_kit.monomial_algebra import (
     CoinvariantAlgebra,
     Monomial,
@@ -130,6 +130,7 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -
     the ideal.  Returns the canonical kernel basis of kernel_basis_rows.
     A monomial cluster brings its staircase; a bare MonomialIdeal need not
     be a cluster, and any finite staircase is walked, whatever its size.
+    Slots pair weights as character indices.
     """
     if isinstance(cluster, GCluster):
         if cluster.kind != "monomial":
@@ -138,6 +139,8 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -
         staircase = list(cluster.staircase)
     else:
         ideal = cluster
+        if ideal.num_vars != action.num_variables:
+            raise ValueError(f"the ideal has {ideal.num_vars} variables, the action {action.num_variables}")
         dim = colength(ideal)
         if dim is None:
             raise DomainError("quotient is not finite-dimensional")
@@ -145,9 +148,10 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -
 
     stair_exps = [m.exponents for m in staircase]
     stair_index = {e: t for t, e in enumerate(stair_exps)}
-    stair_weights = [weight_of_monomial(action, e) for e in stair_exps]
+    weight_index = weight_indexer(action)
+    stair_weights = [weight_index(e) for e in stair_exps]
     gens = ideal.min_gens
-    gen_weights = [weight_of_monomial(action, g.exponents) for g in gens]
+    gen_weights = [weight_index(g.exponents) for g in gens]
     slots = _slots(gen_weights, stair_weights)
     slots_of_gen: list[list[tuple[int, int]]] = [[] for _ in gens]
     for s, (k, t) in enumerate(slots):
@@ -167,11 +171,12 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -
         equations.extend(terms.values())
 
     kernel = _union_find_kernel(len(slots), equations)
+    character = action.group.indexed_characters.__getitem__
     return EquivariantHomSpace(
         source_generators=tuple(gens),
-        generator_weights=tuple(gen_weights),
+        generator_weights=tuple(map(character, gen_weights)),
         target_basis=tuple(staircase),
-        target_weights=tuple(stair_weights),
+        target_weights=tuple(map(character, stair_weights)),
         hom_basis=_hom_matrices(kernel, slots, len(gens), len(staircase)),
         dimension=len(kernel),
     )
@@ -204,17 +209,17 @@ def _staircase_relative(hom: EquivariantHomSpace) -> tuple[int, tuple[Character,
 
     A G-cluster's ideal holds J, so Sbar/Ibar = S/I; the non-invariant
     minimal generators generate Ibar, and eq8's target counts their
-    weight-compatible pairs with a staircase monomial.
+    weight-compatible pairs with a staircase monomial: one each, since the
+    staircase carries every character once.
     """
     relative = _relative_classes(hom)
     moving = [w for w in hom.generator_weights if not w.is_trivial]
-    columns = Counter(hom.target_weights)
-    return len(relative), tuple(sorted(moving)), sum(columns[w] for w in moving)
+    return len(relative), tuple(sorted(moving, key=character_index)), len(moving)
 
 
 def _slots(row_weights, col_weights) -> list[tuple[int, int]]:
     """The unknowns (row, col) of a Hom space: the weight-compatible pairs, row by row."""
-    cols_of: dict[Character, list[int]] = {}
+    cols_of: dict = {}
     for c, w in enumerate(col_weights):
         cols_of.setdefault(w, []).append(c)
     return [(j, c) for j, w in enumerate(row_weights) for c in cols_of.get(w, ())]
@@ -444,13 +449,8 @@ def _generator_pivots(coinv: CoinvariantAlgebra, gens) -> dict[int, int]:
     the basis are multiples of invariant generators, zero in Sbar.  Both
     min_gens and the basis are in graded-lex order.
     """
-    pivots = {}
-    for k, g in enumerate(gens):
-        try:
-            pivots[coinv.index_of(g)] = k
-        except ValueError:
-            pass
-    return pivots
+    find = coinv._index.get
+    return {i: k for k, g in enumerate(gens) if (i := find(g.exponents)) is not None}
 
 
 def _monomial_ideal(coinv: CoinvariantAlgebra, subspace) -> Optional[MonomialIdeal]:
@@ -518,8 +518,9 @@ def stratification_rep(coinv: CoinvariantAlgebra, subspace) -> StratRep:
     ideal = _monomial_ideal(coinv, subspace)
     if ideal is not None:
         pivots = list(_generator_pivots(coinv, ideal.min_gens))
+        table = coinv.action.group.indexed_characters
         return StratRep(generators=tuple(_unit_row(coinv.dim, p) for p in pivots),
-                        characters=tuple(sorted(coinv.weights[p] for p in pivots)))
+                        characters=tuple(table[i] for i in sorted(coinv.weight_indices[p] for p in pivots)))
     data = relative_data(coinv, subspace)
     gens = tuple(data.row(j) for j in data.generator_indices)
     chars = tuple(sorted(data.row_weights[j] for j in data.generator_indices))
@@ -560,23 +561,21 @@ def mckay_table(action: ActionData) -> McKayTable:
 
     Reports, for every character, the clusters at whose stratification
     representation it appears, and whether every nontrivial character of the
-    group is covered at least once.
+    group is covered at least once.  It groups and sorts character indices.
     """
     coinv = coinvariant_algebra(action)
     clusters = tuple(enumerate_torus_fixed_clusters(action, coinv))
     per_cluster = []
-    appearances: dict[Character, set[int]] = {}
+    appearances: dict[int, list[int]] = {}
     for idx, cluster in enumerate(clusters):
         strat = stratification_rep(coinv, cluster)
         per_cluster.append(strat.characters)
-        for chi in set(strat.characters):
-            appearances.setdefault(chi, set()).add(idx)
+        for i in set(map(character_index, strat.characters)):
+            appearances.setdefault(i, []).append(idx)
 
-    incidence = tuple(
-        (chi, tuple(sorted(appearances[chi]))) for chi in sorted(appearances)
-    )
-    nontrivial = [c for c in action.group.characters() if not c.is_trivial]
-    missing = tuple(sorted(c for c in nontrivial if c not in appearances))
+    table = action.group.indexed_characters
+    incidence = tuple((table[i], tuple(appearances[i])) for i in sorted(appearances))
+    missing = tuple(table[i] for i in range(1, len(table)) if i not in appearances)
     return McKayTable(
         action=action,
         clusters=clusters,

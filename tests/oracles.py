@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from ghilb_kit.cluster import FreenessReport, GCluster, QuotientPoint
 from ghilb_kit.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
-from ghilb_kit.group_rep import weight_of_monomial
+from ghilb_kit.group_rep import Character, weight_of_monomial
 from ghilb_kit.monomial_algebra import Monomial, invariant_generators
 from ghilb_kit.tangent import EquivariantHomSpace
 
@@ -709,3 +709,21 @@ def oracle_orbit(action, point):
         assert len(vals) == 1, f"{f.to_text()} is not constant on the orbit"
         values.append(vals.pop())
     return cluster, freeness, QuotientPoint(gens, tuple(values))
+
+
+# --- the regular representation -------------------------------------------
+
+
+def oracle_is_regular_representation(group, chars) -> bool:
+    """True iff the multiset equals the regular representation of the group.
+
+    That is |G| distinct characters of the group, each counted once; a
+    Counter is read as the multiset it counts, its zero counts ignored.
+    """
+    counts = Counter(chars)
+    present = [chi for chi, n in counts.items() if n]
+    return len(present) == group.order and all(
+        counts[chi] == 1 and isinstance(chi, Character)
+        and chi.divisors == group.elementary_divisors
+        for chi in present
+    )

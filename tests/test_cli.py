@@ -24,7 +24,7 @@ from ghilb_kit.cli import (
 import ghilb_kit.cli as cli_module
 import ghilb_kit.cluster as cluster_module
 import ghilb_kit.monomial_algebra as monomial_module
-from ghilb_kit.group_rep import ActionData
+from ghilb_kit.group_rep import ActionData, Character
 
 
 def run(*args, capsys=None):
@@ -665,6 +665,53 @@ class TestEachQueryOnce:
         main(list(argv))
         capsys.readouterr()
         assert {name: calls[name] for name in expected} == expected
+
+
+class TestCharacterConstructions:
+    """A query builds the n parsed weights, and at most one table of the |G|
+    characters, from which every Character of its report is taken."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = Counter()
+        post_init = Character.__post_init__
+
+        def counted(self):
+            built["Character"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Character, "__post_init__", counted)
+        return built
+
+    @pytest.mark.parametrize("argv", [
+        ("coinv", "cyclic:7:1,2,4"),
+        ("coinv", "cyclic:32:1,1,30"),
+        ("coinv", "2x4 ; 1,0 | 0,1 | 1,3"),
+    ])
+    def test_coinv_builds_only_the_parsed_weights(self, argv, built, capsys):
+        action = parse_action_spec(argv[1])
+        built.clear()
+        assert main(list(argv)) == 0
+        capsys.readouterr()
+        assert built["Character"] == action.num_variables
+
+    @pytest.mark.parametrize("argv", [
+        ("clusters", "cyclic:7:1,2,4"),
+        ("clusters", "cyclic:12:1,11"),
+        ("mckay", "cyclic:5:1,2"),
+        ("mckay", "cyclic:12:1,5,6"),
+        ("tangent", "cyclic:7:1,2,4", "--ideal", "x2,x3^2,x1^3*x3,x1^4"),
+        ("tangent", "cyclic:5:1,2", "--ideal", "x1^2,x2^3,x1*x2^2"),
+        ("verify", "cyclic:3:1,2", "--ideal", "x2,x1^3"),
+        ("verify", "cyclic:3:1,2", "--ideal", "x1^2,x2^2"),
+        ("verify", "cyclic:2:1,1", "--ideal", "x1^9,x2"),
+    ])
+    def test_at_most_one_table_per_query(self, argv, built, capsys):
+        action = parse_action_spec(argv[1])
+        built.clear()
+        main(list(argv))
+        capsys.readouterr()
+        assert built["Character"] <= action.group.order + action.num_variables
 
 
 def _child_env() -> dict:

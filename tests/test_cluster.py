@@ -34,12 +34,13 @@ from ghilb_kit.cluster import (
     verify_cluster,
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber
-from ghilb_kit.group_rep import DomainError, is_regular_representation, weight_of_monomial
+from ghilb_kit.group_rep import DomainError, character_index, weight_of_monomial
 from ghilb_kit.monomial_algebra import Monomial, MonomialIdeal, coinvariant_algebra
 from oracles import (
     oracle_eval,
     oracle_hj_clusters,
     oracle_invariant_relations,
+    oracle_is_regular_representation,
     oracle_min_gens,
     oracle_relations_hold,
     oracle_staircases,
@@ -62,7 +63,7 @@ class TestVerifyMonomial:
         assert report.is_cluster
         assert report.quotient_dim == 2
         assert report.failure_reason is None
-        assert is_regular_representation(z2.group, report.characters)
+        assert oracle_is_regular_representation(z2.group, report.characters)
 
     def test_dimension_failure(self, z2):
         report = verify_cluster(z2, ideal(2, (1, 0), (0, 1)))
@@ -119,19 +120,22 @@ class TestFromQuotient:
     def test_ladder(self, z3):
         group = z3.group
         chars = tuple(sorted(group.characters()))
-        assert ClusterReport.from_quotient(group, 3, chars) == ClusterReport(True, 3, chars, None)
+        report = ClusterReport.from_quotient(group, 3, (2, 0, 1))
+        assert report == ClusterReport(True, 3, chars, None)
+        assert all(a is b for a, b in zip(report.characters, group.indexed_characters))
         short = ClusterReport.from_quotient(group, 2, None)
         assert short == ClusterReport(False, 2, None, "dimension 2 ≠ 3")
-        doubled = (chars[0],) * 3
-        assert ClusterReport.from_quotient(group, 3, doubled).failure_reason == \
-            "character multiset is not the regular representation"
+        doubled = ClusterReport.from_quotient(group, 3, (0, 0, 0))
+        assert doubled.failure_reason == "character multiset is not the regular representation"
+        assert doubled.characters == (chars[0],) * 3
+        assert ClusterReport.from_quotient(group, 3, (0, 1)).failure_reason == doubled.failure_reason
 
     def test_staircase_passes_through(self, z2):
         stair = (Monomial((0, 0)), Monomial((1, 0)))
-        chars = tuple(sorted(weight_of_monomial(z2, m.exponents) for m in stair))
-        report = ClusterReport.from_quotient(z2.group, 2, chars, stair)
+        indices = [character_index(weight_of_monomial(z2, m.exponents)) for m in stair]
+        report = ClusterReport.from_quotient(z2.group, 2, indices, stair)
         assert report.is_cluster and report.staircase == stair
-        assert ClusterReport.from_quotient(z2.group, 1, chars[:1], stair[:1]).staircase == stair[:1]
+        assert ClusterReport.from_quotient(z2.group, 1, indices[:1], stair[:1]).staircase == stair[:1]
 
 
 class TestVerifySubspace:
@@ -260,7 +264,7 @@ class TestEnumerate:
             for cluster in enumerate_torus_fixed_clusters(action):
                 report = verify_cluster(action, cluster)
                 assert report.is_cluster
-                assert is_regular_representation(action.group, cluster.characters)
+                assert oracle_is_regular_representation(action.group, cluster.characters)
 
     def test_matches_exhaustive_oracle(self):
         for action in (sl2_action(2), sl2_action(3), sl2_action(4), sl2_action(6),
@@ -682,6 +686,12 @@ class TestTau:
         # Z/3 (1, 2) acts on two variables; (x1, x2, x3) lives on three
         with pytest.raises(ValueError, match="the ideal has 3 variables, the action 2"):
             tau_support(cyclic_action(3, (1, 2)), ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        # the weights are read as indices, which would drop a variable unseen
+        for fn in (verify_cluster, monomial_cluster):
+            with pytest.raises(ValueError, match="the ideal has 3 variables, the action 2"):
+                fn(cyclic_action(3, (1, 2)), ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+            with pytest.raises(ValueError, match="the ideal has 2 variables, the action 3"):
+                fn(cyclic_action(3, (1, 1, 1)), ideal(2, (3, 0), (0, 1)))
 
     def test_coinvariant_algebra_of_another_action_rejected(self):
         # 1/3(1,1) has other invariant generators than 1/3(1,2)

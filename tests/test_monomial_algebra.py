@@ -14,7 +14,17 @@ import ghilb_kit.monomial_algebra as monomial_module
 from conftest import cyclic_action, product_action, product_index, sl2_action, sweep_actions
 from ghilb_kit.cluster import enumerate_torus_fixed_clusters, verify_cluster
 from ghilb_kit.exact_linalg import kernel_basis_rows
-from ghilb_kit.group_rep import ActionData, Character, DomainError, IntegrityError, weight_of_monomial
+from ghilb_kit.cli import _character_json, _indices_json
+from ghilb_kit.group_rep import (
+    ActionData,
+    Character,
+    DomainError,
+    FiniteAbelianGroup,
+    IntegrityError,
+    character_index,
+    weight_indexer,
+    weight_of_monomial,
+)
 from ghilb_kit.monomial_algebra import (
     CoinvariantAlgebra,
     Monomial,
@@ -530,7 +540,10 @@ class TestCharacterIndices:
         calls = self.count_weights_and_characters(monkeypatch)
         coinv = coinvariant_algebra(action)
         assert calls["weight_of_monomial"] == 0
-        assert calls["Character"] <= action.group.order
+        # the walk builds none; the first read of weights builds the group's table
+        assert calls["Character"] == 0
+        assert coinv.weights == coinv.weights
+        assert calls["Character"] == action.group.order
         calls.clear()
         gens = invariant_generators(action)
         assert calls == Counter()
@@ -538,6 +551,36 @@ class TestCharacterIndices:
         monkeypatch.undo()
         for m, w in zip(coinv.basis, coinv.weights, strict=True):
             assert w == weight_of_monomial(action, m.exponents)
+
+    def test_index_convention(self):
+        # unequal divisors (2x4, 2x6, 3x4) catch a reversed divmod or radix
+        products = [product_action((2, 4), ((1, 0), (0, 1), (1, 3))),
+                    product_action((2, 6), ((1, 0), (0, 1), (1, 5))),
+                    product_action((3, 3), ((1, 0), (0, 1), (2, 2))),
+                    *INDEXED_ACTIONS[1:]]
+        for action in sweep_actions() + products:
+            coinv = coinvariant_algebra(action)
+            group = action.group
+            characters = tuple(group.characters())
+            assert group.indexed_characters == characters
+            assert coinv.weights == tuple(characters[i] for i in coinv.weight_indices), action
+            assert [character_index(w) for w in coinv.weights] == list(coinv.weight_indices)
+            weight_index = weight_indexer(action)
+            assert [weight_index(m.exponents) for m in coinv.basis] == list(coinv.weight_indices)
+            rendered = _indices_json(group.elementary_divisors, coinv.weight_indices)
+            assert rendered == [_character_json(w) for w in coinv.weights], action
+            assert _indices_json(group.elementary_divisors, range(group.order)) == \
+                [_character_json(chi) for chi in characters]
+
+    def test_table_is_kept_out_of_equality_and_hash(self):
+        for divisors in ((), (5,), (2, 4), (3, 3)):
+            built, bare = FiniteAbelianGroup(divisors), FiniteAbelianGroup(divisors)
+            table = built.indexed_characters
+            assert built.indexed_characters is table
+            assert "indexed_characters" in vars(built) and "indexed_characters" not in vars(bare)
+            assert built == bare and hash(built) == hash(bare)
+            assert repr(built) == repr(bare)
+            assert ActionData(built, 1, table[-1:]) == ActionData(bare, 1, table[-1:])
 
     @pytest.mark.parametrize("action", INDEXED_ACTIONS, ids=INDEXED_IDS)
     def test_clusters_share_one_character_tuple(self, action):
@@ -548,6 +591,7 @@ class TestCharacterIndices:
             stair = tuple(sorted(weight_of_monomial(action, m.exponents) for m in c.staircase))
             assert c.characters == stair == verify_cluster(action, c.ideal).characters
         assert len({id(c.characters) for c in clusters}) == 1
+        assert clusters[0].characters is action.group.indexed_characters
 
 
 class TestUncheckedConstruction:

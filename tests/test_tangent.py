@@ -591,6 +591,11 @@ class TestMonomialPath:
         with pytest.raises(ValueError, match="the ideal has 3 variables, the action 2"):
             fn(coinv, ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
+    def test_tangent_space_of_an_ideal_on_other_variables_rejected(self):
+        # the weights are read as indices, which would drop a variable unseen
+        with pytest.raises(ValueError, match="the ideal has 2 variables, the action 3"):
+            tangent_space(cyclic_action(3, (1, 1, 1)), ideal(2, (3, 0), (0, 1)))
+
 
 class TestStaircaseRelative:
     """The CLI's relative numbers, read off tangent_space, against the library's
