@@ -123,7 +123,7 @@ class FiniteAbelianGroup:
 
     @cached_property
     def indexed_characters(self) -> tuple[Character, ...]:
-        """tuple(self.characters()), entry i of index i; equality and hash ignore it."""
+        """tuple(self.characters()): entry i has index i.  Kept per instance, outside == and hash."""
         return tuple(self.characters())
 
     def elements(self) -> Iterator[tuple[int, ...]]:
