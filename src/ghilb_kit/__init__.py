@@ -10,14 +10,11 @@ from ghilb_kit.group_rep import (
     Character,
     DomainError,
     FiniteAbelianGroup,
-    isotypical_split,
-    regular_rep_multiset,
     weight_of_monomial,
 )
 from ghilb_kit.exact_linalg import RationalMatrix, kernel_basis, rank, solve
 from ghilb_kit.cyclotomic import (
     CyclotomicNumber,
-    character_value,
     embed_to_conductor,
     parse_cyclotomic,
 )
@@ -79,7 +76,6 @@ __all__ = [
     "QuotientPoint",
     "RationalMatrix",
     "StratRep",
-    "character_value",
     "coinvariant_algebra",
     "embed_to_conductor",
     "enumerate_torus_fixed_clusters",
@@ -87,7 +83,6 @@ __all__ = [
     "evaluation_kernel",
     "invariant_generators",
     "is_ideal_subspace",
-    "isotypical_split",
     "kernel_basis",
     "mckay_table",
     "monomial_cluster",
@@ -96,7 +91,6 @@ __all__ = [
     "parse_monomial",
     "quotient_staircase",
     "rank",
-    "regular_rep_multiset",
     "relative_tangent_space",
     "solve",
     "stratification_rep",

@@ -77,11 +77,14 @@ class ClusterReport:
         indices lists the index (see group_rep) of each basis member's
         character, in any order, or is None; the report holds the characters
         sorted.  It is a cluster exactly when dim is |G| and the sorted
-        indices are 0, ..., |G| - 1: the regular representation.
+        indices are 0, ..., |G| - 1: the regular representation.  An index
+        outside range(|G|) names no character and raises ValueError.
         """
         chars = None
         if indices is not None:
             indices = sorted(indices)
+            if indices and not 0 <= indices[0] <= indices[-1] < group.order:
+                raise ValueError(f"a character index lies outside range({group.order})")
             chars = tuple(map(group.indexed_characters.__getitem__, indices))
         if dim != group.order:
             return cls(False, dim, chars, f"dimension {dim} ≠ {group.order}", staircase)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from ghilb_kit.exact_linalg import _as_fraction, solve_rows
-from ghilb_kit.group_rep import Character, FiniteAbelianGroup, IntegrityError, character_exponent
+from ghilb_kit.group_rep import IntegrityError
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -159,10 +159,6 @@ class CyclotomicNumber:
             raise ValueError(f"need {deg} coefficients for conductor {self.conductor}")
 
     # --- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, m: int) -> "CyclotomicNumber":
-        return cls(m, (Q0,) * euler_phi(m))
 
     @classmethod
     def one(cls, m: int) -> "CyclotomicNumber":
@@ -339,12 +335,6 @@ def _minimal_conductor_form(a: CyclotomicNumber) -> CyclotomicNumber:
 def common_conductor(values: Sequence[Union[CyclotomicNumber, Rational]]) -> int:
     """The lcm m of the conductors of values, a rational counting as 1: all lie in Q(zeta_m)."""
     return math.lcm(1, *(v.conductor for v in values if isinstance(v, CyclotomicNumber)))
-
-
-def character_value(group: FiniteAbelianGroup, g: Sequence[int],
-                    chi: Character) -> CyclotomicNumber:
-    """Pairing value chi(g) = zeta_m^character_exponent(group, g, chi), m the group exponent."""
-    return CyclotomicNumber.root_of_unity(group.exponent, character_exponent(group, g, chi))
 
 
 # --- text form ---------------------------------------------------------

@@ -20,10 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 class IntegrityError(RuntimeError):
@@ -75,10 +74,6 @@ class Character:
 
     def __neg__(self) -> "Character":
         return Character(self.divisors, tuple(-c for c in self.components))
-
-    def order(self) -> int:
-        """Order of the character in the character group."""
-        return math.lcm(1, *(d // math.gcd(c, d) for c, d in zip(self.components, self.divisors)))
 
     def _check_compatible(self, other: "Character") -> None:
         if self.divisors != other.divisors:
@@ -235,17 +230,3 @@ def weight_of_monomial(action: ActionData, exponents: Sequence[int]) -> Characte
             for k, c in enumerate(w.components):
                 comps[k] += a * c
     return Character(divisors, tuple(comps))
-
-
-def regular_rep_multiset(group: FiniteAbelianGroup) -> Counter:
-    """Character multiset of the regular representation: every character once."""
-    return Counter(group.characters())
-
-
-def isotypical_split(action: ActionData, basis: Iterable) -> dict[Character, list]:
-    """Partition basis items, exponent tuples or Monomial-like objects, by character."""
-    parts: dict[Character, list] = {}
-    for item in basis:
-        chi = weight_of_monomial(action, getattr(item, "exponents", item))
-        parts.setdefault(chi, []).append(item)
-    return parts

@@ -130,9 +130,12 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -
     the ideal.  Returns the canonical kernel basis of kernel_basis_rows.
     A monomial cluster brings its staircase; a bare MonomialIdeal need not
     be a cluster, and any finite staircase is walked, whatever its size.
-    Slots pair weights as character indices.
+    Slots pair weights as character indices.  A GCluster of another action
+    raises ValueError.
     """
     if isinstance(cluster, GCluster):
+        if cluster.action != action:
+            raise ValueError("the cluster was built for another action")
         if cluster.kind != "monomial":
             raise ValueError("tangent_space expects a monomial-ideal cluster")
         ideal = cluster.ideal

@@ -642,6 +642,11 @@ def _oracle_pairing(group, g, chi, conductor, sign=1):
     return value
 
 
+def oracle_character_value(group, g, chi):
+    """chi(g) in Q(zeta_m), m the group exponent: the reference for character_exponent."""
+    return _oracle_pairing(group, g, chi, group.exponent)
+
+
 def _oracle_embed(c, conductor):
     """A rational or cyclotomic coordinate in Q(zeta_conductor): zeta_d = zeta_conductor^(conductor/d)."""
     if not isinstance(c, CyclotomicNumber):
@@ -680,7 +685,7 @@ def oracle_orbit(action, point):
                    for g, ss in scalars)
     chars = []
     for chi in group.characters():
-        total = CyclotomicNumber.zero(conductor)
+        total = CyclotomicNumber.from_rational(0, conductor)
         for g, fixed in counts:
             total = total + fixed * _oracle_pairing(group, g, chi, conductor, -1)
         mult = total / group.order

@@ -36,6 +36,7 @@ from ghilb_kit.cluster import (
 from ghilb_kit.cyclotomic import CyclotomicNumber
 from ghilb_kit.group_rep import DomainError, character_index, weight_of_monomial
 from ghilb_kit.monomial_algebra import Monomial, MonomialIdeal, coinvariant_algebra
+from ghilb_kit.tangent import tangent_space
 from oracles import (
     oracle_eval,
     oracle_hj_clusters,
@@ -129,6 +130,13 @@ class TestFromQuotient:
         assert doubled.failure_reason == "character multiset is not the regular representation"
         assert doubled.characters == (chars[0],) * 3
         assert ClusterReport.from_quotient(group, 3, (0, 1)).failure_reason == doubled.failure_reason
+
+    @pytest.mark.parametrize("indices", [(0, 1, -1), (0, 1, 5), (3,), (-4, 0, 1)])
+    def test_index_outside_the_group_rejected(self, z3, indices):
+        # (0, 1, -1) once read chi2 through the negative index and was called
+        # no regular representation with every character once; (0, 1, 5) raised IndexError
+        with pytest.raises(ValueError, match=r"a character index lies outside range\(3\)"):
+            ClusterReport.from_quotient(z3.group, 3, indices)
 
     def test_staircase_passes_through(self, z2):
         stair = (Monomial((0, 0)), Monomial((1, 0)))
@@ -554,7 +562,7 @@ class TestEvaluationKernel:
         monomials, kernel = evaluation_kernel(z3, cluster)
         for vec in kernel:
             for p in cluster.points:
-                total = CyclotomicNumber.zero(cluster.conductor)
+                total = CyclotomicNumber.from_rational(0, cluster.conductor)
                 for coeff, m in zip(vec, monomials):
                     if coeff:
                         total = total + coeff * oracle_eval(m, p)
@@ -627,7 +635,7 @@ def z2_clusters():
 
 
 @pytest.mark.parametrize("action", OTHER_ACTIONS, ids=["Z3", "Z4"])
-@pytest.mark.parametrize("fn", [verify_cluster, tau_support], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", [verify_cluster, tau_support, tangent_space], ids=lambda fn: fn.__name__)
 def test_cluster_of_another_action_rejected(fn, action):
     for cluster in z2_clusters():
         with pytest.raises(ValueError, match="the cluster was built for another action"):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 
 import pytest
@@ -13,8 +12,6 @@ from ghilb_kit.group_rep import (
     ActionData,
     Character,
     FiniteAbelianGroup,
-    isotypical_split,
-    regular_rep_multiset,
     weight_of_monomial,
 )
 from oracles import (
@@ -33,12 +30,12 @@ class TestCharacter:
             Character((2, 3), (1,))
 
     def test_non_integer_components_rejected(self):
-        # 1.5 % 2 stayed 1.5, and .order() then raised
+        # 1.5 % 2 stayed 1.5
         with pytest.raises(TypeError):
             FiniteAbelianGroup((2,)).character((1.5,))
 
     def test_non_integer_divisors_rejected(self):
-        # 1 % 2.5 made Character(1.0,), and .order() then raised
+        # 1 % 2.5 made Character(1.0,)
         with pytest.raises(TypeError):
             Character((2.5,), (1,))
 
@@ -64,13 +61,6 @@ class TestCharacter:
     def test_cross_group_arithmetic_rejected(self):
         with pytest.raises(ValueError):
             Character((2,), (1,)) + Character((3,), (1,))
-
-    def test_order(self):
-        assert Character((6,), (0,)).order() == 1
-        assert Character((6,), (2,)).order() == 3
-        assert Character((6,), (1,)).order() == 6
-        assert Character((2, 4), (1, 2)).order() == 2
-        assert Character((), ()).order() == 1
 
     def test_total_ordering_is_usable_for_sorting(self):
         chars = [Character((5,), (a,)) for a in (3, 0, 4, 1)]
@@ -175,7 +165,7 @@ class TestActionData:
 class TestRegularRepresentation:
     def test_multiset(self):
         g = FiniteAbelianGroup((2, 3))
-        multiset = regular_rep_multiset(g)
+        multiset = Counter(g.characters())
         assert sum(multiset.values()) == 6
         assert all(v == 1 for v in multiset.values())
 
@@ -199,7 +189,7 @@ class TestRegularRepresentation:
         g = FiniteAbelianGroup((2, 3))
         chars = list(g.characters())
         assert oracle_is_regular_representation(g, Counter(chars))
-        assert oracle_is_regular_representation(g, regular_rep_multiset(g))
+        assert oracle_is_regular_representation(g, Counter(g.characters()))
         doubled = Counter(chars[:-1] + [chars[0]])
         assert sum(doubled.values()) == g.order
         assert not oracle_is_regular_representation(g, doubled)
@@ -218,18 +208,3 @@ class TestRegularRepresentation:
         assert not oracle_is_regular_representation(g, other)
         assert not oracle_is_regular_representation(g, Counter(other))
         assert oracle_is_regular_representation(FiniteAbelianGroup((4,)), other)
-
-
-class TestIsotypicalSplit:
-    def test_partition_property(self):
-        rng = random.Random(7)
-        action = cyclic_action(6, (1, 4))
-        for _ in range(20):
-            exps = [(rng.randrange(6), rng.randrange(6)) for _ in range(10)]
-            split = isotypical_split(action, exps)
-            rebuilt = Counter()
-            for chi, items in split.items():
-                for e in items:
-                    assert weight_of_monomial(action, e) == chi
-                    rebuilt[e] += 1
-            assert rebuilt == Counter(exps)

@@ -391,8 +391,9 @@ class TestRelativeTangentSpace:
     def test_cyclotomic_rows_rejected(self, z2):
         coinv = coinvariant_algebra(z2)
         z = CyclotomicNumber.root_of_unity(4)
+        zero = CyclotomicNumber.from_rational(0, 4)
         with pytest.raises(ValueError, match="rationals"):
-            relative_tangent_space(coinv, [[CyclotomicNumber.zero(4), z, CyclotomicNumber.one(4)]])
+            relative_tangent_space(coinv, [[zero, z, CyclotomicNumber.one(4)]])
 
     def test_empty_subspace(self, trivial):
         coinv = coinvariant_algebra(trivial)
