@@ -146,6 +146,31 @@ class GCluster:
             raise ValueError(f"cluster of kind {self.kind!r} is missing its payload")
 
 
+def _admit(action: ActionData, target) -> Optional[MonomialIdeal]:
+    """The one check that an input belongs to the action it is used with.
+
+    A CoinvariantAlgebra or a GCluster built for another action, or a
+    MonomialIdeal (a monomial GCluster's included) on another number of
+    variables, raises ValueError.  Returns the ideal of a MonomialIdeal or of
+    a monomial GCluster, and None for anything else.
+    """
+    if isinstance(target, CoinvariantAlgebra):
+        if target.action != action:
+            raise ValueError("the coinvariant algebra was built for another action")
+        return None
+    if not isinstance(target, MonomialIdeal):
+        if not isinstance(target, GCluster):
+            return None
+        if target.action != action:
+            raise ValueError("the cluster was built for another action")
+        if target.kind != "monomial":
+            return None
+        target = target.ideal
+    if target.num_vars != action.num_variables:
+        raise ValueError(f"the ideal has {target.num_vars} variables, the action {action.num_variables}")
+    return target
+
+
 def _field_context(rows):
     """Common exact field for a row matrix: rationals or one cyclotomic field."""
     entries = [e for row in rows for e in row]
@@ -188,8 +213,6 @@ def is_ideal_subspace(coinv: CoinvariantAlgebra, subspace) -> bool:
 
 
 def _monomial_report(action: ActionData, ideal: MonomialIdeal) -> ClusterReport:
-    if ideal.num_vars != action.num_variables:
-        raise ValueError(f"the ideal has {ideal.num_vars} variables, the action {action.num_variables}")
     # a cluster has |G| monomials, so a walk past 4|G| only needs the colength
     staircase = quotient_staircase(ideal, 4 * action.group.order)
     if staircase is None:
@@ -229,21 +252,18 @@ def verify_cluster(action: ActionData, target) -> ClusterReport:
     reported with its exact dimension only (a cluster has |G|).  Everything
     is derived from the target: the cached quotient data of a GCluster is
     not read, and rows are checked in the action's coinvariant algebra.  A
-    GCluster of another action raises ValueError.
+    GCluster of another action raises ValueError (see _admit).
     """
+    ideal = _admit(action, target)
+    if ideal is not None:
+        return _monomial_report(action, ideal)
     if isinstance(target, GCluster):
-        if target.action != action:
-            raise ValueError("the cluster was built for another action")
-        if target.kind == "monomial":
-            return _monomial_report(action, target.ideal)
         if target.kind == "orbit":
             points = target.points
             counts = _fixed_point_counts(_group_exponents(action, target.conductor), points)
             chars = _orbit_characters(action.group, counts, len(points))
             return ClusterReport.from_quotient(action.group, len(points), map(character_index, chars))
         target = target.rows
-    elif isinstance(target, MonomialIdeal):
-        return _monomial_report(action, target)
     coinv = coinvariant_algebra(action)
     return _subspace_report(action, coinv, *_echelon(coinv, target))
 
@@ -252,7 +272,7 @@ def monomial_cluster(action: ActionData, ideal) -> GCluster:
     """Build a verified monomial-ideal cluster; raises when it is not one."""
     if not isinstance(ideal, MonomialIdeal):
         ideal = MonomialIdeal(action.num_variables, tuple(ideal))
-    report = _monomial_report(action, ideal)
+    report = _monomial_report(action, _admit(action, ideal))
     if not report.is_cluster:
         raise DomainError(f"not a G-cluster: {report.failure_reason}")
     return GCluster(
@@ -323,8 +343,8 @@ def enumerate_torus_fixed_clusters(action: ActionData,
     """
     if coinv is None:
         coinv = coinvariant_algebra(action)
-    elif coinv.action != action:
-        raise ValueError("the coinvariant algebra was built for another action")
+    else:
+        _admit(action, coinv)
     order = action.group.order
 
     # missing[i] counts the divisors m/x_i of basis[i] not yet in the staircase;
@@ -393,9 +413,10 @@ def subspace_rows_of_monomial_cluster(coinv: CoinvariantAlgebra, cluster) -> tup
     """Indicator rows of the image of a monomial cluster ideal in S-bar.
 
     The rows are the unit vectors of the basis monomials lying in the ideal;
-    they are already in reduced echelon form.
+    they are already in reduced echelon form.  A GCluster of another action
+    than the algebra's raises ValueError (see _admit).
     """
-    ideal = cluster.ideal if isinstance(cluster, GCluster) else cluster
+    ideal = _admit(coinv.action, cluster) if isinstance(cluster, GCluster) else cluster
     rows = []
     for i, m in enumerate(coinv.basis):
         if ideal.contains(m):
@@ -510,36 +531,26 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
 def evaluation_kernel(action: ActionData, cluster: GCluster):
     """Monomial list and kernel rows of the evaluation map at the points of an orbit cluster.
 
-    The kernel is the linear span, inside the monomials of per-variable degree
-    at most a bound, of the polynomials vanishing on the points.  The bound
-    starts at |G|-1 and doubles until the evaluation rank stabilizes across a
-    full step, certifying that the kernel cuts out exactly the point set.
-    The cluster is one orbit_cluster built for this action; its points are
-    read in its own conductor's field.  Any other input raises ValueError.
+    The monomials are those of per-variable degree at most
+    d = max(|G|, number of points) - 1, in graded-lex order, and the kernel is
+    the span of the polynomials among them that vanish on the points.  The
+    points are distinct and products of univariate separators of degree at
+    most d interpolate them (see orbit_cluster), so the evaluation has rank
+    the number of points.  The kernel need not cut out the point set: on
+    1/3(1) at (1,) it is empty at d = 2, as x1^3 - 1 has degree 3.  The
+    cluster is one orbit_cluster built for this action; its points are read
+    in its own conductor's field.  Any other input raises ValueError.
     """
     if not isinstance(cluster, GCluster) or cluster.kind != "orbit":
         raise ValueError("evaluation_kernel expects an orbit cluster")
-    if cluster.action != action:
-        raise ValueError("the cluster was built for another action")
+    _admit(action, cluster)
     points = cluster.points
     one = CyclotomicNumber.one(cluster.conductor)
-    n = action.num_variables
-
-    bound = max(action.group.order - 1, 0)
-    prev_rank = -1
-    while True:
-        monomials = [
-            Monomial(exps)
-            for exps in itertools.product(range(bound + 1), repeat=n)
-        ]
-        monomials.sort(key=lambda m: m.grlex_key)
-        rows = [[_evaluate(m, p, one) for m in monomials] for p in points]
-        kernel = kernel_basis_rows(rows, len(monomials), one)
-        rank = len(monomials) - len(kernel)
-        if rank == len(points) or rank == prev_rank:
-            return monomials, kernel
-        prev_rank = rank
-        bound = max(2 * bound, 1)
+    degrees = range(max(action.group.order, len(points)))
+    monomials = sorted(map(Monomial, itertools.product(degrees, repeat=action.num_variables)),
+                       key=_grlex_key)
+    rows = [[_evaluate(m, p, one) for m in monomials] for p in points]
+    return monomials, kernel_basis_rows(rows, len(monomials), one)
 
 
 def tau_support(action: ActionData, cluster, coinv: Optional[CoinvariantAlgebra] = None) -> QuotientPoint:
@@ -553,12 +564,11 @@ def tau_support(action: ActionData, cluster, coinv: Optional[CoinvariantAlgebra]
     The values v_j = p^(e_j) satisfy every multiplicative relation among the
     generators by construction (sum c_j e_j = 0 makes both sides p^E), so the
     point lies on the quotient without a check.  A GCluster or a coinv of
-    another action raises ValueError.
+    another action raises ValueError (see _admit).
     """
-    if isinstance(cluster, GCluster) and cluster.action != action:
-        raise ValueError("the cluster was built for another action")
-    if coinv is not None and coinv.action != action:
-        raise ValueError("the coinvariant algebra was built for another action")
+    ideal = _admit(action, cluster)
+    if coinv is not None:
+        _admit(action, coinv)
     gens = tuple(coinv.invariant_gens) if coinv is not None else tuple(invariant_generators(action))
 
     if isinstance(cluster, GCluster) and cluster.kind == "orbit":
@@ -574,11 +584,8 @@ def tau_support(action: ActionData, cluster, coinv: Optional[CoinvariantAlgebra]
         # invariant generators already vanish in the coinvariant algebra
         values = [Fraction(0)] * len(gens)
     else:
-        ideal = cluster.ideal if isinstance(cluster, GCluster) else cluster
-        if not isinstance(ideal, MonomialIdeal):
+        if ideal is None:
             raise TypeError("tau_support expects a GCluster or a MonomialIdeal")
-        if ideal.num_vars != action.num_variables:
-            raise ValueError(f"the ideal has {ideal.num_vars} variables, the action {action.num_variables}")
         values = []
         for g in gens:
             if not ideal.contains(g):

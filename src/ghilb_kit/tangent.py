@@ -42,11 +42,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Union
 
 from ghilb_kit.cluster import (
     GCluster,
     IntegrityError,
+    _admit,
     _closed_under_variables,
     _echelon,
     _variable_images,
@@ -131,19 +132,15 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -
     A monomial cluster brings its staircase; a bare MonomialIdeal need not
     be a cluster, and any finite staircase is walked, whatever its size.
     Slots pair weights as character indices.  A GCluster of another action
-    raises ValueError.
+    or an ideal on another number of variables raises ValueError (see
+    cluster._admit).
     """
+    ideal = _admit(action, cluster)
     if isinstance(cluster, GCluster):
-        if cluster.action != action:
-            raise ValueError("the cluster was built for another action")
         if cluster.kind != "monomial":
             raise ValueError("tangent_space expects a monomial-ideal cluster")
-        ideal = cluster.ideal
         staircase = list(cluster.staircase)
     else:
-        ideal = cluster
-        if ideal.num_vars != action.num_variables:
-            raise ValueError(f"the ideal has {ideal.num_vars} variables, the action {action.num_variables}")
         dim = colength(ideal)
         if dim is None:
             raise DomainError("quotient is not finite-dimensional")
@@ -456,35 +453,26 @@ def _generator_pivots(coinv: CoinvariantAlgebra, gens) -> dict[int, int]:
     return {i: k for k, g in enumerate(gens) if (i := find(g.exponents)) is not None}
 
 
-def _monomial_ideal(coinv: CoinvariantAlgebra, subspace) -> Optional[MonomialIdeal]:
-    """The ideal of a monomial GCluster or MonomialIdeal on the action's variables, else None."""
-    if isinstance(subspace, GCluster) and subspace.kind == "monomial":
-        subspace = subspace.ideal
-    if not isinstance(subspace, MonomialIdeal):
-        return None
-    if subspace.num_vars != coinv.action.num_variables:
-        raise ValueError(f"the ideal has {subspace.num_vars} variables, the action {coinv.action.num_variables}")
-    return subspace
-
-
 def relative_data(coinv: CoinvariantAlgebra, subspace) -> RelativeData:
     """The shared relative tangent computation for an ideal subspace of S-bar.
 
     A monomial GCluster or a MonomialIdeal I takes the staircase route: one
     tangent_space of I + J, J the ideal of the positive-degree invariant
     monomials, lifted to the coinvariant basis (_StaircaseRelative); a
-    cluster of the algebra's own action holds J, so its staircase serves.
-    Rows (or a subspace GCluster) take the dense path.  A RelativeData built
-    for the same coinvariant algebra is returned as it is.
+    cluster holds J, so its staircase serves.  Rows (or a subspace GCluster)
+    take the dense path.  A GCluster of another action than the algebra's,
+    or an ideal on another number of variables, raises ValueError (see
+    cluster._admit).  A RelativeData built for the same coinvariant algebra
+    is returned as it is.
     """
     if isinstance(subspace, RelativeData):
         if subspace.coinv is not coinv:
             raise ValueError("relative data was built for another coinvariant algebra")
         return subspace
-    ideal = _monomial_ideal(coinv, subspace)
+    ideal = _admit(coinv.action, subspace)
     if ideal is None:
         return _DenseRelative(coinv, subspace)
-    if not (isinstance(subspace, GCluster) and subspace.action == coinv.action):
+    if not isinstance(subspace, GCluster):
         subspace = MonomialIdeal(ideal.num_vars, ideal.min_gens + coinv.invariant_gens)
     return _StaircaseRelative(coinv, tangent_space(coinv.action, subspace))
 
@@ -518,7 +506,7 @@ def stratification_rep(coinv: CoinvariantAlgebra, subspace) -> StratRep:
     cluster or MonomialIdeal reads them off its minimal generators
     (_generator_pivots) without building RelativeData.
     """
-    ideal = _monomial_ideal(coinv, subspace)
+    ideal = _admit(coinv.action, subspace)
     if ideal is not None:
         pivots = list(_generator_pivots(coinv, ideal.min_gens))
         table = coinv.action.group.indexed_characters

@@ -36,7 +36,7 @@ from ghilb_kit.cluster import (
 from ghilb_kit.cyclotomic import CyclotomicNumber
 from ghilb_kit.group_rep import DomainError, character_index, weight_of_monomial
 from ghilb_kit.monomial_algebra import Monomial, MonomialIdeal, coinvariant_algebra
-from ghilb_kit.tangent import tangent_space
+from ghilb_kit.tangent import eq8_map, relative_data, relative_tangent_space, stratification_rep, tangent_space
 from oracles import (
     oracle_eval,
     oracle_hj_clusters,
@@ -640,6 +640,23 @@ def test_cluster_of_another_action_rejected(fn, action):
     for cluster in z2_clusters():
         with pytest.raises(ValueError, match="the cluster was built for another action"):
             fn(action, cluster)
+
+
+@pytest.mark.parametrize("fn", [relative_data, relative_tangent_space, stratification_rep, eq8_map,
+                                subspace_rows_of_monomial_cluster], ids=lambda fn: fn.__name__)
+def test_operations_on_a_coinvariant_algebra_refuse_a_cluster_of_another_action(fn):
+    # 1/5(1,2) and 1/5(1,3) both have coinvariant algebras of dimension 11: the
+    # rows of a subspace cluster of the first were read in the basis of the
+    # second (stratification (χ3,), not (χ2,)), a monomial one as I + J there,
+    # and its unit rows were taken over the basis of the second
+    action = cyclic_action(5, (1, 2))
+    coinv = coinvariant_algebra(action)
+    monomial = enumerate_torus_fixed_clusters(action, coinv)[0]
+    subspace = subspace_cluster(coinv, subspace_rows_of_monomial_cluster(coinv, monomial))
+    other = coinvariant_algebra(cyclic_action(5, (1, 3)))
+    for cluster in (subspace, monomial):
+        with pytest.raises(ValueError, match="the cluster was built for another action"):
+            fn(other, cluster)
 
 
 class TestTau:

@@ -267,6 +267,16 @@ def test_detector_sees_method_references():
     assert method_references(source, "Missing", ("steps",)) == ["no class Missing"]
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _parameters(node) -> list[ast.arg]:
+    """The parameters of a function or lambda, * and ** ones included."""
+    args = node.args
+    return args.posonlyargs + args.args + args.kwonlyargs + [
+        a for a in (args.vararg, args.kwarg) if a is not None]
+
+
 def unread_parameters(source: str) -> list[str]:
     """'function: parameter' for each parameter its function's body never reads.
 
@@ -276,11 +286,9 @@ def unread_parameters(source: str) -> list[str]:
     """
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if not isinstance(node, FUNCTIONS):
             continue
-        args = node.args
-        params = args.posonlyargs + args.args + args.kwonlyargs + [
-            a for a in (args.vararg, args.kwarg) if a is not None]
+        params = _parameters(node)
         body = node.body if isinstance(node.body, list) else [node.body]
         read = {sub.id for stmt in body for sub in ast.walk(stmt)
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
@@ -336,10 +344,46 @@ def rebound_names(tracer: str) -> set[str]:
     return names
 
 
+def _local_stores(node):
+    """The names node binds in the function whose body holds it: assignment
+    targets and the names of nested definitions, whose bodies are not entered."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        yield node.id
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield node.name
+    elif not isinstance(node, ast.Lambda):
+        for child in ast.iter_child_nodes(node):
+            yield from _local_stores(child)
+
+
+def unbound_loads(tree: ast.AST) -> set[str]:
+    """The names a Name loads where no enclosing function binds them, by a
+    parameter or an assignment in its own body: the reads of module names."""
+    loads = set()
+
+    def visit(node, bound: frozenset) -> None:
+        if isinstance(node, FUNCTIONS):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            inner = bound.union((p.arg for p in _parameters(node)),
+                                (name for stmt in body for name in _local_stores(stmt)))
+            # decorators, defaults and annotations are read in the enclosing scope
+            for child in ast.iter_child_nodes(node):
+                visit(child, inner if child in body else bound)
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+            loads.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset())
+    return loads
+
+
 def unread_names(sources: dict[str, str], tracer: str) -> list[str]:
     """'Class.member' for each method, property or instance attribute (set as
     self.name) of a class of the sources that no Attribute reads, and each
-    name of an __all__ of the sources that no Name or Attribute reads.
+    name of an __all__ of the sources that no Attribute reads and no Name
+    loads outside a function binding a local of that name (see unbound_loads).
 
     Dunder methods are exempt, and so are the names the tracer rebinds (see
     rebound_names); an assignment, a definition, an import or an __all__
@@ -347,11 +391,11 @@ def unread_names(sources: dict[str, str], tracer: str) -> list[str]:
     """
     attributes, names, members, exported = set(), set(), [], []
     for source in sources.values():
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        names |= unbound_loads(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
                 attributes.add(node.attr)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
             elif isinstance(node, ast.ClassDef):
                 members += [f"{node.name}.{sub.name}" for sub in node.body
                             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -372,6 +416,7 @@ PUBLIC_WITHOUT_READER = {
     "RationalMatrix.from_rows": "RationalMatrix is public API (ROADMAP, decisions that stand)",
     "SpecParseError.pos": "the position of a spec error, read by callers of parse_action_spec",
     "kernel_basis": "public API (ROADMAP, decisions that stand)",
+    "rank": "public API (ROADMAP, decisions that stand)",
     "solve": "public API (ROADMAP, decisions that stand)",
     "monomial_cluster": "a verified cluster constructor the README documents",
     "subspace_cluster": "a verified cluster constructor the README documents",
@@ -387,9 +432,11 @@ def test_every_public_name_has_a_library_reader():
 
 
 def test_detector_sees_unread_members():
+    # a local variable or a parameter of an enclosing function hides no
+    # export of its name: 'rank' and 'unused' stay unread; 'kept_fn' is read
     sources = {
         "a": (
-            "__all__ = ['Algebra', 'f', 'unused', 'traced_fn']\n"
+            "__all__ = ['Algebra', 'f', 'unused', 'traced_fn', 'rank', 'kept_fn']\n"
             "class Algebra:\n"
             "    def __init__(self):\n"
             "        self.size = 0\n"
@@ -415,8 +462,20 @@ def test_detector_sees_unread_members():
             "    return 0\n"
             "def traced_fn():\n"
             "    return 0\n"
+            "def rank(rows):\n"
+            "    return len(rows)\n"
+            "def kept_fn():\n"
+            "    return 0\n"
         ),
-        "b": "def f(algebra):\n    return algebra.steps(), Algebra\n",
+        "b": (
+            "def f(algebra):\n"
+            "    return algebra.steps(), Algebra\n"
+            "def g(rows, unused):\n"
+            "    rank = len(rows)\n"
+            "    def inner():\n"
+            "        return rank, unused, kept_fn\n"
+            "    return inner\n"
+        ),
     }
     # the tracer exempts its table entries only: 'zero' and 'unread' in its
     # prose, a string or a local variable, and 'kept' as a bare entry, do not count
@@ -429,7 +488,7 @@ def test_detector_sees_unread_members():
         "    return 'Algebra.zero' if zero else 'unread'\n"
     )
     assert unread_names(sources, tracer) == [
-        "Algebra.kept", "Algebra.unread", "Algebra.zero", "_Other.helper", "f", "unused",
+        "Algebra.kept", "Algebra.unread", "Algebra.zero", "_Other.helper", "f", "rank", "unused",
     ]
 
 
