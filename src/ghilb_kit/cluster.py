@@ -120,12 +120,17 @@ class FreenessReport:
     fixed_point_counts: tuple[tuple[tuple[int, ...], int], ...]
 
 
+# 1 marks each payload field (ideal, staircase, rows, conductor, points) a GCluster of the kind sets
+_PAYLOADS = {"monomial": (1, 1, 0, 0, 0), "subspace": (0, 0, 1, 0, 0), "orbit": (0, 0, 0, 1, 1)}
+
+
 @dataclass(frozen=True)
 class GCluster:
     """A G-cluster in one of the three supported presentations.
 
-    kind is "monomial", "subspace", or "orbit"; exactly the matching payload
-    field is set.  quotient_dim and characters cache the quotient data.
+    kind is "monomial" (payload ideal and staircase), "subspace" (rows) or
+    "orbit" (conductor and points); exactly the payload of its kind is set,
+    else ValueError.  quotient_dim and characters cache the quotient data.
     """
 
     kind: str
@@ -139,36 +144,42 @@ class GCluster:
     characters: Optional[tuple[Character, ...]] = None
 
     def __post_init__(self) -> None:
-        payload = {"monomial": self.ideal, "subspace": self.rows, "orbit": self.points}
-        if self.kind not in payload:
+        payload = _PAYLOADS.get(self.kind)
+        if payload is None:
             raise ValueError(f"unknown cluster kind {self.kind!r}")
-        if payload[self.kind] is None:
-            raise ValueError(f"cluster of kind {self.kind!r} is missing its payload")
+        if payload != (self.ideal is not None, self.staircase is not None, self.rows is not None,
+                       self.conductor is not None, self.points is not None):
+            raise ValueError(f"a {self.kind} cluster sets exactly the payload fields of its kind")
 
 
-def _admit(action: ActionData, target) -> Optional[MonomialIdeal]:
-    """The one check that an input belongs to the action it is used with.
+def _admit(action: ActionData, target, takes=None) -> tuple:
+    """Check that an input belongs to the action; return its (kind, payload).
 
-    A CoinvariantAlgebra or a GCluster built for another action, or a
-    MonomialIdeal (a monomial GCluster's included) on another number of
-    variables, raises ValueError.  Returns the ideal of a MonomialIdeal or of
-    a monomial GCluster, and None for anything else.
+    The one place that tells presentations apart.  The kinds: "ideal" (a
+    MonomialIdeal), "monomial" (a GCluster; payload its ideal), "subspace"
+    (payload its rows), "orbit", "algebra" (a CoinvariantAlgebra) and "rows"
+    (anything else); other payloads are the target.  A GCluster or algebra
+    of another action, or an ideal on another number of variables, raises
+    ValueError; then a kind outside takes does, unless takes is None.
     """
     if isinstance(target, CoinvariantAlgebra):
         if target.action != action:
             raise ValueError("the coinvariant algebra was built for another action")
-        return None
-    if not isinstance(target, MonomialIdeal):
-        if not isinstance(target, GCluster):
-            return None
+        kind, payload = "algebra", target
+    elif isinstance(target, MonomialIdeal):
+        kind, payload = "ideal", target
+    elif isinstance(target, GCluster):
         if target.action != action:
             raise ValueError("the cluster was built for another action")
-        if target.kind != "monomial":
-            return None
-        target = target.ideal
-    if target.num_vars != action.num_variables:
-        raise ValueError(f"the ideal has {target.num_vars} variables, the action {action.num_variables}")
-    return target
+        kind = target.kind
+        payload = target.ideal if kind == "monomial" else target.rows if kind == "subspace" else target
+    else:
+        kind, payload = "rows", target
+    if kind in ("ideal", "monomial") and payload.num_vars != action.num_variables:
+        raise ValueError(f"the ideal has {payload.num_vars} variables, the action {action.num_variables}")
+    if takes is not None and kind not in takes:
+        raise ValueError(f"the input is of kind {kind}; this operation takes {' or '.join(takes)}")
+    return kind, payload
 
 
 def _field_context(rows):
@@ -206,9 +217,10 @@ def is_ideal_subspace(coinv: CoinvariantAlgebra, subspace) -> bool:
     Returns true iff every product of a basis monomial with a spanning row
     stays inside the span.  Only products by the variables are formed: the
     variables generate the algebra, so closure under them is equivalent to
-    closure under every basis monomial.
+    closure under every basis monomial.  It takes rows only (_admit).
     """
-    rref, pivots = _echelon(coinv, subspace)
+    _, rows = _admit(coinv.action, subspace, ("rows",))
+    rref, pivots = _echelon(coinv, rows)
     return _closed_under_variables(rref, pivots, _variable_images(coinv, rref))
 
 
@@ -244,9 +256,9 @@ def _subspace_report(action: ActionData, coinv: CoinvariantAlgebra, rref, pivots
 def verify_cluster(action: ActionData, target) -> ClusterReport:
     """Check the G-cluster conditions for an ideal-like input.
 
-    Accepts a MonomialIdeal (checked in the full polynomial ring through its
-    staircase), a matrix of rows spanning a subspace of the coinvariant
-    algebra, or a GCluster of any kind.  A non-finite quotient is reported as
+    Takes every kind of input (see _admit): an ideal, checked in the full
+    polynomial ring through its staircase, rows spanning a subspace of the
+    coinvariant algebra, or a GCluster.  A non-finite quotient is reported as
     a failure, not raised.  The staircase of a monomial ideal comes back on
     the report when it has at most 4|G| monomials; a larger finite one is
     reported with its exact dimension only (a cluster has |G|).  Everything
@@ -254,25 +266,23 @@ def verify_cluster(action: ActionData, target) -> ClusterReport:
     not read, and rows are checked in the action's coinvariant algebra.  A
     GCluster of another action raises ValueError (see _admit).
     """
-    ideal = _admit(action, target)
-    if ideal is not None:
-        return _monomial_report(action, ideal)
-    if isinstance(target, GCluster):
-        if target.kind == "orbit":
-            points = target.points
-            counts = _fixed_point_counts(_group_exponents(action, target.conductor), points)
-            chars = _orbit_characters(action.group, counts, len(points))
-            return ClusterReport.from_quotient(action.group, len(points), map(character_index, chars))
-        target = target.rows
+    kind, payload = _admit(action, target, ("ideal", "monomial", "subspace", "orbit", "rows"))
+    if kind in ("ideal", "monomial"):
+        return _monomial_report(action, payload)
+    if kind == "orbit":
+        points = payload.points
+        counts = _fixed_point_counts(_group_exponents(action, payload.conductor), points)
+        chars = _orbit_characters(action.group, counts, len(points))
+        return ClusterReport.from_quotient(action.group, len(points), map(character_index, chars))
     coinv = coinvariant_algebra(action)
-    return _subspace_report(action, coinv, *_echelon(coinv, target))
+    return _subspace_report(action, coinv, *_echelon(coinv, payload))
 
 
 def monomial_cluster(action: ActionData, ideal) -> GCluster:
     """Build a verified monomial-ideal cluster; raises when it is not one."""
     if not isinstance(ideal, MonomialIdeal):
         ideal = MonomialIdeal(action.num_variables, tuple(ideal))
-    report = _monomial_report(action, _admit(action, ideal))
+    report = _monomial_report(action, _admit(action, ideal, ("ideal",))[1])
     if not report.is_cluster:
         raise DomainError(f"not a G-cluster: {report.failure_reason}")
     return GCluster(
@@ -413,10 +423,10 @@ def subspace_rows_of_monomial_cluster(coinv: CoinvariantAlgebra, cluster) -> tup
     """Indicator rows of the image of a monomial cluster ideal in S-bar.
 
     The rows are the unit vectors of the basis monomials lying in the ideal;
-    they are already in reduced echelon form.  A GCluster of another action
-    than the algebra's raises ValueError (see _admit).
+    they are already in reduced echelon form.  It takes an ideal or a
+    monomial cluster of the algebra's action (see _admit).
     """
-    ideal = _admit(coinv.action, cluster) if isinstance(cluster, GCluster) else cluster
+    _, ideal = _admit(coinv.action, cluster, ("ideal", "monomial"))
     rows = []
     for i, m in enumerate(coinv.basis):
         if ideal.contains(m):
@@ -539,11 +549,9 @@ def evaluation_kernel(action: ActionData, cluster: GCluster):
     the number of points.  The kernel need not cut out the point set: on
     1/3(1) at (1,) it is empty at d = 2, as x1^3 - 1 has degree 3.  The
     cluster is one orbit_cluster built for this action; its points are read
-    in its own conductor's field.  Any other input raises ValueError.
+    in its own conductor's field.  Other input raises ValueError (_admit).
     """
-    if not isinstance(cluster, GCluster) or cluster.kind != "orbit":
-        raise ValueError("evaluation_kernel expects an orbit cluster")
-    _admit(action, cluster)
+    _admit(action, cluster, ("orbit",))
     points = cluster.points
     one = CyclotomicNumber.one(cluster.conductor)
     degrees = range(max(action.group.order, len(points)))
@@ -563,32 +571,30 @@ def tau_support(action: ActionData, cluster, coinv: Optional[CoinvariantAlgebra]
     pairs to 0 with every h is constant there and is evaluated at one point.
     The values v_j = p^(e_j) satisfy every multiplicative relation among the
     generators by construction (sum c_j e_j = 0 makes both sides p^E), so the
-    point lies on the quotient without a check.  A GCluster or a coinv of
-    another action raises ValueError (see _admit).
+    point lies on the quotient without a check.  Rows, or a GCluster or a
+    coinv of another action, raise ValueError (see _admit).
     """
-    ideal = _admit(action, cluster)
+    kind, payload = _admit(action, cluster, ("ideal", "monomial", "subspace", "orbit"))
     if coinv is not None:
         _admit(action, coinv)
     gens = tuple(coinv.invariant_gens) if coinv is not None else tuple(invariant_generators(action))
 
-    if isinstance(cluster, GCluster) and cluster.kind == "orbit":
+    if kind == "orbit":
         weight_index = weight_indexer(action)
         for g in gens:
             if weight_index(g.exponents):
                 raise IntegrityError(
                     f"invariant generator {g.to_text()} is not constant on the orbit"
                 )
-        one = CyclotomicNumber.one(cluster.conductor)
-        values = [_evaluate(g, cluster.points[0], one) for g in gens]
-    elif isinstance(cluster, GCluster) and cluster.kind == "subspace":
+        one = CyclotomicNumber.one(payload.conductor)
+        values = [_evaluate(g, payload.points[0], one) for g in gens]
+    elif kind == "subspace":
         # invariant generators already vanish in the coinvariant algebra
         values = [Fraction(0)] * len(gens)
     else:
-        if ideal is None:
-            raise TypeError("tau_support expects a GCluster or a MonomialIdeal")
         values = []
         for g in gens:
-            if not ideal.contains(g):
+            if not payload.contains(g):
                 raise IntegrityError(
                     f"invariant generator {g.to_text()} does not reduce to a scalar"
                 )

@@ -28,7 +28,7 @@ elimination.  The relative data takes one of two routes:
   its numbers off a verified cluster's own staircase, where I + J = I
   (_staircase_relative); the library lifts the same classes to unit rows
   over the coinvariant basis (_StaircaseRelative);
-* the dense route, for raw rows (and subspace clusters), which eliminates
+* the dense route, for rows (a subspace cluster's too), which eliminates
   over the rationals (eq8_map's rank test included) and is the test oracle
   of the other, so it uses none of its solver; one product table of the rows
   by the variables feeds its ideal test, generators and Hom equations
@@ -131,15 +131,12 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -
     the ideal.  Returns the canonical kernel basis of kernel_basis_rows.
     A monomial cluster brings its staircase; a bare MonomialIdeal need not
     be a cluster, and any finite staircase is walked, whatever its size.
-    Slots pair weights as character indices.  A GCluster of another action
-    or an ideal on another number of variables raises ValueError (see
-    cluster._admit).
+    Slots pair weights as character indices.  Other input, or input of
+    another action, raises ValueError (see cluster._admit).
     """
-    ideal = _admit(action, cluster)
-    if isinstance(cluster, GCluster):
-        if cluster.kind != "monomial":
-            raise ValueError("tangent_space expects a monomial-ideal cluster")
-        staircase = list(cluster.staircase)
+    kind, ideal = _admit(action, cluster, ("ideal", "monomial"))
+    if kind == "monomial":
+        staircase = cluster.staircase
     else:
         dim = colength(ideal)
         if dim is None:
@@ -311,11 +308,8 @@ class _DenseRelative(RelativeData):
     residues of the products x_v * b_q off the echelon form.
     """
 
-    def __init__(self, coinv: CoinvariantAlgebra, subspace) -> None:
+    def __init__(self, coinv: CoinvariantAlgebra, rows: list) -> None:
         self.coinv = coinv
-        if isinstance(subspace, GCluster) and subspace.kind != "subspace":
-            raise ValueError("orbit clusters have no subspace presentation in S-bar")
-        rows = list(subspace.rows if isinstance(subspace, GCluster) else subspace)
         if any(isinstance(e, CyclotomicNumber) for row in rows for e in row):
             raise ValueError("tangent computations work over the rationals")
         self.rref, self.pivots = _echelon(coinv, rows)
@@ -459,21 +453,20 @@ def relative_data(coinv: CoinvariantAlgebra, subspace) -> RelativeData:
     A monomial GCluster or a MonomialIdeal I takes the staircase route: one
     tangent_space of I + J, J the ideal of the positive-degree invariant
     monomials, lifted to the coinvariant basis (_StaircaseRelative); a
-    cluster holds J, so its staircase serves.  Rows (or a subspace GCluster)
-    take the dense path.  A GCluster of another action than the algebra's,
-    or an ideal on another number of variables, raises ValueError (see
-    cluster._admit).  A RelativeData built for the same coinvariant algebra
-    is returned as it is.
+    cluster holds J, so its staircase serves.  Rows, a subspace GCluster's
+    included, take the dense path.  An orbit cluster, or input of another
+    action than the algebra's, raises ValueError (see cluster._admit).  A
+    RelativeData built for the same coinvariant algebra is returned as is.
     """
     if isinstance(subspace, RelativeData):
         if subspace.coinv is not coinv:
             raise ValueError("relative data was built for another coinvariant algebra")
         return subspace
-    ideal = _admit(coinv.action, subspace)
-    if ideal is None:
-        return _DenseRelative(coinv, subspace)
-    if not isinstance(subspace, GCluster):
-        subspace = MonomialIdeal(ideal.num_vars, ideal.min_gens + coinv.invariant_gens)
+    kind, payload = _admit(coinv.action, subspace, ("ideal", "monomial", "subspace", "rows"))
+    if kind in ("subspace", "rows"):
+        return _DenseRelative(coinv, list(payload))
+    if kind == "ideal":
+        subspace = MonomialIdeal(payload.num_vars, payload.min_gens + coinv.invariant_gens)
     return _StaircaseRelative(coinv, tangent_space(coinv.action, subspace))
 
 
@@ -504,11 +497,11 @@ def stratification_rep(coinv: CoinvariantAlgebra, subspace) -> StratRep:
     mbar*Ibar, the span of the products (variable) * (row); their count is
     the number of minimal generators of Ibar as a module.  A monomial
     cluster or MonomialIdeal reads them off its minimal generators
-    (_generator_pivots) without building RelativeData.
+    (_generator_pivots), without RelativeData.  It takes what relative_data does.
     """
-    ideal = _admit(coinv.action, subspace)
-    if ideal is not None:
-        pivots = list(_generator_pivots(coinv, ideal.min_gens))
+    kind, payload = _admit(coinv.action, subspace, ("ideal", "monomial", "subspace", "rows"))
+    if kind in ("ideal", "monomial"):
+        pivots = list(_generator_pivots(coinv, payload.min_gens))
         table = coinv.action.group.indexed_characters
         return StratRep(generators=tuple(_unit_row(coinv.dim, p) for p in pivots),
                         characters=tuple(table[i] for i in sorted(coinv.weight_indices[p] for p in pivots)))

@@ -403,7 +403,7 @@ class TestFactories:
     def test_subspace_rows_of_ideal_on_other_variables_rejected(self):
         # Z/3 (1, 2) acts on two variables; (x1, x2, x3) lives on three
         coinv = coinvariant_algebra(cyclic_action(3, (1, 2)))
-        with pytest.raises(ValueError, match="the ideal has 3 variables, the monomial 2"):
+        with pytest.raises(ValueError, match="the ideal has 3 variables, the action 2"):
             subspace_rows_of_monomial_cluster(coinv, ideal(3, (1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def test_gcluster_payload_validation(self, z2):
@@ -411,6 +411,16 @@ class TestFactories:
             GCluster(kind="monomial", action=z2)
         with pytest.raises(ValueError):
             GCluster(kind="weird", action=z2, ideal=ideal(2, (0, 1)))
+        # a cluster holds exactly the payload of its kind, so no operation meets a
+        # monomial one without its staircase or an orbit one without its conductor
+        monomial = monomial_cluster(z2, ideal(2, (0, 1), (2, 0)))
+        orbit, _ = orbit_cluster(z2, (F(1), F(1)))
+        for fields in ({"kind": "monomial", "ideal": monomial.ideal},
+                       {"kind": "orbit", "points": orbit.points},
+                       {"kind": "monomial", "ideal": monomial.ideal, "staircase": monomial.staircase,
+                        "rows": ((F(0), F(1), F(0)),)}):
+            with pytest.raises(ValueError, match="sets exactly"):
+                GCluster(action=z2, **fields)
 
 
 class TestOrbit:
@@ -577,7 +587,7 @@ class TestEvaluationKernel:
         subspace = subspace_cluster(coinv, subspace_rows_of_monomial_cluster(coinv, monomial))
         for other in ([(F(1), F(1))], [(CyclotomicNumber.root_of_unity(3),)], orbit.points,
                       monomial, subspace):
-            with pytest.raises(ValueError, match="evaluation_kernel expects an orbit cluster"):
+            with pytest.raises(ValueError, match="this operation takes orbit$"):
                 evaluation_kernel(z3, other)
         for action in (z2, cyclic_action(3, (1, 1))):
             with pytest.raises(ValueError, match="the cluster was built for another action"):
@@ -659,6 +669,36 @@ def test_operations_on_a_coinvariant_algebra_refuse_a_cluster_of_another_action(
             fn(other, cluster)
 
 
+def _presentations():
+    # one input of each kind for Z/3 (1, 2), and the calls that refuse one
+    action = cyclic_action(3, (1, 2))
+    coinv = coinvariant_algebra(action)
+    monomial = enumerate_torus_fixed_clusters(action, coinv)[0]
+    rows = subspace_rows_of_monomial_cluster(coinv, monomial)
+    subspace = subspace_cluster(coinv, rows)
+    orbit, _ = orbit_cluster(action, (F(1), F(1)))
+    return [
+        pytest.param(tangent_space, action, rows, "ideal or monomial", id="tangent_space-rows"),
+        pytest.param(subspace_rows_of_monomial_cluster, coinv, subspace, "ideal or monomial",
+                     id="subspace_rows_of_monomial_cluster-subspace"),
+        pytest.param(subspace_rows_of_monomial_cluster, coinv, orbit, "ideal or monomial",
+                     id="subspace_rows_of_monomial_cluster-orbit"),
+        pytest.param(is_ideal_subspace, coinv, subspace, "rows", id="is_ideal_subspace-subspace"),
+        pytest.param(tau_support, action, "not a cluster", "ideal or monomial or subspace or orbit",
+                     id="tau_support-rows"),
+        pytest.param(stratification_rep, coinv, orbit, "ideal or monomial or subspace or rows",
+                     id="stratification_rep-orbit"),
+    ]
+
+
+@pytest.mark.parametrize("fn,context,target,takes", _presentations())
+def test_a_wrong_presentation_is_refused_with_the_kinds_taken(fn, context, target, takes):
+    # refused by _admit, before any payload that the kind lacks is read
+    with pytest.raises(ValueError, match=f"this operation takes {takes}$") as info:
+        fn(context, target)
+    assert type(info.value) is ValueError
+
+
 class TestTau:
     def test_orbit_evaluates_each_generator_once(self, monkeypatch):
         action = sl2_action(4)
@@ -738,7 +778,7 @@ class TestTau:
         assert all(v == 0 for v in point.values)
 
     def test_rejects_unknown_input(self, z2):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^the input is of kind rows; "):
             tau_support(z2, "not a cluster")
 
 

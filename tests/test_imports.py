@@ -267,6 +267,66 @@ def test_detector_sees_method_references():
     assert method_references(source, "Missing", ("steps",)) == ["no class Missing"]
 
 
+# the class and the function that alone may tell a cluster's presentation
+KIND_READERS = ("GCluster", "_admit")
+
+
+def kind_dispatches(sources: dict[str, str]) -> list[str]:
+    """'module: function line n' for each read of an attribute kind and each
+    call isinstance(_, GCluster), a tuple of classes included, outside the
+    definitions named in KIND_READERS."""
+    found = []
+
+    def visit(node, module: str, name: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name not in KIND_READERS:
+                    visit(child, module, child.name)
+                continue
+            reads_kind = isinstance(child, ast.Attribute) and child.attr == "kind"
+            tests_cluster = (isinstance(child, ast.Call) and _read_name(child.func) == "isinstance"
+                             and len(child.args) == 2
+                             and any(_read_name(n) == "GCluster" for n in ast.walk(child.args[1])))
+            if reads_kind or tests_cluster:
+                found.append(f"{module}: {name} line {child.lineno}")
+            visit(child, module, name)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return sorted(set(found))
+
+
+def test_only_admit_tells_presentations_apart():
+    # cluster._admit maps each input to its kind and payload; an operation
+    # branches on the kind it returns, so no payload is read that its kind lacks
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert kind_dispatches(sources) == []
+
+
+def test_detector_sees_kind_dispatches():
+    sources = {
+        "a": (
+            "class GCluster:\n"
+            "    def check(self):\n"
+            "        return self.kind\n"
+            "def _admit(target):\n"
+            "    return isinstance(target, GCluster) and target.kind\n"
+            "def op(cluster):\n"
+            "    if isinstance(cluster, (GCluster, list)):\n"
+            "        return cluster.rows\n"
+            "    return cluster\n"
+            "def other(x):\n"
+            "    def inner(y):\n"
+            "        return y.kind == 'orbit'\n"
+            "    return isinstance(x, mod.GCluster), isinstance(x, dict)\n"
+            "flag = thing.kind\n"
+        ),
+    }
+    assert kind_dispatches(sources) == [
+        "a: <module> line 14", "a: inner line 12", "a: op line 7", "a: other line 13",
+    ]
+
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
