@@ -262,14 +262,14 @@ def _write_report(report, args) -> None:
 # --- per-command report builders ---------------------------------------
 
 
-def _cluster_fields(report, generators, staircase, characters, tau) -> dict:
+def _cluster_fields(is_cluster, reason, generators, staircase, characters, tau) -> dict:
     return {
         "generators": generators,
         "staircase": staircase,
         "characters": characters,
         "tau": tau,
-        "is_cluster": report.is_cluster,
-        "reason": report.failure_reason,
+        "is_cluster": is_cluster,
+        "reason": reason,
     }
 
 
@@ -279,7 +279,8 @@ def _cluster_json(action: ActionData, ideal: MonomialIdeal, report) -> dict:
         tau = [_scalar_json(v) for v in tau_support(action, ideal).values]
     staircase = report.staircase
     return _cluster_fields(
-        report,
+        report.is_cluster,
+        report.failure_reason,
         [g.to_text() for g in ideal.min_gens],
         [m.to_text() for m in staircase] if staircase is not None else None,
         _characters_json(report.characters) if report.characters is not None else None,
@@ -325,27 +326,17 @@ def cmd_coinv(action: ActionData, args) -> int:
 def cmd_clusters(action: ActionData, args) -> int:
     coinv = coinvariant_algebra(action)
     clusters = enumerate_torus_fixed_clusters(action, coinv)
-    report = []
-    if clusters:
-        # every enumerated cluster has dimension |G| and each character once,
-        # so one verdict and one characters list serve them all
-        first = clusters[0]
-        indices = range(len(first.characters))
-        verdict = ClusterReport.from_quotient(action.group, first.quotient_dim, indices)
-        characters = _indices_json(action.group.elementary_divisors, indices)
-        # their generators and staircases are basis monomials and invariant generators
-        text = {m.exponents: m.to_text() for m in coinv.basis + coinv.invariant_gens}
-        # a staircase inside the coinvariant basis leaves every invariant
-        # generator in the ideal, so tau is the origin for each cluster
-        tau = ["0"] * len(coinv.invariant_gens) if verdict.is_cluster else None
-        for c in clusters:
-            report.append(_cluster_fields(
-                verdict,
-                [text[g.exponents] for g in c.ideal.min_gens],
-                [text[m.exponents] for m in c.staircase],
-                characters,
-                tau,
-            ))
+    # every enumerated cluster carries each character once by construction,
+    # so it is a cluster and one characters list serves them all
+    characters = _indices_json(action.group.elementary_divisors, range(action.group.order))
+    # their generators and staircases are basis monomials and invariant generators
+    text = {m.exponents: m.to_text() for m in coinv.basis + coinv.invariant_gens}
+    # a staircase inside the coinvariant basis leaves every invariant
+    # generator in the ideal, so tau is the origin for each cluster
+    tau = ["0"] * len(coinv.invariant_gens)
+    report = [_cluster_fields(True, None, [text[g.exponents] for g in c.ideal.min_gens],
+                              [text[m.exponents] for m in c.staircase], characters, tau)
+              for c in clusters]
     _write_report(report, args)
     return 0
 
@@ -372,8 +363,8 @@ def cmd_tau(action: ActionData, args) -> int:
         coords = _parse_point(action, args.point)
         cluster, freeness = orbit_cluster(action, coords)
         if not freeness.is_free:
-            report = ClusterReport.from_quotient(action.group, cluster.quotient_dim,
-                                                 map(character_index, cluster.characters))
+            report = ClusterReport.from_quotient(action.group, freeness.orbit_size,
+                                                 map(character_index, freeness.characters))
             _write_report({
                 "point": [_scalar_json(c) for c in coords],
                 "orbit_size": freeness.orbit_size,
@@ -396,8 +387,8 @@ def cmd_tau(action: ActionData, args) -> int:
 def cmd_orbit(action: ActionData, args) -> int:
     coords = _parse_point(action, args.point)
     cluster, freeness = orbit_cluster(action, coords)
-    report_check = ClusterReport.from_quotient(action.group, cluster.quotient_dim,
-                                               map(character_index, cluster.characters))
+    report_check = ClusterReport.from_quotient(action.group, freeness.orbit_size,
+                                               map(character_index, freeness.characters))
     tau = None
     if report_check.is_cluster:
         tau = [_scalar_json(v) for v in tau_support(action, cluster).values]
@@ -427,8 +418,7 @@ def cmd_tangent_report(action: ActionData, args) -> int:
     if not report.is_cluster:
         _write_report(_cluster_json(action, ideal, report), args)
         return 1
-    cluster = GCluster(kind="monomial", action=action, ideal=ideal, staircase=report.staircase,
-                       quotient_dim=report.quotient_dim, characters=report.characters)
+    cluster = GCluster(kind="monomial", action=action, ideal=ideal, staircase=report.staircase)
     tangent = tangent_space(action, cluster)
     # a rank loss in the restriction raises, so it is always injective here
     relative_dim, strat_characters, target_dim = _staircase_relative(tangent)

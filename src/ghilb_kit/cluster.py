@@ -57,7 +57,7 @@ class ClusterReport:
     """Outcome of a G-cluster check on a quotient.
 
     from_quotient holds the one verdict ladder; verify_cluster, the cluster
-    constructors and the CLI commands verify, clusters and orbit read it.
+    constructors and the CLI commands verify, tau and orbit read it.
 
     staircase is the staircase the verdict of a monomial ideal was read from,
     or None when there is none (more than 4|G| monomials, an infinite
@@ -108,7 +108,11 @@ class QuotientPoint:
 
 @dataclass(frozen=True)
 class FreenessReport:
-    """Freeness of an orbit, decided two independent ways."""
+    """Freeness of an orbit, decided two independent ways.
+
+    characters are those of the functions on the orbit G/H, sorted: the
+    characters trivial on the stabilizer H.
+    """
 
     orbit_size: int
     group_order: int
@@ -118,6 +122,7 @@ class FreenessReport:
     is_free: bool
     stabilizer: tuple[tuple[int, ...], ...]
     fixed_point_counts: tuple[tuple[tuple[int, ...], int], ...]
+    characters: tuple[Character, ...]
 
 
 # 1 marks each payload field (ideal, staircase, rows, conductor, points) a GCluster of the kind sets
@@ -130,7 +135,9 @@ class GCluster:
 
     kind is "monomial" (payload ideal and staircase), "subspace" (rows) or
     "orbit" (conductor and points); exactly the payload of its kind is set,
-    else ValueError.  quotient_dim and characters cache the quotient data.
+    else ValueError.  A cluster is its kind, action and payload, and == and
+    hash read nothing else: its verdict data (dimension, characters) is on
+    the ClusterReport of verify_cluster.
     """
 
     kind: str
@@ -140,8 +147,6 @@ class GCluster:
     rows: Optional[tuple[tuple[Scalar, ...], ...]] = None
     conductor: Optional[int] = None
     points: Optional[tuple[tuple[CyclotomicNumber, ...], ...]] = None
-    quotient_dim: Optional[int] = None
-    characters: Optional[tuple[Character, ...]] = None
 
     def __post_init__(self) -> None:
         payload = _PAYLOADS.get(self.kind)
@@ -262,9 +267,9 @@ def verify_cluster(action: ActionData, target) -> ClusterReport:
     a failure, not raised.  The staircase of a monomial ideal comes back on
     the report when it has at most 4|G| monomials; a larger finite one is
     reported with its exact dimension only (a cluster has |G|).  Everything
-    is derived from the target: the cached quotient data of a GCluster is
-    not read, and rows are checked in the action's coinvariant algebra.  A
-    GCluster of another action raises ValueError (see _admit).
+    is derived from the payload, and rows are checked in the action's
+    coinvariant algebra.  A GCluster of another action raises ValueError
+    (see _admit).
     """
     kind, payload = _admit(action, target, ("ideal", "monomial", "subspace", "orbit", "rows"))
     if kind in ("ideal", "monomial"):
@@ -279,35 +284,31 @@ def verify_cluster(action: ActionData, target) -> ClusterReport:
 
 
 def monomial_cluster(action: ActionData, ideal) -> GCluster:
-    """Build a verified monomial-ideal cluster; raises when it is not one."""
-    if not isinstance(ideal, MonomialIdeal):
+    """Build a verified monomial-ideal cluster; raises when it is not one.
+
+    It takes an ideal or its generators ("rows" to _admit); a GCluster
+    raises ValueError naming the kinds taken.
+    """
+    kind, ideal = _admit(action, ideal, ("ideal", "rows"))
+    if kind == "rows":
         ideal = MonomialIdeal(action.num_variables, tuple(ideal))
-    report = _monomial_report(action, _admit(action, ideal, ("ideal",))[1])
+    report = _monomial_report(action, ideal)
     if not report.is_cluster:
         raise DomainError(f"not a G-cluster: {report.failure_reason}")
-    return GCluster(
-        kind="monomial",
-        action=action,
-        ideal=ideal,
-        staircase=report.staircase,
-        quotient_dim=report.quotient_dim,
-        characters=report.characters,
-    )
+    return GCluster(kind="monomial", action=action, ideal=ideal, staircase=report.staircase)
 
 
 def subspace_cluster(coinv: CoinvariantAlgebra, rows) -> GCluster:
-    """Build a verified subspace cluster from spanning rows; raises otherwise."""
-    rref, pivots = _echelon(coinv, rows)
+    """Build a verified subspace cluster from spanning rows; raises otherwise.
+
+    It takes rows only (_admit); a GCluster raises ValueError naming the
+    kinds taken.
+    """
+    rref, pivots = _echelon(coinv, _admit(coinv.action, rows, ("rows",))[1])
     report = _subspace_report(coinv.action, coinv, rref, pivots)
     if not report.is_cluster:
         raise DomainError(f"not a G-cluster: {report.failure_reason}")
-    return GCluster(
-        kind="subspace",
-        action=coinv.action,
-        rows=tuple(tuple(r) for r in rref),
-        quotient_dim=report.quotient_dim,
-        characters=report.characters,
-    )
+    return GCluster(kind="subspace", action=coinv.action, rows=tuple(tuple(r) for r in rref))
 
 
 def _bits(mask: int):
@@ -347,9 +348,8 @@ def enumerate_torus_fixed_clusters(action: ActionData,
     frontier monomial, or else an invariant generator g whose divisors g/x_i
     (basis monomials, masked once per call) are all on the staircase.  The
     two graded-lex lists are merged, and MonomialIdeal takes the result as
-    it is, without minimalizing it again.  Every leaf carries each character
-    once, so its sorted characters are group.indexed_characters, one tuple
-    shared by every cluster.  A coinv of another action raises ValueError.
+    it is, without minimalizing it again.  A coinv of another action raises
+    ValueError.
     """
     if coinv is None:
         coinv = coinvariant_algebra(action)
@@ -400,7 +400,6 @@ def enumerate_torus_fixed_clusters(action: ActionData,
     gen_divisors = [sum(1 << coinv.index_of(Monomial._unchecked(e[:v] + (e[v] - 1,) + e[v + 1:]))
                         for v, a in enumerate(e) if a)
                     for e in (g.exponents for g in gens)]
-    characters = action.group.indexed_characters
     clusters = []
     for stair, frontier in leaves:
         # both lists are in graded-lex order, so the sort merges two runs
@@ -412,8 +411,6 @@ def enumerate_torus_fixed_clusters(action: ActionData,
             action=action,
             ideal=MonomialIdeal._unchecked(action.num_variables, tuple(min_gens)),
             staircase=tuple(basis[i] for i in _bits(stair)),
-            quotient_dim=order,
-            characters=characters,
         ))
     clusters.sort(key=lambda c: tuple(map(_grlex_key, c.ideal.min_gens)))
     return clusters
@@ -494,10 +491,10 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
     scales the coordinates (the integer pairing of g with the weights); g
     fixes a point when each coordinate has c_i == 0 or k_i == 0.  That one
     integer test gives the fixed-point counts, the stabilizer H and the
-    characters (those trivial on H: the orbit is G/H).  Freeness is decided
-    by orbit cardinality and, independently, by the trace criterion (no
-    non-identity element fixes an orbit point); the two must agree and both
-    are reported.  The quotient dimension is the orbit size:
+    characters (those trivial on H: the orbit is G/H), all on the report.
+    Freeness is decided by orbit cardinality and, independently, by the
+    trace criterion (no non-identity element fixes an orbit point); the two
+    must agree and both are reported.  The quotient dimension is the orbit size:
     cyclotomic coefficients are canonical at one conductor, so the orbit
     points are pairwise distinct, and distinct points are interpolated by
     products of univariate separators, so their functions are independent.
@@ -526,16 +523,9 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
         is_free=free_by_size and free_by_trace,
         stabilizer=tuple(g for g, fixed in counts if fixed),
         fixed_point_counts=counts,
-    )
-    cluster = GCluster(
-        kind="orbit",
-        action=action,
-        conductor=conductor,
-        points=points,
-        quotient_dim=size,
         characters=_orbit_characters(group, counts, size),
     )
-    return cluster, report
+    return GCluster(kind="orbit", action=action, conductor=conductor, points=points), report
 
 
 def evaluation_kernel(action: ActionData, cluster: GCluster):

@@ -704,9 +704,9 @@ def oracle_orbit(action, point):
         is_free=free_by_size and free_by_trace,
         stabilizer=tuple(stabilizer),
         fixed_point_counts=counts,
+        characters=tuple(sorted(chars)),
     )
-    cluster = GCluster(kind="orbit", action=action, conductor=conductor, points=points,
-                       quotient_dim=size, characters=tuple(sorted(chars)))
+    cluster = GCluster(kind="orbit", action=action, conductor=conductor, points=points)
     gens = tuple(invariant_generators(action))
     values = []
     for f in gens:

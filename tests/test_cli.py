@@ -669,7 +669,8 @@ class TestEachQueryOnce:
 
 class TestCharacterConstructions:
     """A query builds the n parsed weights, and at most one table of the |G|
-    characters, from which every Character of its report is taken."""
+    characters, from which every Character of its report is taken; coinv
+    and clusters build no table."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -687,8 +688,10 @@ class TestCharacterConstructions:
         ("coinv", "cyclic:7:1,2,4"),
         ("coinv", "cyclic:32:1,1,30"),
         ("coinv", "2x4 ; 1,0 | 0,1 | 1,3"),
+        ("clusters", "cyclic:7:1,2,4"),
+        ("clusters", "cyclic:12:1,11"),
     ])
-    def test_coinv_builds_only_the_parsed_weights(self, argv, built, capsys):
+    def test_coinv_and_clusters_build_only_the_parsed_weights(self, argv, built, capsys):
         action = parse_action_spec(argv[1])
         built.clear()
         assert main(list(argv)) == 0

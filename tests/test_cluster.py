@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -272,7 +273,7 @@ class TestEnumerate:
             for cluster in enumerate_torus_fixed_clusters(action):
                 report = verify_cluster(action, cluster)
                 assert report.is_cluster
-                assert oracle_is_regular_representation(action.group, cluster.characters)
+                assert oracle_is_regular_representation(action.group, report.characters)
 
     def test_matches_exhaustive_oracle(self):
         for action in (sl2_action(2), sl2_action(3), sl2_action(4), sl2_action(6),
@@ -381,7 +382,7 @@ class TestFactories:
     def test_monomial_cluster(self, z2):
         cluster = monomial_cluster(z2, [mono(0, 1), mono(2, 0)])
         assert cluster.kind == "monomial"
-        assert cluster.quotient_dim == 2
+        assert verify_cluster(z2, cluster).quotient_dim == 2
         with pytest.raises(ValueError, match="not a G-cluster"):
             monomial_cluster(z2, [mono(1, 0), mono(0, 1)])
 
@@ -422,14 +423,29 @@ class TestFactories:
             with pytest.raises(ValueError, match="sets exactly"):
                 GCluster(action=z2, **fields)
 
+    def test_gcluster_is_its_kind_action_and_payload(self):
+        # no field outside the payloads can cache data that == and hash would read
+        names = [f.name for f in dataclasses.fields(GCluster)]
+        assert names == ["kind", "action", "ideal", "staircase", "rows", "conductor", "points"]
+        payloads = list(cluster_module._PAYLOADS.values())
+        assert all(len(payload) == len(names) - 2 for payload in payloads)
+        assert all(map(any, zip(*payloads)))
+
+    def test_equal_payloads_give_equal_clusters(self):
+        for action in sweep_actions():
+            for c in enumerate_torus_fixed_clusters(action):
+                for other in (monomial_cluster(action, c.ideal),
+                              GCluster("monomial", action, ideal=c.ideal, staircase=c.staircase)):
+                    assert other == c and hash(other) == hash(c), (action, c.ideal)
+
 
 class TestOrbit:
     def test_z2_free_point(self, z2):
         cluster, freeness = orbit_cluster(z2, (F(1), F(1)))
         assert freeness.is_free and freeness.criteria_agree
         assert freeness.orbit_size == 2
-        assert cluster.quotient_dim == 2
-        assert verify_cluster(z2, cluster).is_cluster
+        report = verify_cluster(z2, cluster)
+        assert report.is_cluster and report.quotient_dim == 2
         point = tau_support(z2, cluster)
         assert [v.rational_value() for v in point.values] == [1, 1, 1]
 
@@ -532,7 +548,7 @@ class TestOrbit:
         monkeypatch.setattr(CyclotomicNumber, "__post_init__", forbidden)
         chars = cluster_module._orbit_characters(
             action.group, freeness.fixed_point_counts, freeness.orbit_size)
-        assert chars == cluster.characters
+        assert chars == freeness.characters
 
 
 def _rank_cases():
@@ -613,8 +629,8 @@ class TestEvaluationKernel:
                 for h in stabilizer
             )
 
-        assert cluster.characters == tuple(sorted(filter(trivial_on_stabilizer, group.characters())))
-        assert verify_cluster(action, cluster).characters == cluster.characters
+        assert freeness.characters == tuple(sorted(filter(trivial_on_stabilizer, group.characters())))
+        assert verify_cluster(action, cluster).characters == freeness.characters
         monomials, kernel = evaluation_kernel(action, cluster)
         assert len(monomials) - len(kernel) == size
 
@@ -684,6 +700,9 @@ def _presentations():
         pytest.param(subspace_rows_of_monomial_cluster, coinv, orbit, "ideal or monomial",
                      id="subspace_rows_of_monomial_cluster-orbit"),
         pytest.param(is_ideal_subspace, coinv, subspace, "rows", id="is_ideal_subspace-subspace"),
+        pytest.param(monomial_cluster, action, monomial, "ideal or rows", id="monomial_cluster-monomial"),
+        pytest.param(subspace_cluster, coinv, monomial, "rows", id="subspace_cluster-monomial"),
+        pytest.param(subspace_cluster, coinv, subspace, "rows", id="subspace_cluster-subspace"),
         pytest.param(tau_support, action, "not a cluster", "ideal or monomial or subspace or orbit",
                      id="tau_support-rows"),
         pytest.param(stratification_rep, coinv, orbit, "ideal or monomial or subspace or rows",

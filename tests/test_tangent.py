@@ -459,23 +459,24 @@ class TestDenseGoldenOutput:
     @pytest.mark.parametrize("inputs,relative,verdicts", [
         (deformed_chains,
          "2fde3ae831a4e96aa8d80b0d20d11a56f838d61bf532fedb6256d284e20b5456",
-         "5fa8d9dde6bc9a86d06a3a028c3358b5e8e6943a60e9cbd29335d6e08ce232f9"),
+         "77f06bf17bfdd1dd8c6b1f24ac50c1586166f9dc1439145d6dbf2efcb3330948"),
         (lambda: cluster_unit_rows(cyclic_action(7, (1, 2, 4))),
          "d1dfb85ec9d2ff2050466fd6fe0f9bf89ed3eb072e0ac3bed9660672f781a15d",
-         "758a20f11d66ab61ddefc9584740ad0ed623efa0e3ca7e56897a4bd039ed289b"),
+         "5fb6d01370761d07ac680153acd16b91f7d5b37dc6677d06b85bccc4a0e9c34d"),
         (lambda: cluster_unit_rows(product_action((2, 4), ((1, 0), (0, 1), (1, 3)))),
          "434453dfc5035abe88c3d57fdf5b1ddeb707ef1066b5e45f0c706c04c4d7d219",
-         "4e279a97bc8176888c70b07ee6a725e9868d1df7faa878678be55d16e640db09"),
+         "47a6220b5d3110ca61d81418f155002b9816748345d94ee2d7f03f071f34d913"),
         (lambda: cluster_unit_rows(cyclic_action(9, (1, 2, 6))),
          "82706fd9eb6ec826802bc29e6ac2a9e3ddaf77942c094c32d805e99e87f95c51",
-         "79b35e4693799e9157df04ca1be1c225be5fe868fce3735ff15b8a85b1951b50"),
+         "8e45ee4918fe91bbad84c2cb58d39f92591d803bd8c316662e06307b41a07f44"),
     ], ids=["deformed-chains", "cyclic:7:1,2,4", "2x4;1,0|0,1|1,3", "cyclic:9:1,2,6"])
     def test_digests(self, inputs, relative, verdicts):
         rel, ver = hashlib.sha256(), hashlib.sha256()
         for action, coinv, rows in inputs():
             rel.update(relative_repr(coinv, relative_data(coinv, rows)))
+            c = subspace_cluster(coinv, rows)
             ver.update(repr((verify_cluster(action, rows), is_ideal_subspace(coinv, rows),
-                             subspace_cluster(coinv, rows))).encode())
+                             (c.kind, c.action, c.rows))).encode())
         assert (rel.hexdigest(), ver.hexdigest()) == (relative, verdicts)
 
     def test_random_graded_ideals(self):
