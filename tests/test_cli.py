@@ -688,10 +688,19 @@ class TestCharacterConstructions:
         ("coinv", "cyclic:7:1,2,4"),
         ("coinv", "cyclic:32:1,1,30"),
         ("coinv", "2x4 ; 1,0 | 0,1 | 1,3"),
+    ])
+    def test_coinv_builds_only_the_parsed_weights(self, argv, built, capsys):
+        self._assert_builds_only_the_parsed_weights(argv, built, capsys)
+
+    @pytest.mark.parametrize("argv", [
         ("clusters", "cyclic:7:1,2,4"),
         ("clusters", "cyclic:12:1,11"),
     ])
-    def test_coinv_and_clusters_build_only_the_parsed_weights(self, argv, built, capsys):
+    def test_clusters_builds_only_the_parsed_weights(self, argv, built, capsys):
+        self._assert_builds_only_the_parsed_weights(argv, built, capsys)
+
+    @staticmethod
+    def _assert_builds_only_the_parsed_weights(argv, built, capsys):
         action = parse_action_spec(argv[1])
         built.clear()
         assert main(list(argv)) == 0
