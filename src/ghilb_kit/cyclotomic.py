@@ -10,7 +10,9 @@ The public coefficients are a tuple of Fractions in lowest terms.  Products
 and reductions run on integer numerators over one common denominator: Phi_m
 is monic in Z[x], so reducing an integer polynomial stays in Z, and each
 coefficient is divided by the denominator once at the end.  The inverse is
-the product of the other Galois conjugates over the (rational) norm.
+the product of the other Galois conjugates over the (rational) norm.  The
+hash is that of the mean Galois conjugate, a rational that does not depend on
+the conductor, so equal numbers written in different fields hash alike.
 """
 
 from __future__ import annotations
@@ -23,31 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from ghilb_kit.exact_linalg import _as_fraction, solve_rows
+from ghilb_kit.exact_linalg import _as_fraction
 from ghilb_kit.group_rep import IntegrityError
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 Rational = Union[int, Fraction]
-
-
-@functools.lru_cache(maxsize=None)
-def euler_phi(m: int) -> int:
-    if m < 1:
-        raise ValueError("conductor must be >= 1")
-    result = m
-    k = m
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            while k % p == 0:
-                k //= p
-            result -= result // p
-        p += 1
-    if k > 1:
-        result -= result // k
-    return result
 
 
 def _poly_trim(coeffs: list) -> list:
@@ -100,6 +84,12 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 def _phi_tail(m: int) -> tuple[tuple[int, int], ...]:
     """The nonzero (j, c_j) of Phi_m below its leading term."""
     return tuple((j, c) for j, c in enumerate(cyclotomic_polynomial(m)[:-1]) if c)
+
+
+@functools.lru_cache(maxsize=None)
+def euler_phi(m: int) -> int:
+    """phi(m), the degree of Phi_m."""
+    return len(cyclotomic_polynomial(m)) - 1
 
 
 def _numerators(coeffs: Sequence[Rational]) -> tuple[list[int], int]:
@@ -175,8 +165,8 @@ class CyclotomicNumber:
     @classmethod
     def root_of_unity(cls, m: int, power: int = 1) -> "CyclotomicNumber":
         """zeta_m ** power."""
-        power %= m
-        return cls(m, _reduce_mod_phi([0] * power + [1], 1, m))
+        euler_phi(m)  # the conductor check, before m divides power
+        return cls(m, _reduce_mod_phi([0] * (power % m) + [1], 1, m))
 
     # --- predicates ---------------------------------------------------
 
@@ -259,6 +249,7 @@ class CyclotomicNumber:
         return self.inverse() * other
 
     def __pow__(self, n: int) -> "CyclotomicNumber":
+        n = operator.index(n)
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
@@ -282,11 +273,17 @@ class CyclotomicNumber:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # equal numbers may carry different conductors: hash the canonical form
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        low = _minimal_conductor_form(self)
-        return hash((low.conductor, low.coeffs))
+        # equal numbers may carry different conductors: hash the mean of the
+        # Galois conjugates, a rational that is q itself for a rational q.
+        # zeta_m^i is a primitive n-th root of unity, n = m / gcd(i, m), whose
+        # conjugates are the roots of Phi_n: phi(n) of them, summing to mu(n)
+        m = self.conductor
+        mean = Q0
+        for i, c in enumerate(self.coeffs):
+            if c:
+                phi = cyclotomic_polynomial(m // math.gcd(i, m))
+                mean += c * Fraction(-phi[-2], len(phi) - 1)
+        return hash(mean)
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber({to_text(self)!r})"
@@ -299,37 +296,12 @@ def embed_to_conductor(a: Union[CyclotomicNumber, Rational], new_conductor: int)
     """
     if not isinstance(a, CyclotomicNumber):
         return CyclotomicNumber.from_rational(a, new_conductor)
+    euler_phi(new_conductor)  # the conductor check, before a.conductor divides it
     if new_conductor % a.conductor != 0:
         raise ValueError(f"{a.conductor} does not divide {new_conductor}")
     if new_conductor == a.conductor:
         return a
     return _substitute_power(a, new_conductor // a.conductor, new_conductor)
-
-
-@functools.lru_cache(maxsize=None)
-def _embedding_rows(d: int, m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Matrix of Q(zeta_d) -> Q(zeta_m) in the power bases: phi(m) rows, phi(d) columns."""
-    columns = [
-        embed_to_conductor(CyclotomicNumber.root_of_unity(d, j), m).coeffs
-        for j in range(euler_phi(d))
-    ]
-    return tuple(zip(*columns))
-
-
-def _minimal_conductor_form(a: CyclotomicNumber) -> CyclotomicNumber:
-    """a rewritten in Q(zeta_d) for the least d with a in Q(zeta_d).
-
-    The fields containing a are closed under intersection, Q(zeta_d) and
-    Q(zeta_e) meeting in Q(zeta_gcd(d, e)), so the least such d divides every
-    conductor a can be written in and the form is the same for all of them.
-    """
-    m = a.conductor
-    for d in range(1, m + 1):
-        if m % d == 0:
-            coeffs = solve_rows(_embedding_rows(d, m), a.coeffs)
-            if coeffs is not None:
-                return CyclotomicNumber(d, tuple(coeffs))
-    raise IntegrityError("a number always lies in its own conductor's field")
 
 
 def common_conductor(values: Sequence[Union[CyclotomicNumber, Rational]]) -> int:

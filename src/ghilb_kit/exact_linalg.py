@@ -105,25 +105,6 @@ def kernel_basis_rows(rows, ncols, one=Q1):
     return basis
 
 
-def solve_rows(rows, rhs, ncols: Optional[int] = None):
-    """Some rational solution of rows * x = rhs, or None; free variables are 0."""
-    nrows = len(rows)
-    if len(rhs) != nrows:
-        raise ValueError("right-hand side length does not match the row count")
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if not rows:
-        return [Q0] * ncols
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = rref_rows(aug)
-    if ncols in pivots:
-        return None
-    x = [Q0] * ncols
-    for row, p in zip(rref, pivots):
-        x[p] = row[-1]
-    return x
-
-
 @dataclass(frozen=True)
 class RationalMatrix:
     """Dense matrix of exact rationals, row-major."""
@@ -178,5 +159,10 @@ def solve(m: RationalMatrix, b: Sequence[Fraction]) -> Optional[tuple[Fraction, 
     """Deterministic solution of m*x = b (free variables 0), or None."""
     if len(b) != m.rows:
         raise ValueError(f"right-hand side has length {len(b)}, expected {m.rows}")
-    x = solve_rows(m.row_lists(), [_as_fraction(e) for e in b], ncols=m.cols)
-    return None if x is None else tuple(x)
+    rref, pivots = rref_rows([row + [_as_fraction(e)] for row, e in zip(m.row_lists(), b)])
+    if m.cols in pivots:
+        return None
+    x = [Q0] * m.cols
+    for row, p in zip(rref, pivots):
+        x[p] = row[-1]
+    return tuple(x)

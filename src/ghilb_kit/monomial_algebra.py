@@ -156,6 +156,9 @@ class MonomialIdeal:
     min_gens: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "num_vars", operator.index(self.num_vars))
+        if self.num_vars < 0:
+            raise ValueError("the number of variables must be nonnegative")
         gens = []
         for g in self.min_gens:
             m = g if isinstance(g, Monomial) else Monomial(tuple(g))

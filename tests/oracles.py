@@ -631,6 +631,41 @@ def oracle_inverse(a):
     return _oracle_residue([c / r0[0] for c in s0], a.conductor)
 
 
+def _oracle_primes(n):
+    """The distinct primes dividing n, by trial division, with their multiplicities."""
+    found = Counter()
+    p = 2
+    while n > 1:
+        while n % p == 0:
+            found[p] += 1
+            n //= p
+        p += 1
+    return found
+
+
+def _oracle_mobius(n):
+    primes = _oracle_primes(n)
+    return 0 if any(e > 1 for e in primes.values()) else (-1) ** len(primes)
+
+
+def _oracle_totient(n):
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in _oracle_primes(n).items())
+
+
+def oracle_conjugate_mean(a):
+    """The mean of the Galois conjugates of a, a rational.
+
+    The conjugates of zeta_m^i sum to the Ramanujan sum
+    c_m(i) = sum over d | gcd(i, m) of mu(m/d) d, and there are phi(m) of them.
+    """
+    m = a.conductor
+    total = Fraction(0)
+    for i, c in enumerate(a.coeffs):
+        g = math.gcd(i, m)
+        total += c * sum(_oracle_mobius(m // d) * d for d in range(1, g + 1) if g % d == 0)
+    return total / _oracle_totient(m)
+
+
 # --- orbits on cyclotomic scalars ----------------------------------------
 
 

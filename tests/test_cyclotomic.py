@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from ghilb_kit.cyclotomic import (
     to_text,
 )
 from ghilb_kit.group_rep import FiniteAbelianGroup, IntegrityError, character_exponent
-from oracles import oracle_character_value
+from oracles import oracle_character_value, oracle_conjugate_mean
 
 F = Fraction
 
@@ -44,7 +45,8 @@ class TestCyclotomicPolynomial:
 
     def test_degree_is_totient(self):
         for m in range(1, 25):
-            assert len(cyclotomic_polynomial(m)) - 1 == euler_phi(m)
+            assert len(cyclotomic_polynomial(m)) - 1 == euler_phi(m) == \
+                sum(math.gcd(k, m) == 1 for k in range(1, m + 1))
 
     def test_product_over_divisors(self):
         # prod over d | m of Phi_d equals x^m - 1
@@ -162,6 +164,12 @@ class TestArithmetic:
             a ** n
             assert len(count) == n.bit_length() - 1 + n.bit_count() - 1, n
 
+    @pytest.mark.parametrize("n", [2.0, F(2)])
+    def test_power_needs_an_integer_exponent(self, n):
+        # a float or a Fraction raised AttributeError: no 'bit_length'
+        with pytest.raises(TypeError):
+            CyclotomicNumber.root_of_unity(4) ** n
+
     def test_mixed_scalar_arithmetic(self):
         z6 = CyclotomicNumber.root_of_unity(6)
         assert (z6 + 1) - 1 == z6
@@ -206,11 +214,22 @@ class TestEmbedding:
         assert image != 1
         assert image == CyclotomicNumber.root_of_unity(6) ** 2
 
-    def test_missing_own_field_is_integrity_error(self, monkeypatch):
-        # hashing looks for the least field holding a number; its own conductor's always does
-        monkeypatch.setattr(cyclotomic_module, "solve_rows", lambda rows, rhs: None)
-        with pytest.raises(IntegrityError, match="a number always lies in its own conductor's field"):
-            hash(CyclotomicNumber.root_of_unity(4))
+    @pytest.mark.parametrize("m", [0, -4])
+    def test_every_entry_point_checks_the_conductor(self, m):
+        # root_of_unity(0) and the embeddings into 0 raised ZeroDivisionError, into -4 IndexError
+        z4 = CyclotomicNumber.root_of_unity(4)
+        for make in (lambda: CyclotomicNumber.root_of_unity(m),
+                     lambda: CyclotomicNumber.root_of_unity(m, 3),
+                     lambda: CyclotomicNumber.one(m),
+                     lambda: CyclotomicNumber.from_rational(F(1, 2), m),
+                     lambda: CyclotomicNumber.from_polynomial([1, 2], m),
+                     lambda: CyclotomicNumber(m, ()),
+                     lambda: embed_to_conductor(z4, m),
+                     lambda: embed_to_conductor(F(1, 2), m),
+                     lambda: euler_phi(m),
+                     lambda: cyclotomic_polynomial(m)):
+            with pytest.raises(ValueError, match="conductor must be >= 1"):
+                make()
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError):
@@ -273,6 +292,11 @@ class TestEmbedding:
         b = CyclotomicNumber.from_rational(F(3, 2), 6)
         assert a == b
         assert hash(a) == hash(b)
+        # == holds across int and Fraction, so hash must too
+        for q in (0, 1, -7, 2 ** 70, F(3, 2), F(-5, 7), F(10 ** 30, 3)):
+            for m in (1, 4, 6, 105):
+                a = CyclotomicNumber.from_rational(q, m)
+                assert a == q and hash(a) == hash(q) == hash(F(q))
 
     def test_hash_agrees_across_conductors(self):
         z3 = CyclotomicNumber.root_of_unity(3)
@@ -293,6 +317,21 @@ class TestEmbedding:
         # zeta_12^4 = zeta_3 and zeta_12^3 = i have smaller conductors than 12
         assert hash(CyclotomicNumber.root_of_unity(12, 4)) == hash(CyclotomicNumber.root_of_unity(3))
         assert hash(CyclotomicNumber.root_of_unity(12, 3)) == hash(CyclotomicNumber.root_of_unity(4))
+
+    @pytest.mark.parametrize("m", [1, 4, 12, 18, 30, 36, 60, 105])
+    def test_hash_is_the_oracle_conjugate_mean(self, m):
+        # 4, 12, 18, 36 and 60 have divisors n with mu(n) = 0; 30, 60 and 105 three primes
+        rng = random.Random(m)
+        for _ in range(12):
+            a = CyclotomicNumber(m, tuple(F(rng.randint(-4, 4), rng.randint(1, 4)) if rng.random() < 0.4
+                                          else F(0) for _ in range(euler_phi(m))))
+            assert hash(a) == hash(oracle_conjugate_mean(a))
+            for k in (2, 3, 5):
+                b = embed_to_conductor(a, k * m)
+                assert a == b and hash(a) == hash(b)
+        for i in range(m):
+            a = CyclotomicNumber.root_of_unity(m, i)
+            assert hash(a) == hash(oracle_conjugate_mean(a))
 
 
 class TestCharacterValue:

@@ -16,7 +16,6 @@ from ghilb_kit.exact_linalg import (
     row_space_contains,
     rref_rows,
     solve,
-    solve_rows,
 )
 from conftest import inexact_scalars
 from oracles import oracle_rank, oracle_rref, oracle_same_rowspace
@@ -148,7 +147,7 @@ class TestSolve:
         assert x == (F(0), F(4), F(0))
 
     def test_empty_rows(self):
-        assert solve_rows([], [], ncols=3) == [F(0)] * 3
+        assert solve(RationalMatrix(0, 3, ()), []) == (F(0),) * 3
 
 
 class TestRationalMatrix:

@@ -691,3 +691,75 @@ def test_detector_sees_fraction_conversions():
         ),
     }
     assert fraction_conversions(sources) == ["a: inner", "a: qualified", "a: rows"]
+
+
+def module_caches(sources: dict[str, str]) -> list[str]:
+    """'module: function(parameters)' for each module-level function that a
+    functools cache decorates: lru_cache or cache, called or bare, read off
+    functools or imported by name."""
+    found = []
+    for module, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(_read_name(d.func if isinstance(d, ast.Call) else d) in ("lru_cache", "cache")
+                   for d in node.decorator_list):
+                params = ", ".join(p.arg for p in _parameters(node))
+                found.append(f"{module}: {node.name}({params})")
+    return sorted(found)
+
+
+def names_imported_from(source: str, module: str) -> list[str]:
+    """The names a module's source imports from module; a plain import of it is '*'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == module:
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += ["*" for alias in node.names if alias.name == module]
+    return sorted(found)
+
+
+def test_caches_are_keyed_by_one_conductor():
+    # a process-wide cache keyed by query input grows with every request;
+    # the cyclotomic polynomials and their degrees are keyed by one conductor
+    # each, and every number reads them.  The hash needs no linear algebra.
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert module_caches(sources) == [
+        "cyclotomic: _phi_tail(m)", "cyclotomic: cyclotomic_polynomial(m)", "cyclotomic: euler_phi(m)",
+    ]
+    assert names_imported_from(sources["cyclotomic"], "ghilb_kit.exact_linalg") == ["_as_fraction"]
+
+
+def test_detector_sees_caches():
+    sources = {
+        "a": (
+            "import functools\n"
+            "from functools import cache, lru_cache, cached_property\n"
+            "import ghilb_kit.exact_linalg\n"
+            "from ghilb_kit.exact_linalg import solve, rank as r\n"
+            "@functools.lru_cache(maxsize=None)\n"
+            "def rows(d, m):\n"
+            "    return d\n"
+            "@lru_cache\n"
+            "def bare(m):\n"
+            "    return m\n"
+            "@cache\n"
+            "def plain(*ms):\n"
+            "    return ms\n"
+            "def fresh(m):\n"
+            "    @functools.cache\n"
+            "    def inner(k):\n"
+            "        return k\n"
+            "    return inner(m)\n"
+            "class K:\n"
+            "    @cached_property\n"
+            "    def table(self):\n"
+            "        return 0\n"
+            "    @functools.lru_cache\n"
+            "    def method(self, m):\n"
+            "        return m\n"
+        ),
+    }
+    assert module_caches(sources) == ["a: bare(m)", "a: plain(ms)", "a: rows(d, m)"]
+    assert names_imported_from(sources["a"], "ghilb_kit.exact_linalg") == ["*", "rank", "solve"]

@@ -151,6 +151,17 @@ class TestMonomialIdeal:
         with pytest.raises(ValueError, match="the ideal has 2 variables, the monomial 3"):
             ideal.contains(mono(0, 0, 1))
 
+    def test_num_vars_is_a_nonnegative_integer(self):
+        # MonomialIdeal(-1, ()) had colength 0 and the staircase [1]
+        with pytest.raises(ValueError, match="the number of variables must be nonnegative"):
+            MonomialIdeal(-1, ())
+        for bad in (2.5, 2.0, "2"):
+            with pytest.raises(TypeError):
+                MonomialIdeal(bad, ())
+        assert type(MonomialIdeal(True, (mono(3),)).num_vars) is int
+        empty = MonomialIdeal(0, ())
+        assert empty.min_gens == () and empty.contains(Monomial(())) is False
+
 
 class TestQuotientStaircase:
     def test_pinned_examples(self):
