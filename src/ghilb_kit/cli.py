@@ -5,7 +5,7 @@ and prints deterministic JSON or TSV reports.  Exit status: 0 on success,
 1 on a domain failure (the input is well-formed but is not a cluster, not a
 free orbit, not faithful, and so on: a negative report or a DomainError), 2
 on a usage error, 3 on an internal error (an IntegrityError, or any other
-ValueError a command lets through: the library is at fault).
+exception a command lets through: the library is at fault).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from ghilb_kit.cluster import (
     ClusterReport,
     GCluster,
-    IntegrityError,
     enumerate_torus_fixed_clusters,
     orbit_cluster,
     tau_support,
@@ -539,7 +538,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"ghilb: error: {exc}", file=sys.stderr)
         return 1
-    except (IntegrityError, ValueError) as exc:
+    except Exception as exc:
         print(f"ghilb: internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -3,8 +3,8 @@
 Elements are residues modulo the m-th cyclotomic polynomial Phi_m in the
 power basis 1, z, ..., z^(phi(m)-1).  Reduction modulo Phi_m (rather than
 modulo x^m - 1) makes the representation unique, so equality is plain
-coefficient comparison.  Phi_m itself is obtained by the recursive quotient
-Phi_m = (x^m - 1) / prod_{d | m, d < m} Phi_d.
+coefficient comparison.  Phi_m itself is a quotient of products of binomials
+x^d - 1, each d a product of primes of m.
 
 The public coefficients are a tuple of Fractions in lowest terms.  Products
 and reductions run on integer numerators over one common denominator: Phi_m
@@ -34,12 +34,6 @@ Q1 = Fraction(1)
 Rational = Union[int, Fraction]
 
 
-def _poly_trim(coeffs: list) -> list:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
 def _poly_mul(a: Sequence, b: Sequence) -> list:
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
@@ -50,34 +44,39 @@ def _poly_mul(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list, list]:
-    """Exact quotient and remainder of num by a monic den, both in Z[x]."""
-    num = _poly_trim(list(num))
-    quot = [0] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den):
-        c = num[-1]
-        shift = len(num) - len(den)
-        quot[shift] = c
-        for i, d in enumerate(den):
-            num[shift + i] -= c * d
-        _poly_trim(num)
-    return quot, num
+def _divide_binomial(poly: list[int], d: int) -> list[int]:
+    """The quotient of poly by x^d - 1, which must divide it; poly is consumed."""
+    for i in range(len(poly) - 1, d - 1, -1):
+        poly[i - d] += poly[i]
+    if any(poly[:d]):
+        raise IntegrityError("cyclotomic division left a remainder")
+    return poly[d:]
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m, ascending, monic, in Z[x]."""
+    """Coefficients of Phi_m, ascending, monic, in Z[x]: with r the product of the
+    primes of m, Phi_m(x) = Phi_r(x^(m/r)) and Phi_r = prod_{d | r} (x^d - 1)^mu(r/d)
+    (Arnold and Monagan, "Calculating cyclotomic polynomials", Math. Comp. 80, 2011)."""
     if m < 1:
         raise ValueError("conductor must be >= 1")
-    if m == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
-            if rem:
-                raise IntegrityError("cyclotomic division left a remainder")
-    return tuple(num)
+    binomials, rad, rest, p = [(1, 1)], 1, m, 2  # (d, e) is (x^d - 1)^e; Phi_1 = x - 1
+    while rest > 1:
+        p = rest if p * p > rest else p  # past its square root, rest is prime
+        if rest % p == 0:  # Phi_(rad p)(x) = Phi_rad(x^p) / Phi_rad(x)
+            binomials = [(d * p, e) for d, e in binomials] + [(d, -e) for d, e in binomials]
+            rad *= p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    poly = [1]
+    for d in [d for d, e in binomials if e > 0]:
+        poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d in [d for d, e in binomials if e < 0]:
+        poly = _divide_binomial(poly, d)
+    spread = [0] * ((len(poly) - 1) * (m // rad) + 1)
+    spread[::m // rad] = poly
+    return tuple(spread)
 
 
 @functools.lru_cache(maxsize=None)
@@ -378,6 +377,7 @@ def parse_cyclotomic(text: str) -> CyclotomicNumber:
                 exp = int(match.group("exp1") or 1)
             else:
                 exp = 0
+        exp %= m  # z^m = 1
         if negative:
             coef = -coef
         if len(coeffs) <= exp:

@@ -264,6 +264,17 @@ class TestExitCodes:
         assert out == ""
         assert err == "ghilb: internal error: the coinvariant algebra was built for another action\n"
 
+    def test_any_exception_exits_three(self, monkeypatch, capsys):
+        # a TypeError escaped main: a traceback and exit 1, the domain answer
+        def fault(action, args):
+            raise TypeError("boom")
+
+        monkeypatch.setitem(cli_module._COMMANDS, "coinv", fault)
+        code, out, err = run("coinv", "cyclic:3:1,2", capsys=capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "ghilb: internal error: boom\n"
+
     def test_coinvariant_check_exits_three(self, monkeypatch, capsys):
         # a walk that loses characters is a library fault, not a negative answer
         walk = monomial_module._invariant_staircase

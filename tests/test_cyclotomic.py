@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -68,21 +69,35 @@ class TestCyclotomicPolynomial:
     def test_equals_sympy(self):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
-        for m in range(1, 121):
+        for m in [*range(1, 121), 2310, 5040]:
             expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
             assert cyclotomic_polynomial(m) == tuple(int(c) for c in expected)
 
-    def test_inexact_division_is_integrity_error(self, monkeypatch):
-        # Phi_d divides x^m - 1 for every d | m, so a remainder is a fault
-        divmod_ = cyclotomic_module._poly_divmod
-        monkeypatch.setattr(cyclotomic_module, "_poly_divmod",
-                            lambda num, den: (divmod_(num, den)[0], [1]))
-        cyclotomic_polynomial.cache_clear()
-        try:
-            with pytest.raises(IntegrityError, match="cyclotomic division left a remainder"):
-                cyclotomic_polynomial(6)
-        finally:
-            cyclotomic_polynomial.cache_clear()
+    def test_inexact_division_is_integrity_error(self):
+        # x^d - 1 divides every product Phi_m is divided out of, so a remainder is a fault
+        assert cyclotomic_module._divide_binomial([-1, 0, 0, 1], 1) == [1, 1, 1]
+        with pytest.raises(IntegrityError, match="cyclotomic division left a remainder"):
+            cyclotomic_module._divide_binomial([1, 1], 1)  # (x + 1) / (x - 1)
+
+    @pytest.mark.parametrize("m", [2310, 5040, 30030, 720720])
+    def test_large_conductors(self, m):
+        # past sympy's reach: the product over the divisors modulo a prime,
+        # the degree, the symmetry and the rule for the primes of m
+        p = 2 ** 61 - 1
+        divisors = [d for d in range(1, m + 1) if m % d == 0]
+        for a in (2, 3):
+            prod = 1
+            for d in divisors:
+                prod = prod * functools.reduce(lambda acc, c: (acc * a + c) % p,
+                                               reversed(cyclotomic_polynomial(d)), 0) % p
+            assert prod == (pow(a, m, p) - 1) % p
+        phi = cyclotomic_polynomial(m)
+        assert len(phi) - 1 == sum(math.gcd(k, m) == 1 for k in range(1, m + 1))
+        assert phi == phi[::-1]
+        # the primes of these m are at most 13
+        rad = math.prod(q for q in range(2, 14) if m % q == 0 and all(q % r for r in range(2, q)))
+        assert phi[::m // rad] == cyclotomic_polynomial(rad)
+        assert not any(c for i, c in enumerate(phi) if i % (m // rad))
 
 
 class TestArithmetic:
@@ -449,6 +464,11 @@ class TestText:
     def test_malformed_tag_reported_as_such(self):
         with pytest.raises(ValueError, match="cannot parse term 'cyclo\\(4\\) z'"):
             parse_cyclotomic("cyclo(4) z")
+
+    def test_exponents_are_read_modulo_the_conductor(self):
+        # z^e was one list entry per power of z: a huge exponent ran out of memory
+        assert parse_cyclotomic("cyclo(5): 2*z^1000000000007 - z^7") == \
+            CyclotomicNumber.root_of_unity(5, 2)
 
     def test_tagged_conductor_one_reads_z_as_one(self):
         assert parse_cyclotomic("cyclo(1): 2*z + 1") == 3
