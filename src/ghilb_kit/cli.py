@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 from ghilb_kit.cluster import (
     ClusterReport,
-    GCluster,
     enumerate_torus_fixed_clusters,
     orbit_cluster,
     tau_support,
@@ -26,7 +25,7 @@ from ghilb_kit.cluster import (
 from ghilb_kit.cyclotomic import CyclotomicNumber, parse_cyclotomic, to_text as cyclo_text
 from ghilb_kit.group_rep import ActionData, Character, DomainError, FiniteAbelianGroup, character_index
 from ghilb_kit.monomial_algebra import MonomialIdeal, coinvariant_algebra, parse_monomial
-from ghilb_kit.tangent import _staircase_relative, mckay_table, tangent_space
+from ghilb_kit.tangent import _staircase_relative, mckay_table
 
 
 class SpecParseError(ValueError):
@@ -417,16 +416,14 @@ def cmd_tangent_report(action: ActionData, args) -> int:
     if not report.is_cluster:
         _write_report(_cluster_json(action, ideal, report), args)
         return 1
-    cluster = GCluster(kind="monomial", action=action, ideal=ideal, staircase=report.staircase)
-    tangent = tangent_space(action, cluster)
     # a rank loss in the restriction raises, so it is always injective here
-    relative_dim, strat_characters, target_dim = _staircase_relative(tangent)
+    tangent_dim, relative_dim, strat, target_dim = _staircase_relative(action, ideal, report.staircase)
     combined = {
         "action": canonical_action_text(action),
         "ideal": [g.to_text() for g in ideal.min_gens],
-        "tangent_dim": tangent.dimension,
+        "tangent_dim": tangent_dim,
         "relative_tangent_dim": relative_dim,
-        "strat_characters": _characters_json(strat_characters),
+        "strat_characters": _indices_json(action.group.elementary_divisors, strat),
         "eq8": {
             "injective": True,
             "isomorphism": relative_dim == target_dim,

@@ -155,7 +155,7 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, q: Rational, m: int) -> "CyclotomicNumber":
-        return cls.from_polynomial([q], m)
+        return cls(m, (_as_fraction(q),) + (Q0,) * (euler_phi(m) - 1))
 
     @classmethod
     def from_polynomial(cls, coeffs: Sequence[Rational], m: int) -> "CyclotomicNumber":
@@ -163,9 +163,12 @@ class CyclotomicNumber:
 
     @classmethod
     def root_of_unity(cls, m: int, power: int = 1) -> "CyclotomicNumber":
-        """zeta_m ** power."""
+        """zeta_m ** power; it is +-1, needing no reduction, when 2 * power is a multiple of m."""
         euler_phi(m)  # the conductor check, before m divides power
-        return cls(m, _reduce_mod_phi([0] * (power % m) + [1], 1, m))
+        k = power % m
+        if 2 * k % m == 0:
+            return cls.from_rational(-1 if k else 1, m)
+        return cls(m, _reduce_mod_phi([0] * k + [1], 1, m))
 
     # --- predicates ---------------------------------------------------
 

@@ -18,14 +18,16 @@ torus-fixed clusters.
 The unknowns of a Hom space are slots, the weight-compatible pairs of a
 source generator and a quotient basis element.  For monomial input every
 Taylor relation equates two slots or kills one (multiplying by a monomial
-is injective on monomials), so a union-find solves tangent_space without
-elimination.  The relative data takes one of two routes:
+is injective on monomials), so a union-find partitions the slots into
+classes whose indicators span the Hom space, without elimination
+(_slot_classes); only tangent_space turns them into matrices.  The
+relative data takes one of two routes:
 
 * the staircase route, for a monomial ideal I: with J the ideal of the
   positive-degree invariant monomials, Sbar/Ibar = S/(I + J), so the
-  relative tangent space is the part of tangent_space(I + J) that vanishes
-  on the invariant minimal generators (_relative_classes).  The CLI reads
-  its numbers off a verified cluster's own staircase, where I + J = I
+  relative tangent space is spanned by the slot classes of I + J that hold
+  no slot at the unit column (_relative_classes).  The CLI counts them on
+  a verified cluster's own staircase, where I + J = I
   (_staircase_relative); the library lifts the same classes to unit rows
   over the coinvariant basis (_StaircaseRelative);
 * the dense route, for rows (a subspace cluster's too), which eliminates
@@ -142,76 +144,96 @@ def tangent_space(action: ActionData, cluster: Union[GCluster, MonomialIdeal]) -
         if dim is None:
             raise DomainError("quotient is not finite-dimensional")
         staircase = quotient_staircase(ideal, max(dim, 1))
+    gen_weights, stair_weights, slots, classes = _slot_classes(action, ideal, staircase)
+    character = action.group.indexed_characters.__getitem__
+    return EquivariantHomSpace(
+        source_generators=tuple(ideal.min_gens),
+        generator_weights=tuple(map(character, gen_weights)),
+        target_basis=tuple(staircase),
+        target_weights=tuple(map(character, stair_weights)),
+        hom_basis=_hom_matrices(_indicator_basis(len(slots), classes), slots, len(gen_weights),
+                                len(staircase)),
+        dimension=len(classes),
+    )
 
+
+def _slot_classes(action: ActionData, ideal: MonomialIdeal, staircase) -> tuple:
+    """The monomial Hom solver: the weight indices of the minimal generators
+    and of the staircase, the slots (k, t) and the slot classes, disjoint sets
+    of slots whose indicators are a basis of Hom^G_S(I, S/I).
+
+    The relation (lcm/g_i)*e_i - (lcm/g_j)*e_j reaches each staircase
+    monomial from at most one slot of each side, so every target either
+    equates a slot of g_i with one of g_j or kills a single slot; the classes
+    are those of the equated slots that nothing kills.
+    """
     stair_exps = [m.exponents for m in staircase]
     stair_index = {e: t for t, e in enumerate(stair_exps)}
     weight_index = weight_indexer(action)
     stair_weights = [weight_index(e) for e in stair_exps]
-    gens = ideal.min_gens
-    gen_weights = [weight_index(g.exponents) for g in gens]
+    gen_weights = [weight_index(g.exponents) for g in ideal.min_gens]
     slots = _slots(gen_weights, stair_weights)
-    slots_of_gen: list[list[tuple[int, int]]] = [[] for _ in gens]
+    slots_of_gen: list[list[tuple[int, int]]] = [[] for _ in gen_weights]
     for s, (k, t) in enumerate(slots):
         slots_of_gen[k].append((t, s))
+    parent = list(range(len(slots)))
+    killed = [False] * len(slots)
 
-    # the relation (lcm/g_i)*e_i - (lcm/g_j)*e_j reaches each staircase
-    # monomial from at most one slot of each side, so every target either
-    # equates a slot of g_i with one of g_j or kills a single slot
-    equations = []
-    for relation in taylor_syzygies(ideal) if len(gens) > 1 else []:
+    def find(s: int) -> int:
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    for relation in taylor_syzygies(ideal) if len(gen_weights) > 1 else []:
         terms: dict[int, list[int]] = {}
         for k, (_, u) in relation.items():
             for t, s in slots_of_gen[k]:
                 target = stair_index.get(tuple(map(operator.add, u.exponents, stair_exps[t])))
                 if target is not None:
                     terms.setdefault(target, []).append(s)
-        equations.extend(terms.values())
+        for eq in terms.values():
+            roots = [find(s) for s in eq]
+            parent[roots[-1]] = roots[0]
+            killed[roots[0]] = killed[roots[0]] or killed[roots[-1]] or len(eq) == 1
 
-    kernel = _union_find_kernel(len(slots), equations)
-    character = action.group.indexed_characters.__getitem__
-    return EquivariantHomSpace(
-        source_generators=tuple(gens),
-        generator_weights=tuple(map(character, gen_weights)),
-        target_basis=tuple(staircase),
-        target_weights=tuple(map(character, stair_weights)),
-        hom_basis=_hom_matrices(kernel, slots, len(gens), len(staircase)),
-        dimension=len(kernel),
-    )
+    classes: dict[int, list[int]] = {}
+    for s in range(len(slots)):
+        classes.setdefault(find(s), []).append(s)
+    return gen_weights, stair_weights, slots, [m for root, m in classes.items() if not killed[root]]
 
 
-def _relative_classes(hom: EquivariantHomSpace) -> list:
-    """The relative classes of hom = tangent_space(K), K a monomial ideal holding J.
+def _relative_classes(staircase, gen_weights, slots, classes) -> list:
+    """The relative slot classes of K, a monomial ideal holding J (_slot_classes).
 
     K's staircase avoids every invariant monomial but 1, so a homomorphism
     sends an invariant minimal generator f to a multiple of 1, and any other
     invariant monomial u*g (g a generator, u not 1) to u*phi(g), which has no
-    1-term; it is a relative one exactly when every such multiple is 0.  The
-    Hom basis holds indicators of disjoint slot classes, so those are the
-    classes off every slot (f, 1), and the ones nonzero on the other
-    generators are independent: fewer of them than relative classes means
-    eq8 (injective on monomial input) lost rank, a fault.
+    1-term; it is a relative one exactly when every such multiple is 0: the
+    relative classes hold no slot at the unit column.  Each holds a slot of a
+    non-invariant generator, or eq8 (injective on monomial input) lost rank,
+    a fault.
     """
-    unit = next((c for c, m in enumerate(hom.target_basis) if m.is_one), None)
-    invariant = [k for k, w in enumerate(hom.generator_weights) if w.is_trivial]
-    moving = [k for k, w in enumerate(hom.generator_weights) if not w.is_trivial]
-    relative = [M for M in hom.hom_basis if not any(M[f][unit] for f in invariant)]
-    if sum(any(any(M[k]) for k in moving) for M in relative) < len(relative):
+    unit = next((t for t, m in enumerate(staircase) if m.is_one), None)
+    relative = [members for members in classes if all(slots[s][1] != unit for s in members)]
+    if not all(any(gen_weights[slots[s][0]] for s in members) for members in relative):
         raise IntegrityError("a relative tangent vector vanishes on the minimal generators")
     return relative
 
 
-def _staircase_relative(hom: EquivariantHomSpace) -> tuple[int, tuple[Character, ...], int]:
-    """Relative tangent dimension, stratification characters and eq8 target
-    dimension of a verified monomial cluster, from its tangent_space.
+def _staircase_relative(action: ActionData, ideal: MonomialIdeal, staircase) -> tuple:
+    """Tangent dimension, relative tangent dimension, stratification character
+    indices and eq8 target dimension of a verified monomial cluster.
 
     A G-cluster's ideal holds J, so Sbar/Ibar = S/I; the non-invariant
     minimal generators generate Ibar, and eq8's target counts their
     weight-compatible pairs with a staircase monomial: one each, since the
     staircase carries every character once.
     """
-    relative = _relative_classes(hom)
-    moving = [w for w in hom.generator_weights if not w.is_trivial]
-    return len(relative), tuple(sorted(moving, key=character_index)), len(moving)
+    gen_weights, _, slots, classes = _slot_classes(action, ideal, staircase)
+    relative = _relative_classes(staircase, gen_weights, slots, classes)
+    moving = sorted(w for w in gen_weights if w)  # weight index 0 is the trivial character
+    return len(classes), len(relative), moving, len(moving)
 
 
 def _slots(row_weights, col_weights) -> list[tuple[int, int]]:
@@ -220,32 +242,6 @@ def _slots(row_weights, col_weights) -> list[tuple[int, int]]:
     for c, w in enumerate(col_weights):
         cols_of.setdefault(w, []).append(c)
     return [(j, c) for j, w in enumerate(row_weights) for c in cols_of.get(w, ())]
-
-
-def _union_find_kernel(nslots: int, equations) -> list[list[Fraction]]:
-    """Kernel of equations a[s] = a[s'] and a[s] = 0, given as lists of 1 or 2 slots.
-
-    It is spanned by the indicators of the slot classes that the equalities
-    join and no single-slot equation kills (see _indicator_basis).
-    """
-    parent = list(range(nslots))
-    killed = [False] * nslots
-
-    def find(s: int) -> int:
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    for eq in equations:
-        roots = [find(s) for s in eq]
-        parent[roots[-1]] = roots[0]
-        killed[roots[0]] = killed[roots[0]] or killed[roots[-1]] or len(eq) == 1
-
-    classes: dict[int, list[int]] = {}
-    for s in range(nslots):
-        classes.setdefault(find(s), []).append(s)
-    return _indicator_basis(nslots, [m for root, m in classes.items() if not killed[root]])
 
 
 def _indicator_basis(nslots: int, classes) -> list[list[Fraction]]:
@@ -379,38 +375,40 @@ class _DenseRelative(RelativeData):
 
 
 class _StaircaseRelative(RelativeData):
-    """Relative data of a monomial ideal I, lifted from hom = tangent_space(I + J).
+    """Relative data of a monomial ideal K = I + J, lifted from its slot classes.
 
-    The quotient columns are the staircase of I + J, and the pivots (the
-    basis monomials in I) the other basis indices.  A relative class of hom
-    fixes phi on the pivots in ascending order: a generator of Ibar keeps
-    its row of hom, and each pivot p pushes phi(x_v*p) = x_v*phi(p) up the
+    The quotient columns are the staircase of K, and the pivots (the basis
+    monomials in K) the other basis indices.  A relative class fixes phi on
+    the pivots in ascending order: a generator of Ibar keeps its slots of
+    the class, and each pivot p pushes phi(x_v*p) = x_v*phi(p) up the
     product table to every pivot x_v*p not yet filled, moving the entry at
     each column q to the column of x_v*q, or dropping it when x_v*q lies in
-    I + J.  A generator is no multiple of a pivot, and any other pivot has a
+    K.  A generator is no multiple of a pivot, and any other pivot has a
     pivot divisor, which comes first; so every pivot is filled before the
     walk reaches it, and phi is a homomorphism, so the divisor that fills it
     does not matter.  The lifted classes are disjoint 0/1 indicators again.
     """
 
-    def __init__(self, coinv: CoinvariantAlgebra, hom: EquivariantHomSpace) -> None:
+    def __init__(self, coinv: CoinvariantAlgebra, ideal: MonomialIdeal, staircase) -> None:
         self.coinv = coinv
-        relative = _relative_classes(hom)
-        self.qcols = [coinv.index_of(m) for m in hom.target_basis]
+        gen_weights, _, slots, classes = _slot_classes(coinv.action, ideal, staircase)
+        relative = _relative_classes(staircase, gen_weights, slots, classes)
+        starts: defaultdict[int, dict[int, int]] = defaultdict(dict)  # generator -> {column: class}
+        for n, slot_class in enumerate(relative):
+            for k, c in map(slots.__getitem__, slot_class):
+                starts[k][c] = n
+        self.qcols = [coinv.index_of(m) for m in staircase]
         qpos = {q: c for c, q in enumerate(self.qcols)}
         self.pivots = [i for i in range(coinv.dim) if i not in qpos]
         self.row_weights = [coinv.weights[p] for p in self.pivots]
         # the minimal generators of I + J in the basis are those of I
-        generators = _generator_pivots(coinv, hom.source_generators)
+        generators = _generator_pivots(coinv, ideal.min_gens)
         self.generator_indices = [j for j, p in enumerate(self.pivots) if p in generators]
 
         up = coinv.variable_steps()
-        entries: dict[int, dict[int, int]] = {}  # pivot -> {column: class}
+        entries = {p: starts[k] for p, k in generators.items()}  # pivot -> {column: class}
         members: list[list[int]] = [[] for _ in relative]
         for j, p in enumerate(self.pivots):
-            if p in generators:
-                k = generators[p]
-                entries[p] = {c: n for n, M in enumerate(relative) for c, e in enumerate(M[k]) if e}
             for c, n in entries[p].items():
                 members[n].append(self.slot_index[(j, c)])
             for v, t in enumerate(up[p]):
@@ -450,10 +448,10 @@ def _generator_pivots(coinv: CoinvariantAlgebra, gens) -> dict[int, int]:
 def relative_data(coinv: CoinvariantAlgebra, subspace) -> RelativeData:
     """The shared relative tangent computation for an ideal subspace of S-bar.
 
-    A monomial GCluster or a MonomialIdeal I takes the staircase route: one
-    tangent_space of I + J, J the ideal of the positive-degree invariant
+    A monomial GCluster or a MonomialIdeal I takes the staircase route: the
+    slot classes of I + J, J the ideal of the positive-degree invariant
     monomials, lifted to the coinvariant basis (_StaircaseRelative); a
-    cluster holds J, so its staircase serves.  Rows, a subspace GCluster's
+    cluster holds J, so its own staircase serves.  Rows, a subspace GCluster's
     included, take the dense path.  An orbit cluster, or input of another
     action than the algebra's, raises ValueError (see cluster._admit).  A
     RelativeData built for the same coinvariant algebra is returned as is.
@@ -465,9 +463,10 @@ def relative_data(coinv: CoinvariantAlgebra, subspace) -> RelativeData:
     kind, payload = _admit(coinv.action, subspace, ("ideal", "monomial", "subspace", "rows"))
     if kind in ("subspace", "rows"):
         return _DenseRelative(coinv, list(payload))
-    if kind == "ideal":
-        subspace = MonomialIdeal(payload.num_vars, payload.min_gens + coinv.invariant_gens)
-    return _StaircaseRelative(coinv, tangent_space(coinv.action, subspace))
+    if kind == "monomial":
+        return _StaircaseRelative(coinv, payload, subspace.staircase)
+    ideal = MonomialIdeal(payload.num_vars, payload.min_gens + coinv.invariant_gens)
+    return _StaircaseRelative(coinv, ideal, quotient_staircase(ideal, coinv.dim))
 
 
 def relative_tangent_space(coinv: CoinvariantAlgebra, subspace) -> EquivariantHomSpace:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ABELIAN_N2_CORPUS
+from conftest import ABELIAN_N2_CORPUS, sweep_actions
 from ghilb_kit.cli import (
     SpecParseError,
     canonical_action_text,
@@ -24,7 +24,15 @@ from ghilb_kit.cli import (
 import ghilb_kit.cli as cli_module
 import ghilb_kit.cluster as cluster_module
 import ghilb_kit.monomial_algebra as monomial_module
+import ghilb_kit.tangent as tangent_module
+from ghilb_kit.cluster import enumerate_torus_fixed_clusters
 from ghilb_kit.group_rep import ActionData, Character
+from ghilb_kit.monomial_algebra import coinvariant_algebra
+from ghilb_kit.tangent import eq8_map, relative_tangent_space, stratification_rep, tangent_space
+
+
+def dense_basis_built(*args):
+    raise AssertionError("a dense Hom basis was built")
 
 
 def run(*args, capsys=None):
@@ -238,15 +246,13 @@ class TestExitCodes:
 
     def test_integrity_error_exits_three(self, monkeypatch, capsys):
         # a library fault is not a negative answer: a tangent space with an
-        # all-zero class loses rank on the minimal generators
-        def with_zero_class(action, cluster):
-            hom = tangent_space(action, cluster)
-            zero = tuple(tuple(0 for _ in row) for row in hom.hom_basis[0])
-            return dataclasses.replace(hom, hom_basis=hom.hom_basis + (zero,),
-                                       dimension=hom.dimension + 1)
+        # empty slot class loses rank on the minimal generators
+        def with_empty_class(*args):
+            gen_weights, stair_weights, slots, classes = slot_classes(*args)
+            return gen_weights, stair_weights, slots, classes + [[]]
 
-        tangent_space = cli_module.tangent_space
-        monkeypatch.setattr(cli_module, "tangent_space", with_zero_class)
+        slot_classes = tangent_module._slot_classes
+        monkeypatch.setattr(tangent_module, "_slot_classes", with_empty_class)
         code, out, err = run("tangent", "cyclic:3:1,2", "--ideal", "x2,x1^3", capsys=capsys)
         assert code == 3
         assert out == ""
@@ -360,6 +366,32 @@ class TestReportSchemas:
         assert report["strat_characters"] == [1, 2]
         assert report["eq8"] == {"injective": True, "isomorphism": True,
                                  "source_dim": 2, "target_dim": 2}
+
+    def test_tangent_builds_no_dense_basis(self, monkeypatch, capsys):
+        # the report is read off the slot classes: no Hom matrix is built,
+        # and its numbers are the library's
+        rng = random.Random(33)
+        checked = 0
+        for action in sweep_actions():
+            coinv = coinvariant_algebra(action)
+            clusters = enumerate_torus_fixed_clusters(action, coinv)
+            cluster = clusters[rng.randrange(len(clusters))]
+            ideal_text = ",".join(g.to_text() for g in cluster.ideal.min_gens)
+            with monkeypatch.context() as patched:
+                patched.setattr(tangent_module, "_hom_matrices", dense_basis_built)
+                code, out, _ = run("tangent", canonical_action_text(action), "--ideal", ideal_text,
+                                   capsys=capsys)
+            assert code == 0, (action, ideal_text)
+            report = json.loads(out)
+            eq8 = eq8_map(coinv, cluster)
+            assert report["tangent_dim"] == tangent_space(action, cluster).dimension
+            assert report["relative_tangent_dim"] == relative_tangent_space(coinv, cluster).dimension
+            assert report["strat_characters"] == \
+                cli_module._characters_json(stratification_rep(coinv, cluster).characters)
+            assert report["eq8"] == {"injective": eq8.injective, "isomorphism": eq8.isomorphism,
+                                     "source_dim": eq8.source_dim, "target_dim": eq8.target_dim}
+            checked += 1
+        assert checked == len(sweep_actions())
 
     def test_tangent_aliases_emit_same_report(self, capsys):
         outputs = []

@@ -121,6 +121,24 @@ class TestArithmetic:
             for k in range(1, m):
                 assert z ** k != 1
 
+    def test_root_of_unity_is_the_reduced_monomial(self):
+        for m in range(1, 61):
+            for k in range(2 * m):
+                assert CyclotomicNumber.root_of_unity(m, k) == \
+                    CyclotomicNumber.from_polynomial([0] * k + [1], m), (m, k)
+
+    def test_plus_or_minus_one_needs_no_reduction(self, monkeypatch):
+        # zeta_m^(m/2) = -1 was reduced one power at a time through Phi_m's tail
+        CyclotomicNumber.root_of_unity(30030, 1)  # Phi_30030, built outside the count
+        calls = []
+        reduce = cyclotomic_module._reduce_mod_phi
+        monkeypatch.setattr(cyclotomic_module, "_reduce_mod_phi",
+                            lambda *args: calls.append(args[2]) or reduce(*args))
+        assert CyclotomicNumber.root_of_unity(30030, 15015) == -1
+        assert CyclotomicNumber.root_of_unity(30030, -30030) == 1
+        assert CyclotomicNumber.from_rational(Fraction(2, 3), 30030) == Fraction(2, 3)
+        assert calls == []
+
     def test_all_roots_sum_to_zero(self):
         for m in (2, 3, 4, 5, 6, 12):
             z = CyclotomicNumber.root_of_unity(m)

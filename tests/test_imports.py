@@ -235,7 +235,7 @@ def method_references(source: str, class_name: str, names) -> list[str]:
 
 
 # the solver of the staircase route, which the dense route checks as its oracle
-STAIRCASE_ROUTE = ("variable_steps", "tangent_space", "_relative_classes", "_union_find_kernel",
+STAIRCASE_ROUTE = ("variable_steps", "tangent_space", "_relative_classes", "_slot_classes",
                    "_indicator_basis", "_StaircaseRelative")
 
 
@@ -475,6 +475,7 @@ PUBLIC_WITHOUT_READER = {
     "RationalMatrix.apply": "RationalMatrix is public API (ROADMAP, decisions that stand)",
     "RationalMatrix.from_rows": "RationalMatrix is public API (ROADMAP, decisions that stand)",
     "SpecParseError.pos": "the position of a spec error, read by callers of parse_action_spec",
+    "StratRep.dimension": "StratRep is public API; the tangent command reads its numbers off slot classes",
     "kernel_basis": "public API (ROADMAP, decisions that stand)",
     "rank": "public API (ROADMAP, decisions that stand)",
     "solve": "public API (ROADMAP, decisions that stand)",

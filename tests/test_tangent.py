@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -16,6 +15,7 @@ from conftest import ABELIAN_N2_CORPUS, cyclic_action, product_action, sl2_actio
 from ghilb_kit import exact_linalg
 from ghilb_kit import tangent as tangent_module
 from ghilb_kit.cluster import (
+    GCluster,
     IntegrityError,
     enumerate_torus_fixed_clusters,
     is_ideal_subspace,
@@ -25,7 +25,7 @@ from ghilb_kit.cluster import (
     verify_cluster,
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber
-from ghilb_kit.group_rep import Character, DomainError
+from ghilb_kit.group_rep import Character, DomainError, character_index
 from ghilb_kit.monomial_algebra import (
     CoinvariantAlgebra,
     Monomial,
@@ -53,6 +53,18 @@ from oracles import (
 )
 
 F = Fraction
+
+
+def add_empty_slot_class(monkeypatch) -> None:
+    """Make the monomial Hom solver report one more slot class, an empty one:
+    a faulty kernel vector that vanishes everywhere."""
+    solve = tangent_module._slot_classes
+
+    def with_empty_class(*args):
+        gen_weights, stair_weights, slots, classes = solve(*args)
+        return gen_weights, stair_weights, slots, classes + [[]]
+
+    monkeypatch.setattr(tangent_module, "_slot_classes", with_empty_class)
 
 
 def mono(*exponents) -> Monomial:
@@ -600,15 +612,16 @@ class TestMonomialPath:
 
 
 class TestStaircaseRelative:
-    """The CLI's relative numbers, read off tangent_space, against the library's
-    relative data, the index oracle and the dense path."""
+    """The CLI's numbers, read off the slot classes, against tangent_space, the
+    library's relative data, the index oracle and the dense path."""
 
     @staticmethod
     def numbers(coinv, subspace) -> tuple:
         data = relative_data(coinv, subspace)
         eq8 = eq8_map(coinv, data)
         assert eq8.injective and eq8.source_dim == relative_tangent_space(coinv, data).dimension
-        return eq8.source_dim, stratification_rep(coinv, data).characters, eq8.target_dim
+        strat = [character_index(c) for c in stratification_rep(coinv, data).characters]
+        return [eq8.source_dim, strat, eq8.target_dim]
 
     def test_equals_index_and_dense_paths(self):
         # the dense path on every cluster of the sweep takes most of a minute,
@@ -623,7 +636,8 @@ class TestStaircaseRelative:
                 data = relative_data(coinv, cluster)
                 assert (data.pivots, data.qcols, data.kernel) == \
                     oracle_monomial_relative(coinv, cluster.ideal), (action, cluster.ideal)
-                got = _staircase_relative(tangent_space(action, cluster))
+                tangent_dim, *got = _staircase_relative(action, cluster.ideal, cluster.staircase)
+                assert tangent_dim == tangent_space(action, cluster).dimension, (action, cluster.ideal)
                 assert got == self.numbers(coinv, data), (action, cluster.ideal)
                 clusters += 1
                 if k == sample and coinv.dim <= 40:
@@ -632,11 +646,22 @@ class TestStaircaseRelative:
                     dense += 1
         assert clusters > 2000 and dense > 250
 
-    def test_rank_loss_is_integrity_error(self, z3):
-        hom = tangent_space(z3, enumerate_torus_fixed_clusters(z3)[0])
-        zero = tuple(tuple(F(0) for _ in row) for row in hom.hom_basis[0])
+    def test_unit_column_is_found_in_any_staircase_order(self):
+        # a hand-built cluster may list its staircase with 1 anywhere
+        action = cyclic_action(7, (1, 2, 4))
+        coinv = coinvariant_algebra(action)
+        for cluster in enumerate_torus_fixed_clusters(action, coinv):
+            stair = tuple(reversed(cluster.staircase))
+            reordered = GCluster(kind="monomial", action=action, ideal=cluster.ideal, staircase=stair)
+            assert _staircase_relative(action, cluster.ideal, stair) == \
+                _staircase_relative(action, cluster.ideal, cluster.staircase)
+            assert self.numbers(coinv, reordered) == self.numbers(coinv, cluster), cluster.ideal
+
+    def test_rank_loss_is_integrity_error(self, z3, monkeypatch):
+        cluster = enumerate_torus_fixed_clusters(z3)[0]
+        add_empty_slot_class(monkeypatch)
         with pytest.raises(IntegrityError, match="vanishes on the minimal generators"):
-            _staircase_relative(dataclasses.replace(hom, hom_basis=hom.hom_basis + (zero,)))
+            _staircase_relative(z3, cluster.ideal, cluster.staircase)
 
     def test_strat_on_random_ideals_equals_index_and_dense_paths(self):
         rng = random.Random(23)
@@ -696,14 +721,14 @@ class TestNoElimination:
         assert calls == Counter()
 
     def test_shared_data_solves_once(self, calls, monkeypatch):
-        # one relative_data feeds all three operations from one tangent_space
-        solve = tangent_module.tangent_space
+        # one relative_data feeds all three operations from one slot partition
+        solve = tangent_module._slot_classes
 
         def counted(*args):
-            calls["tangent_space"] += 1
+            calls["_slot_classes"] += 1
             return solve(*args)
 
-        monkeypatch.setattr(tangent_module, "tangent_space", counted)
+        monkeypatch.setattr(tangent_module, "_slot_classes", counted)
         for action in (cyclic_action(7, (1, 2, 4)), product_action((2, 4), ((1, 0), (0, 1)))):
             coinv = coinvariant_algebra(action)
             for cluster in enumerate_torus_fixed_clusters(action, coinv):
@@ -711,7 +736,7 @@ class TestNoElimination:
                 shared = relative_data(coinv, cluster)
                 for fn in (relative_tangent_space, stratification_rep, eq8_map):
                     fn(coinv, shared)
-                assert calls == Counter({"tangent_space": 1}), (action, cluster.ideal)
+                assert calls == Counter({"_slot_classes": 1}), (action, cluster.ideal)
 
     def test_counter_sees_eq8_rank_check(self, calls):
         # the dense counterpart: on subspace rows the rank test eliminates once
@@ -822,14 +847,7 @@ class TestEq8:
         cluster = enumerate_torus_fixed_clusters(z3)[0]
         rows = subspace_rows_of_monomial_cluster(coinv, cluster)
         assert eq8_map(coinv, cluster).source_dim > 0
-        solve = tangent_module.tangent_space
-
-        def with_zero_class(action, target):
-            hom = solve(action, target)
-            zero = tuple(tuple(F(0) for _ in row) for row in hom.hom_basis[0])
-            return dataclasses.replace(hom, hom_basis=hom.hom_basis + (zero,))
-
-        monkeypatch.setattr(tangent_module, "tangent_space", with_zero_class)
+        add_empty_slot_class(monkeypatch)
         with pytest.raises(IntegrityError, match="vanishes on the minimal generators"):
             eq8_map(coinv, cluster)
         monkeypatch.setattr(tangent_module._DenseRelative, "restricted_rank",
