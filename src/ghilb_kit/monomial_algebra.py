@@ -13,14 +13,15 @@ x_1 > ... > x_n; sorted sequences are ascending in that order.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from itertools import accumulate, repeat
+from typing import Callable, Iterable, Optional, Sequence
 
-from ghilb_kit.group_rep import ActionData, Character, DomainError, IntegrityError, weight_indexer
+from ghilb_kit.group_rep import ActionData, Character, DomainError, IntegrityError
 
 _ALIAS_NAMES = ("x", "y", "z", "w")
 
@@ -128,26 +129,6 @@ def parse_monomial(text: str, num_vars: int) -> Monomial:
     return Monomial(tuple(exps))
 
 
-def _staircase_levels(num_vars: int, is_generator) -> Iterator[list[tuple[int, ...]]]:
-    """Exponent tuples outside a monomial ideal, one ascending degree level at a time.
-
-    The complement of a monomial ideal is downward closed, so a monomial m of
-    degree d + 1 lies outside it exactly when its divisors m/x_i all lie in
-    level d and m is not a minimal generator.  A pair (e, i) of level d with
-    x_i*e = m has e = m/x_i, so m is reached by as many pairs as it has
-    nonzero exponents just when all those divisors lie outside: a count
-    settles that, and is_generator is the only test needed.  The levels end
-    at the first empty one.
-    """
-    unit = (0,) * num_vars
-    level = [] if is_generator(unit) else [unit]
-    while level:
-        yield level
-        ups = Counter(e[:v] + (e[v] + 1,) + e[v + 1:] for e in level for v in range(num_vars))
-        level = sorted(up for up, reached in ups.items()
-                       if reached == num_vars - up.count(0) and not is_generator(up))
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal given by its minimal generators (an antichain)."""
@@ -195,22 +176,111 @@ class MonomialIdeal:
         return f"MonomialIdeal({self.num_vars}, ({gens}))"
 
 
+def _column_walk(
+    num_vars: int,
+    stops: Callable[[int, list], list[int]],
+    cap: Optional[int] = None,
+    cycles: Optional[Sequence[list[tuple[list[int], int]]]] = None,
+) -> Optional[tuple[list[tuple[int, ...]], list[int], list[tuple[int, ...]]]]:
+    """A downward-closed set B of exponent tuples, built one variable at a time by column heights.
+
+    B_v holds the points of B with exponent 0 from x_{v+1} on; B_0 is the
+    unit alone.  Each point a of B_v heads the column a + k*e_v, k < h(a),
+    of B_{v+1}, where h(a) = min(b(a), h(a - e_i) for each i < v with
+    a_i > 0): the column stops on its own at b(a), or under the column of a
+    predecessor.  stops(v, keys) gives b on the points of B_v in order
+    (math.inf where a column has no stop of its own); a point's key is its
+    label with cycles, its exponent tuple (of length v) without.
+
+    A corner is a column stopped by its own bound below every
+    predecessor's height; its top a + b(a)*e_v is exactly a minimal
+    generator of the ideal of monomials outside B.  Along the column over
+    a point of B_{v-1}, B_v's heights are the running minimum of their
+    stops and of the predecessors' heights at the same place, so a corner
+    lies where the stop undercuts that minimum.  Columns walked in lex
+    order give B in lex order.
+
+    With cycles, each point carries a label, the unit's being 0: cycles[v]
+    is _cycles of a permutation, and the point above one labelled x in
+    direction v is labelled with x's image.  No column in direction v may
+    be longer than the cycle it walks.
+
+    Returns B, the labels (empty without cycles) and the corners' tops, or
+    None as soon as some B_{v+1} would hold more than cap points (an
+    infinite height among them), before it is listed.  Without a cap every
+    height must be finite.
+    """
+    heads: list[tuple[int, ...]] = [()]  # B_v
+    labels = [0]
+    lengths = [1]                        # B_v in columns over B_{v-1}
+    preds: list[list[int]] = [[]]        # per point of B_{v-1}: its predecessors' indices
+    corners: list[tuple[int, ...]] = []
+    for v in range(num_vars):
+        own = stops(v, labels if cycles is not None else heads)
+        above = (0,) * (num_vars - v - 1)
+        starts = list(accumulate(lengths, initial=0))  # of the columns in B_v
+        heights: list = []
+        for i, length, ps in zip(starts, lengths, preds):
+            if not ps:  # the column over the unit
+                below: Iterable = repeat(math.inf)
+            elif len(ps) == 1:
+                below = heights[starts[ps[0]]:starts[ps[0]] + length]
+            else:
+                below = map(min, *(heights[starts[p]:starts[p] + length] for p in ps))
+            top = math.inf
+            for j, b, m in zip(range(i, i + length), own[i:i + length], below):
+                if m < top:
+                    top = m
+                if b < top:
+                    corners.append(heads[j] + (b,) + above)
+                    top = b
+                heights.append(top)
+        if cap is not None and sum(heights) > cap:
+            return None
+        if v + 1 < num_vars:
+            next_preds = []
+            for start, length, ps in zip(starts, lengths, preds):
+                base = [starts[p] for p in ps]
+                next_preds.append(base)
+                next_preds.extend([*(q + j for q in base), start + j - 1] for j in range(1, length))
+            preds = next_preds
+        if cycles is not None:
+            where = cycles[v]
+            next_labels: list[int] = []
+            for x, h in zip(labels, heights):
+                cycle, k = where[x]
+                next_labels += cycle[k:k + h]
+            labels = next_labels
+        tails = [(k,) for k in range(max(heights))]
+        heads = [a + k for a, h in zip(heads, heights) for k in tails[:h]]
+        lengths = heights
+    return heads, labels if cycles is not None else [], corners
+
+
 def quotient_staircase(ideal: MonomialIdeal, cap: int) -> Optional[list[Monomial]]:
     """Monomials outside the ideal in graded-lex order, or None past the cap.
 
-    The staircase is enumerated degree by degree; it is downward closed, so an
-    empty degree level means it is exhausted.  When more than `cap` monomials
-    accumulate it returns None; colength decides finiteness exactly.
+    The staircase is built by column heights (_column_walk): the column over
+    a in direction v stops on its own at g_v for the minimal generator g
+    with g_{<v} = a and g_{>v} = 0, if there is one.  None is returned as
+    soon as a stage holds more than `cap` monomials, or infinitely many,
+    before they are listed; colength decides finiteness and size exactly.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    gens = {g.exponents for g in ideal.min_gens}
-    found: list[tuple[int, ...]] = []
-    for level in _staircase_levels(ideal.num_vars, gens.__contains__):
-        found.extend(level)
-        if len(found) > cap:
-            return None
-    return [Monomial._unchecked(e) for e in found]
+    tops: list[dict[tuple[int, ...], int]] = [{} for _ in range(ideal.num_vars)]
+    for g in ideal.min_gens:
+        e = g.exponents
+        v = len(e) - 1
+        while v >= 0 and not e[v]:
+            v -= 1
+        if v < 0:
+            return []  # the unit ideal
+        tops[v][e[:v]] = e[v]
+    walk = _column_walk(ideal.num_vars, lambda v, heads: list(map(tops[v].get, heads, repeat(math.inf))), cap)
+    if walk is None:
+        return None
+    return [Monomial._unchecked(e) for e in sorted(walk[0], key=sum)]
 
 
 def colength(ideal: MonomialIdeal) -> Optional[int]:
@@ -220,7 +290,8 @@ def colength(ideal: MonomialIdeal) -> Optional[int]:
     power of every variable.  The count slices the staircase by the exponent
     of the last variable: the slice at height k is the staircase of the ideal
     in one variable fewer generated by the generators of height at most k, so
-    it only changes at generator heights.  Nothing is enumerated.
+    it only changes at generator heights.  It counts the same points as
+    quotient_staircase's columns without listing them: nothing is enumerated.
     """
     gens = [g.exponents for g in ideal.min_gens]
     n = ideal.num_vars
@@ -241,33 +312,63 @@ def colength(ideal: MonomialIdeal) -> Optional[int]:
     return count(gens, n)
 
 
+def _step_table(divisors: tuple[int, ...], weight: tuple[int, ...]) -> list[int]:
+    """Entry i is the index of chi + weight, chi the character of index i (mixed radix)."""
+    table = [0]
+    for d, c in zip(divisors, weight):
+        table = [t * d + (r + c) % d for t in table for r in range(d)]
+    return table
+
+
+def _cycles(step: list[int]) -> list[tuple[list[int], int]]:
+    """For each x, a list holding the cycle of the permutation step through x twice over,
+    and the position k of x in it, so that [k:k + h] are x and its next h - 1 images."""
+    where: list = [None] * len(step)
+    for x, seen in enumerate(where):
+        if seen is None:
+            cycle = [x]
+            y = step[x]
+            while y != x:
+                cycle.append(y)
+                y = step[y]
+            twice = cycle + cycle
+            for k, y in enumerate(cycle):
+                where[y] = (twice, k)
+    return where
+
+
 def _invariant_staircase(
     action: ActionData,
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
     """Exponents of the minimal invariant generators and of the coinvariant basis.
 
     Both lists are in graded-lex order; the third list holds the weight of
-    each basis member as its integer index (weight_indexer), as the
-    invariance test computed it: a monomial is invariant exactly when its
-    index is 0.  No Character is built.  The basis is walked upward level by
-    level; a candidate whose divisors m/x_i are all basis monomials is a
-    minimal generator exactly when it is invariant.
+    each basis member as its integer index (see group_rep), carried down
+    each column by the step table of its variable: a monomial is invariant
+    exactly when its index is 0.  No Character is built.  The basis is
+    built by column heights (_column_walk): the column over a in direction
+    v stops on its own at the least k >= 1 with weight(a) + k*w_v trivial,
+    read off the orbit of the trivial character under +w_v; the corners'
+    tops are the minimal invariant generators.
     """
-    weight_index = weight_indexer(action)
-    gens: list[tuple[int, ...]] = []
-    weights: dict[tuple[int, ...], int] = {}
-
-    def invariant(e: tuple[int, ...]) -> bool:
-        index = weight_index(e)
-        if index == 0 and any(e):
-            gens.append(e)
-            return True
-        weights[e] = index
-        return False
-
-    basis = [e for level in _staircase_levels(action.num_variables, invariant) for e in level]
+    divisors = action.group.elementary_divisors
+    cycles = [_cycles(_step_table(divisors, w.components)) for w in action.weights]
+    stops = []
+    for where in cycles:
+        cycle, k = where[0]
+        period = len(cycle) // 2
+        # weight(a) = j*w_v becomes trivial after period - j more steps (the
+        # unit's after a whole period); a weight off this orbit never does
+        stop = [math.inf] * len(where)
+        for j, x in enumerate(cycle[k:k + period]):
+            stop[x] = period - j
+        stops.append(stop)
+    points, labels, gens = _column_walk(
+        action.num_variables, lambda v, labels: list(map(stops[v].__getitem__, labels)), cycles=cycles)
+    degrees = list(map(sum, points))
+    order = sorted(range(len(points)), key=degrees.__getitem__)
     gens.sort(key=lambda e: (sum(e), e))
-    return gens, basis, [weights[e] for e in basis]
+    return gens, list(map(points.__getitem__, order)), list(map(labels.__getitem__, order))
 
 
 def invariant_generators(action: ActionData) -> list[Monomial]:

@@ -5,7 +5,8 @@ Gaussian elimination, exhaustive staircase search, dense brute-force linear
 systems for the Hom spaces, orbits on embedded cyclotomic scalars,
 schoolbook Q(zeta_m) products and Euclid's inverse on Fraction polynomials,
 the lattice of multiplicative relations among the invariant generators, and
-the closed forms of the clusters of cyclic surface quotients, and the
+the closed forms of the clusters of cyclic surface quotients, the cones
+of the clusters of an abelian G in SL(3) with the junior points, and the
 subgroup the weights generate, summed over the box of weight orders.
 Apart from data containers, the package supplies only the field arithmetic
 of CyclotomicNumber (outside its own oracles), the cyclotomic polynomials,
@@ -575,6 +576,64 @@ def oracle_hj_clusters(r, a):
 def oracle_hj_special_characters(r, a):
     """Wunram's special characters i_1, ..., i_s of Z/r (1, a), as integers mod r."""
     return tuple(_oracle_hj_chain(r, a)[0][1:-1])
+
+
+# --- the McKay fan of an abelian G in SL(3) -------------------------------
+
+
+def _oracle_residues(action, exponents):
+    """The character of x^exponents as residues mod the elementary divisors."""
+    divisors = action.group.elementary_divisors
+    return tuple(sum(a * w.components[k] for a, w in zip(exponents, action.weights)) % d
+                 for k, d in enumerate(divisors))
+
+
+def oracle_cluster_cone(cluster):
+    """Rays of the cone of a torus-fixed G-cluster, read off the cluster alone.
+
+    p(m) is the staircase monomial of the character of m.  The cone is cut
+    out by the normals u_m = m - p(m) over the minimal generators m, with
+    e_1, e_2 and e_3; its rays are the primitive cross products of two
+    normals that pair >= 0 with every normal.  For an abelian G in SL(3)
+    the cones of the |G| clusters form the fan of G-Hilb, a crepant
+    resolution whose rays are the junior points and the axes (Ito-Reid,
+    "The McKay correspondence for finite subgroups of SL(3,C)", 1996;
+    Craw-Reid, "How to calculate A-Hilb C^3", 2002).
+    """
+    action = cluster.action
+    n = action.num_variables
+    p = {_oracle_residues(action, m.exponents): m.exponents for m in cluster.staircase}
+    normals = [tuple(a - b for a, b in zip(m.exponents, p[_oracle_residues(action, m.exponents)]))
+               for m in cluster.ideal.min_gens]
+    normals += [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays = set()
+    for (a1, a2, a3), (b1, b2, b3) in itertools.combinations(normals, 2):
+        cross = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+        g = math.gcd(*cross)
+        if not g:
+            continue
+        for sign in (1, -1):
+            ray = tuple(sign * c // g for c in cross)
+            if all(sum(r * u for r, u in zip(ray, normal)) >= 0 for normal in normals):
+                rays.add(ray)
+    return rays
+
+
+def oracle_junior_points(action):
+    """The age-one points (theta_1, theta_2, theta_3) of the elements of G, as Fractions.
+
+    The element g acts on x_i by exp(2 pi i theta_i), theta_i in [0, 1) the
+    fractional part of sum_k g_k w_i,k / d_k; the junior points are those
+    with theta_1 + theta_2 + theta_3 = 1.
+    """
+    divisors = action.group.elementary_divisors
+    points = set()
+    for g in itertools.product(*(range(d) for d in divisors)):
+        theta = tuple(sum(Fraction(gk * c, d) for gk, c, d in zip(g, w.components, divisors)) % 1
+                      for w in action.weights)
+        if sum(theta) == 1:
+            points.add(theta)
+    return points
 
 
 # --- cyclotomic field arithmetic -------------------------------------------

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -34,15 +36,18 @@ from ghilb_kit.cluster import (
     tau_support,
     verify_cluster,
 )
+from ghilb_kit.cli import parse_action_spec
 from ghilb_kit.cyclotomic import CyclotomicNumber
 from ghilb_kit.group_rep import DomainError, character_index, weight_of_monomial
 from ghilb_kit.monomial_algebra import Monomial, MonomialIdeal, coinvariant_algebra
 from ghilb_kit.tangent import eq8_map, relative_data, relative_tangent_space, stratification_rep, tangent_space
 from oracles import (
+    oracle_cluster_cone,
     oracle_eval,
     oracle_hj_clusters,
     oracle_invariant_relations,
     oracle_is_regular_representation,
+    oracle_junior_points,
     oracle_min_gens,
     oracle_relations_hold,
     oracle_staircases,
@@ -376,6 +381,67 @@ class TestEnumerate:
                 point = tau_support(action, c.ideal, coinv)
                 assert point.generators == coinv.invariant_gens
                 assert point.values == (0,) * len(coinv.invariant_gens), (action, c.ideal)
+
+
+def assert_mckay_fan(action, clusters=None):
+    """The cones of the enumerated clusters form the fan of G-Hilb for an abelian G in SL(3).
+
+    Each cone has three rays, each a junior point or an axis, every one of
+    which is used; each is unimodular in the lattice N = Z^3 + G, of
+    determinant 1/|G| with its rays scaled to sum 1; there are |G| of them;
+    and they meet face to face, a 2-face lying in one cone on the boundary
+    of the octant and in two inside it.  A dropped or a wrong cluster
+    breaks one of these at any size of G.
+    """
+    assert action.is_sl_action()
+    order = action.group.order
+    cones = []
+    if clusters is None:
+        clusters = enumerate_torus_fixed_clusters(action)
+    for cluster in clusters:
+        rays = oracle_cluster_cone(cluster)
+        assert len(rays) == 3, (action, cluster.ideal, rays)
+        cones.append(tuple(tuple(F(c, sum(ray)) for c in ray) for ray in rays))
+    assert len(cones) == order, action
+    axes = {tuple(F(int(i == j)) for j in range(3)) for i in range(3)}
+    assert set().union(*cones) == oracle_junior_points(action) | axes, action
+    for a, b, c in cones:
+        det = (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+               + a[2] * (b[0] * c[1] - b[1] * c[0]))
+        assert abs(det) == F(1, order), (action, det)
+    faces = Counter(frozenset(face) for cone in cones for face in itertools.combinations(cone, 2))
+    for face, count in faces.items():
+        on_boundary = any(all(ray[i] == 0 for ray in face) for i in range(3))
+        assert count == (1 if on_boundary else 2), (action, face, count)
+
+
+class TestMcKayFan:
+    def test_cyclic_up_to_twenty(self):
+        # every weight triple up to order, a zero weight included
+        actions = [cyclic_action(r, w) for r in range(2, 21)
+                   for w in itertools.combinations_with_replacement(range(r), 3) if sum(w) % r == 0]
+        actions = [a for a in actions if a.is_faithful()]
+        assert len(actions) == 460
+        for action in actions:
+            assert_mckay_fan(action)
+
+    def test_sweep_products(self):
+        products = [a for a in sweep_actions() if len(a.group.elementary_divisors) == 2]
+        assert len(products) == 54
+        for action in products:
+            assert_mckay_fan(action)
+
+    @pytest.mark.parametrize("spec", ["cyclic:36:1,5,30", "6x6;1,0|0,1|5,5", "cyclic:45:1,4,40"])
+    def test_node_bound_actions(self, spec):
+        assert_mckay_fan(parse_action_spec(spec))
+
+    def test_a_dropped_or_repeated_cluster_breaks_the_fan(self):
+        action = cyclic_action(7, (1, 2, 4))
+        clusters = enumerate_torus_fixed_clusters(action)
+        assert_mckay_fan(action, clusters)
+        for wrong in (clusters[1:], clusters[:-1] + clusters[:1]):
+            with pytest.raises(AssertionError):
+                assert_mckay_fan(action, wrong)
 
 
 class TestFactories:

@@ -177,6 +177,12 @@ class TestQuotientStaircase:
         with pytest.raises(ValueError):
             quotient_staircase(ideal, 0)
 
+    def test_none_past_the_cap_without_walking_up_to_it(self):
+        # an infinite quotient, and one of 10^9 monomials; a walk that lists
+        # monomials until it passes the cap would take minutes here
+        assert quotient_staircase(MonomialIdeal(2, (mono(1, 0),)), 10 ** 7) is None
+        assert quotient_staircase(MonomialIdeal(2, (mono(10 ** 9, 0), mono(0, 1))), 10 ** 7) is None
+
     def test_colength_pinned_examples(self):
         assert colength(MonomialIdeal(2, (mono(9, 0), mono(0, 1)))) == 9
         assert colength(MonomialIdeal(2, (mono(2, 0),))) is None

@@ -8,24 +8,27 @@ from fractions import Fraction
 
 import pytest
 
+import ghilb_kit.monomial_algebra as monomial_module
 from conftest import assert_orbit_matches_oracle, product_action
 from ghilb_kit.cli import render_json
 from ghilb_kit.cluster import enumerate_torus_fixed_clusters, subspace_rows_of_monomial_cluster
 from ghilb_kit.cyclotomic import CyclotomicNumber, euler_phi
-from ghilb_kit.group_rep import weight_of_monomial
-from ghilb_kit.monomial_algebra import coinvariant_algebra
+from ghilb_kit.group_rep import character_index, weight_of_monomial
+from ghilb_kit.monomial_algebra import Monomial, MonomialIdeal, coinvariant_algebra, colength, quotient_staircase
 from ghilb_kit.tangent import eq8_map, relative_tangent_space, stratification_rep
 from oracles import (
+    oracle_coinvariant_staircase,
     oracle_cyclo_mul,
     oracle_inverse,
     oracle_is_faithful,
     oracle_min_gens,
     oracle_relations_hold,
+    oracle_staircase,
     oracle_staircases,
 )
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 # every abelian group of order at most 12, and Z/12 once more as Z/3 x Z/4
 DIVISORS = [(), *((r,) for r in range(2, 13)), (2, 2), (2, 4), (2, 6), (3, 3), (2, 2, 2), (3, 4)]
@@ -81,6 +84,59 @@ def test_faithfulness_and_walk_weights_equal_oracles(action):
     coinv = coinvariant_algebra(action)
     for m, w in zip(coinv.basis, coinv.weights, strict=True):
         assert w == weight_of_monomial(action, m.exponents)
+
+
+@st.composite
+def walk_inputs(draw):
+    """An action with n <= 4 and |G| <= 12, faithful or not, and a monomial
+    ideal in 0 to 4 variables, with a pure power of each variable or not."""
+    divisors = draw(st.sampled_from(DIVISORS))
+    weights = draw(st.lists(st.tuples(*(st.integers(0, d - 1) for d in divisors)), min_size=1, max_size=4))
+    n = draw(st.integers(0, 4))
+    exponents = st.tuples(*(st.integers(0, 4) for _ in range(n)))
+    gens = draw(st.lists(exponents, max_size=5))
+    for v in range(n):
+        if draw(st.booleans()):
+            gens.append(tuple(draw(st.integers(1, 6)) if w == v else 0 for w in range(n)))
+    return product_action(divisors, weights), MonomialIdeal(n, tuple(map(Monomial, gens)))
+
+
+def trivial_group_with(n, gens):
+    """The trivial group on one variable, with the ideal of gens in n variables."""
+    return product_action((), [()]), MonomialIdeal(n, tuple(map(Monomial, gens)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(walk_inputs())
+@example(trivial_group_with(0, []))
+@example(trivial_group_with(0, [()]))
+@example(trivial_group_with(3, [(0, 0, 0)]))
+@example(trivial_group_with(2, []))
+@example((product_action((4,), [(0,), (1,), (3,)]), MonomialIdeal(1, (Monomial((3,)),))))
+@example((product_action((2, 2, 2), [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
+          MonomialIdeal(4, tuple(Monomial(tuple(2 * (w == v) for w in range(4))) for v in range(4)))))
+def test_both_walks_equal_box_oracles(case):
+    action, ideal = case
+    # the coinvariant walk, faithful or not: CoinvariantAlgebra refuses the latter
+    gens, basis, indices = monomial_module._invariant_staircase(action)
+    assert (gens, basis) == oracle_coinvariant_staircase(action)
+    assert indices == [character_index(weight_of_monomial(action, e)) for e in basis]
+    # the quotient walk, on the drawn ideal and on the invariants' ideal
+    for ideal in (ideal, MonomialIdeal(action.num_variables, tuple(map(Monomial, gens)))):
+        n, gen_exps = ideal.num_vars, [g.exponents for g in ideal.min_gens]
+        # finite exactly when the ideal holds 1 or a pure power of every variable
+        finite = (0,) * n in gen_exps or all(
+            any(g[v] and not any(g[:v] + g[v + 1:]) for g in gen_exps) for v in range(n))
+        dim = colength(ideal)
+        if not finite:
+            assert dim is None
+            assert quotient_staircase(ideal, 10 ** 6) is None
+            continue
+        want = [Monomial(e) for e in oracle_staircase(n, gen_exps)]
+        assert dim == len(want)
+        assert quotient_staircase(ideal, max(dim, 1)) == want
+        if dim > 1:
+            assert quotient_staircase(ideal, dim - 1) is None
 
 
 faithful_actions = actions().filter(lambda action: action.is_faithful())
