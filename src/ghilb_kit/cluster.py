@@ -506,7 +506,9 @@ def orbit_cluster(action: ActionData, point) -> tuple[GCluster, FreenessReport]:
     group_exponents = _group_exponents(action, conductor)
     images = (tuple(CyclotomicNumber.root_of_unity(conductor, k) * c if k and c else c
                     for k, c in zip(ks, base)) for _, ks in group_exponents)
-    seen = {tuple(c.coeffs for c in image): image for image in images}
+    # zeta^k is a unit of Z[zeta], so it keeps each coordinate's denominator:
+    # numerators sort and tell the images apart as their coefficients would
+    seen = {tuple(c.numerators for c in image): image for image in images}
     points = tuple(image for _, image in sorted(seen.items(), key=operator.itemgetter(0)))
     counts = _fixed_point_counts(group_exponents, points)
 

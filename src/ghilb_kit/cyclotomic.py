@@ -2,17 +2,19 @@
 
 Elements are residues modulo the m-th cyclotomic polynomial Phi_m in the
 power basis 1, z, ..., z^(phi(m)-1).  Reduction modulo Phi_m (rather than
-modulo x^m - 1) makes the representation unique, so equality is plain
-coefficient comparison.  Phi_m itself is a quotient of products of binomials
-x^d - 1, each d a product of primes of m.
+modulo x^m - 1) makes the representation unique.  Phi_m itself is a quotient
+of products of binomials x^d - 1, each d a product of primes of m.
 
-The public coefficients are a tuple of Fractions in lowest terms.  Products
-and reductions run on integer numerators over one common denominator: Phi_m
-is monic in Z[x], so reducing an integer polynomial stays in Z, and each
-coefficient is divided by the denominator once at the end.  The inverse is
-the product of the other Galois conjugates over the (rational) norm.  The
-hash is that of the mean Galois conjugate, a rational that does not depend on
-the conductor, so equal numbers written in different fields hash alike.
+A number is stored as its conductor, the phi(m) integer numerators of its
+coefficients and one positive denominator, in lowest terms: the gcd of the
+denominator and every numerator is 1.  That form is unique, so equality at
+one conductor compares integers.  All arithmetic runs on the integers: Phi_m
+is monic in Z[x], so reducing an integer polynomial stays in Z, and a sum or
+product divides out one gcd at the end.  The coefficients as lowest-terms
+Fractions are a read-only view.  The inverse is the product of the other
+Galois conjugates over the (rational) norm.  The hash is that of the mean
+Galois conjugate, a rational that does not depend on the conductor, so equal
+numbers written in different fields hash alike.
 """
 
 from __future__ import annotations
@@ -91,19 +93,18 @@ def euler_phi(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
-def _numerators(coeffs: Sequence[Rational]) -> tuple[list[int], int]:
+def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integer numerators of rational coefficients over their least common denominator."""
     dens = [c.denominator for c in coeffs]
     den = math.lcm(*dens)
     return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
 
 
-def _reduce_mod_phi(nums: list[int], den: int, m: int) -> tuple[Fraction, ...]:
-    """The coefficients of (nums / den) modulo Phi_m, padded to length phi(m).
+def _reduce_mod_phi(nums: list[int], m: int) -> list[int]:
+    """The integer polynomial nums modulo Phi_m, padded to length phi(m).
 
-    Phi_m is monic in Z[x], so the reduction runs on the integer numerators
-    and divides by the common denominator once per coefficient.  The list
-    nums is consumed.
+    Phi_m is monic in Z[x], so the remainder of an integer polynomial is an
+    integer polynomial.  The list nums is consumed and returned.
     """
     tail = _phi_tail(m)
     deg = len(cyclotomic_polynomial(m)) - 1
@@ -115,37 +116,66 @@ def _reduce_mod_phi(nums: list[int], den: int, m: int) -> tuple[Fraction, ...]:
             for j, p in tail:
                 nums[shift + j] -= c * p
     nums += [0] * (deg - len(nums))
-    if den == 1:
-        return tuple(Fraction(n) if n else Q0 for n in nums)
-    return tuple(Fraction(n, den) if n else Q0 for n in nums)
+    return nums
 
 
 def _substitute_power(a: "CyclotomicNumber", k: int, m: int) -> "CyclotomicNumber":
     """sum_i c_i zeta_m^(i k) for a = sum_i c_i zeta^i: the Galois conjugate
     sigma_k when m is a's conductor, the embedding into Q(zeta_m) when k = m / a.conductor."""
-    nums, den = _numerators(a.coeffs)
     out = [0] * m
-    for i, c in enumerate(nums):
+    for i, c in enumerate(a.numerators):
         if c:
             out[i * k % m] += c
-    return CyclotomicNumber(m, _reduce_mod_phi(out, den, m))
+    return CyclotomicNumber._from_ints(m, _reduce_mod_phi(out, m), a.denominator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class CyclotomicNumber:
-    """An exact element of Q(zeta_m), reduced modulo Phi_m."""
+    """An exact element of Q(zeta_m), reduced modulo Phi_m.
+
+    It is stored as its conductor m, the integer numerators of its phi(m)
+    power-basis coefficients and one positive denominator, in lowest terms:
+    the gcd of the denominator and the numerators is 1, and zero is all
+    zeros over 1.
+    """
 
     conductor: int
-    coeffs: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self) -> None:
-        coeffs = self.coeffs
-        if type(coeffs) is not tuple or any(type(c) is not Fraction for c in coeffs):
-            coeffs = tuple(map(_as_fraction, coeffs))
-            object.__setattr__(self, "coeffs", coeffs)
-        deg = euler_phi(self.conductor)
+    def __init__(self, conductor: int, coeffs: Sequence[Rational]) -> None:
+        coeffs = tuple(map(_as_fraction, coeffs))
+        deg = euler_phi(conductor)
         if len(coeffs) != deg:
-            raise ValueError(f"need {deg} coefficients for conductor {self.conductor}")
+            raise ValueError(f"need {deg} coefficients for conductor {conductor}")
+        # the least common denominator of lowest-terms fractions leaves no common factor
+        nums, den = _numerators(coeffs)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "denominator", den)
+
+    @classmethod
+    def _from_ints(cls, m: int, nums: Sequence[int], den: int) -> "CyclotomicNumber":
+        """nums / den in Q(zeta_m), den > 0 and nums of length phi(m), put in lowest terms.
+
+        Only for integers that this module's own arithmetic made; everything
+        else goes through CyclotomicNumber(...) or a public constructor.
+        """
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        number = object.__new__(cls)
+        object.__setattr__(number, "conductor", m)
+        object.__setattr__(number, "numerators", tuple(nums))
+        object.__setattr__(number, "denominator", den)
+        return number
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions in lowest terms."""
+        den = self.denominator
+        return tuple(Fraction(n, den) for n in self.numerators)
 
     # --- constructors -------------------------------------------------
 
@@ -155,11 +185,13 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, q: Rational, m: int) -> "CyclotomicNumber":
-        return cls(m, (_as_fraction(q),) + (Q0,) * (euler_phi(m) - 1))
+        q = _as_fraction(q)
+        return cls._from_ints(m, [q.numerator] + [0] * (euler_phi(m) - 1), q.denominator)
 
     @classmethod
     def from_polynomial(cls, coeffs: Sequence[Rational], m: int) -> "CyclotomicNumber":
-        return cls(m, _reduce_mod_phi(*_numerators(list(map(_as_fraction, coeffs))), m))
+        nums, den = _numerators(list(map(_as_fraction, coeffs)))
+        return cls._from_ints(m, _reduce_mod_phi(nums, m), den)
 
     @classmethod
     def root_of_unity(cls, m: int, power: int = 1) -> "CyclotomicNumber":
@@ -168,20 +200,20 @@ class CyclotomicNumber:
         k = power % m
         if 2 * k % m == 0:
             return cls.from_rational(-1 if k else 1, m)
-        return cls(m, _reduce_mod_phi([0] * k + [1], 1, m))
+        return cls._from_ints(m, _reduce_mod_phi([0] * k + [1], m), 1)
 
     # --- predicates ---------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.numerators)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.numerators[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self.numerators[0], self.denominator)
 
     # --- arithmetic ---------------------------------------------------
 
@@ -197,22 +229,30 @@ class CyclotomicNumber:
             return CyclotomicNumber.from_rational(other, self.conductor)
         return NotImplemented
 
+    def _plus(self, other: "CyclotomicNumber", sign: int) -> "CyclotomicNumber":
+        """self + sign * other, over the lcm of the two denominators."""
+        da, db = self.denominator, other.denominator
+        den = math.lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        return CyclotomicNumber._from_ints(
+            self.conductor, [a * fa + b * fb for a, b in zip(self.numerators, other.numerators)], den)
+
     def __add__(self, other) -> "CyclotomicNumber":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(self.conductor, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CyclotomicNumber":
-        return CyclotomicNumber(self.conductor, tuple(-c for c in self.coeffs))
+        return CyclotomicNumber._from_ints(self.conductor, [-n for n in self.numerators], self.denominator)
 
     def __sub__(self, other) -> "CyclotomicNumber":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(self.conductor, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "CyclotomicNumber":
         return (-self) + other
@@ -221,9 +261,9 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, da = _numerators(self.coeffs)
-        b, db = _numerators(other.coeffs)
-        return CyclotomicNumber(self.conductor, _reduce_mod_phi(_poly_mul(a, b), da * db, self.conductor))
+        m = self.conductor
+        product = _reduce_mod_phi(_poly_mul(self.numerators, other.numerators), m)
+        return CyclotomicNumber._from_ints(m, product, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -239,7 +279,10 @@ class CyclotomicNumber:
         conjugates = [_substitute_power(self, k, m) for k in range(2, m) if math.gcd(k, m) == 1]
         others = functools.reduce(operator.mul, conjugates) if conjugates else CyclotomicNumber.one(m)
         norm = (self * others).rational_value()
-        return CyclotomicNumber(m, tuple(c / norm for c in others.coeffs))
+        p, q = norm.numerator, norm.denominator
+        if p < 0:
+            p, q = -p, -q
+        return CyclotomicNumber._from_ints(m, [n * q for n in others.numerators], others.denominator * p)
 
     def __truediv__(self, other) -> "CyclotomicNumber":
         other = self._coerce(other)
@@ -266,12 +309,15 @@ class CyclotomicNumber:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            # both sides are in lowest terms
+            return (self.is_rational() and self.numerators[0] == other.numerator
+                    and self.denominator == other.denominator)
         if isinstance(other, CyclotomicNumber):
-            if self.conductor == other.conductor:
-                return self.coeffs == other.coeffs
-            m = math.lcm(self.conductor, other.conductor)
-            return embed_to_conductor(self, m).coeffs == embed_to_conductor(other, m).coeffs
+            a, b = self, other
+            if a.conductor != b.conductor:
+                m = math.lcm(a.conductor, b.conductor)
+                a, b = embed_to_conductor(a, m), embed_to_conductor(b, m)
+            return a.numerators == b.numerators and a.denominator == b.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -325,17 +371,19 @@ _TERM_RE = re.compile(
 def to_text(a: CyclotomicNumber) -> str:
     """Render as e.g. 'cyclo(4): 1/2 + z'; rationals keep the conductor tag."""
     parts = []
-    for i, c in enumerate(a.coeffs):
-        if not c:
+    den = a.denominator
+    for i, n in enumerate(a.numerators):
+        if not n:
             continue
-        mag = -c if c < 0 else c
+        g = math.gcd(n, den)
+        num, q = abs(n) // g, den // g
+        mag = str(num) if q == 1 else f"{num}/{q}"
         if i == 0:
-            body = str(mag)
+            body = mag
         else:
             power = "z" if i == 1 else f"z^{i}"
-            body = power if mag == 1 else f"{mag}*{power}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
+            body = power if mag == "1" else f"{mag}*{power}"
+        parts.append(("-" if n < 0 else "+", body))
     if not parts:
         return f"cyclo({a.conductor}): 0"
     first_sign, first_body = parts[0]
@@ -355,6 +403,8 @@ def parse_cyclotomic(text: str) -> CyclotomicNumber:
         if m < 1:
             raise ValueError(f"invalid conductor in {text!r}")
         text = tag.group(2).strip()
+    elif re.match(r"^cyclo\((?!\d+\))", text):
+        raise ValueError(f"invalid conductor in {text!r}")
     if not text:
         raise ValueError("empty cyclotomic literal")
     # split into signed terms

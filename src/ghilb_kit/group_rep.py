@@ -60,6 +60,20 @@ class Character:
         object.__setattr__(self, "divisors", divisors)
         object.__setattr__(self, "components", reduced)
 
+    @classmethod
+    def _unchecked(cls, divisors: tuple[int, ...], components: tuple[int, ...]) -> "Character":
+        """A Character built without __post_init__, on divisors a FiniteAbelianGroup
+        validated and a tuple of ints already reduced mod them.
+
+        Only for the group's character table, whose components
+        itertools.product yields in range; everything else goes through
+        Character(...), which validates.
+        """
+        chi = object.__new__(cls)
+        object.__setattr__(chi, "divisors", divisors)
+        object.__setattr__(chi, "components", components)
+        return chi
+
     @property
     def is_trivial(self) -> bool:
         return all(c == 0 for c in self.components)
@@ -113,8 +127,9 @@ class FiniteAbelianGroup:
 
     def characters(self) -> Iterator[Character]:
         """All characters in lexicographic component order."""
-        for tup in itertools.product(*(range(d) for d in self.elementary_divisors)):
-            yield Character(self.elementary_divisors, tup)
+        divisors = self.elementary_divisors
+        for tup in itertools.product(*(range(d) for d in divisors)):
+            yield Character._unchecked(divisors, tup)
 
     @cached_property
     def indexed_characters(self) -> tuple[Character, ...]:

@@ -26,7 +26,7 @@ import ghilb_kit.cluster as cluster_module
 import ghilb_kit.monomial_algebra as monomial_module
 import ghilb_kit.tangent as tangent_module
 from ghilb_kit.cluster import enumerate_torus_fixed_clusters
-from ghilb_kit.group_rep import ActionData, Character
+from ghilb_kit.group_rep import ActionData, Character, FiniteAbelianGroup
 from ghilb_kit.monomial_algebra import coinvariant_algebra
 from ghilb_kit.tangent import eq8_map, relative_tangent_space, stratification_rep, tangent_space
 
@@ -164,6 +164,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "ghilb: error: bad --point value: a literal in z needs its cyclo(m) tag: 'z'\n"
+
+    @pytest.mark.parametrize("point,literal", [
+        ("cyclo(-3):z,1", "cyclo(-3):z"),
+        ("cyclo(0):z,1", "cyclo(0):z"),
+        ("cyclo(x): z, 1", "cyclo(x): z"),
+    ])
+    def test_usage_bad_conductor_point(self, point, literal, capsys):
+        # a negative conductor was reported as the term 'cyclo(' of the literal
+        code, out, err = run("orbit", "cyclic:3:1,2", "--point", point, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"ghilb: error: bad --point value: invalid conductor in {literal!r}\n"
 
     def test_usage_unwritable_out(self, tmp_path, capsys):
         target = tmp_path / "missing" / "r.json"
@@ -718,13 +730,20 @@ class TestCharacterConstructions:
     @pytest.fixture
     def built(self, monkeypatch):
         built = Counter()
-        post_init = Character.__post_init__
+        post_init, characters = Character.__post_init__, FiniteAbelianGroup.characters
 
         def counted(self):
             built["Character"] += 1
             post_init(self)
 
+        def counted_characters(self):
+            # the table is built without __post_init__
+            for chi in characters(self):
+                built["Character"] += 1
+                yield chi
+
         monkeypatch.setattr(Character, "__post_init__", counted)
+        monkeypatch.setattr(FiniteAbelianGroup, "characters", counted_characters)
         return built
 
     @pytest.mark.parametrize("argv", [

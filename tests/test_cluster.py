@@ -611,7 +611,8 @@ class TestOrbit:
             raise AssertionError("a cyclotomic number was built")
 
         monkeypatch.setattr(CyclotomicNumber, "from_polynomial", forbidden)
-        monkeypatch.setattr(CyclotomicNumber, "__post_init__", forbidden)
+        monkeypatch.setattr(CyclotomicNumber, "__init__", forbidden)
+        monkeypatch.setattr(CyclotomicNumber, "_from_ints", forbidden)
         chars = cluster_module._orbit_characters(
             action.group, freeness.fixed_point_counts, freeness.orbit_size)
         assert chars == freeness.characters

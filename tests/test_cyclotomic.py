@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -133,7 +134,7 @@ class TestArithmetic:
         calls = []
         reduce = cyclotomic_module._reduce_mod_phi
         monkeypatch.setattr(cyclotomic_module, "_reduce_mod_phi",
-                            lambda *args: calls.append(args[2]) or reduce(*args))
+                            lambda nums, m: calls.append(m) or reduce(nums, m))
         assert CyclotomicNumber.root_of_unity(30030, 15015) == -1
         assert CyclotomicNumber.root_of_unity(30030, -30030) == 1
         assert CyclotomicNumber.from_rational(Fraction(2, 3), 30030) == Fraction(2, 3)
@@ -228,6 +229,26 @@ class TestArithmetic:
         assert not z3.is_rational()
         with pytest.raises(ValueError):
             z3.rational_value()
+
+
+class TestStorage:
+    def test_integers_in_lowest_terms(self):
+        half = CyclotomicNumber(4, (F(1, 2), F(3, 4)))
+        assert (half.numerators, half.denominator) == ((2, 3), 4)
+        assert half.coeffs == (F(1, 2), F(3, 4))
+        # (1/2 + 3/4 z) * 4/3 = 2/3 + z: the 2 of 8/6 and 12/6 divides out
+        third = half * F(4, 3)
+        assert (third.numerators, third.denominator) == ((2, 3), 3)
+        zero = half - half
+        assert (zero.numerators, zero.denominator) == ((0, 0), 1)
+
+    def test_immutable(self):
+        z = CyclotomicNumber.root_of_unity(5)
+        for name in ("conductor", "numerators", "denominator", "coeffs"):
+            with pytest.raises(AttributeError):
+                setattr(z, name, 1)
+        with pytest.raises(AttributeError):
+            del z.numerators
 
 
 class TestEmbedding:
@@ -482,6 +503,12 @@ class TestText:
     def test_malformed_tag_reported_as_such(self):
         with pytest.raises(ValueError, match="cannot parse term 'cyclo\\(4\\) z'"):
             parse_cyclotomic("cyclo(4) z")
+
+    @pytest.mark.parametrize("text", ["cyclo(-3): z", "cyclo(0): z", "cyclo(): 1", "cyclo(3x): z", "cyclo("])
+    def test_bad_conductor_reported_as_such(self, text):
+        # 'cyclo(-3): z' was reported as the unparsable term 'cyclo('
+        with pytest.raises(ValueError, match=re.escape(f"invalid conductor in {text!r}")):
+            parse_cyclotomic(text)
 
     def test_exponents_are_read_modulo_the_conductor(self):
         # z^e was one list entry per power of z: a huge exponent ran out of memory

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import cyclic_action, product_action, sl2_action
+from conftest import cyclic_action, product_action, sl2_action, sweep_actions
 from ghilb_kit.group_rep import (
     ActionData,
     Character,
@@ -92,6 +92,26 @@ class TestFiniteAbelianGroup:
         elements = list(g.elements())
         assert len(elements) == 6
         assert elements[0] == g.identity == (0, 0)
+
+    def test_table_equals_the_checked_characters(self, monkeypatch):
+        # the table skips __post_init__: product yields reduced ints under checked divisors
+        groups = {a.group.elementary_divisors: a.group for a in sweep_actions()}
+        groups[()] = FiniteAbelianGroup(())
+        checked = {divisors: [Character(divisors, tup) for tup in
+                              itertools.product(*(range(d) for d in divisors))]
+                   for divisors in groups}
+
+        def forbidden(self):
+            raise AssertionError("the character table ran __post_init__")
+
+        monkeypatch.setattr(Character, "__post_init__", forbidden)
+        for divisors, group in groups.items():
+            table = FiniteAbelianGroup(divisors).indexed_characters
+            assert list(table) == checked[divisors] == list(group.characters())
+            for chi, want in zip(table, checked[divisors], strict=True):
+                assert hash(chi) == hash(want) and repr(chi) == repr(want)
+                assert (chi.divisors, chi.components) == (want.divisors, want.components)
+                assert all(type(c) is int for c in chi.divisors + chi.components)
 
     def test_trivial_group_enumerations(self):
         g = FiniteAbelianGroup(())

@@ -561,8 +561,9 @@ def unchecked_reads(sources: dict[str, str]) -> list[str]:
 
 
 # the walks of monomial_algebra and the enumeration of cluster build their
-# Monomials and ideals unchecked; every other caller goes through the checks
-UNCHECKED_BUILDERS = ("monomial_algebra", "cluster")
+# Monomials and ideals unchecked, and group_rep its character table; every
+# other caller goes through the checks
+UNCHECKED_BUILDERS = ("monomial_algebra", "cluster", "group_rep")
 
 
 def test_unchecked_constructors_stay_with_the_walks():
@@ -665,11 +666,11 @@ def fraction_conversions(sources: dict[str, str]) -> list[str]:
 def test_scalars_become_fractions_through_one_check():
     # Fraction(x) reads a float as its binary value and parses a string, so a
     # scalar from outside passes exact_linalg._as_fraction, which rejects both.
-    # The parser converts the coefficient text its regex matched, and the
-    # cyclotomic reduction the integer numerators of its own arithmetic.
+    # The parser converts the coefficient text its regex matched.  A cyclotomic
+    # number keeps integers and shows them as Fraction(numerator, denominator).
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert fraction_conversions(sources) == [
-        "cyclotomic: _reduce_mod_phi", "cyclotomic: parse_cyclotomic", "exact_linalg: _as_fraction",
+        "cyclotomic: parse_cyclotomic", "exact_linalg: _as_fraction",
     ]
 
 

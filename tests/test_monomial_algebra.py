@@ -543,13 +543,20 @@ class TestCharacterIndices:
             if name.partition(".")[0] == "ghilb_kit" and module is not None \
                     and module.__dict__.get("weight_of_monomial") is weight_of_monomial:
                 monkeypatch.setattr(module, "weight_of_monomial", counted_weight)
-        post_init = Character.__post_init__
+        post_init, characters = Character.__post_init__, FiniteAbelianGroup.characters
 
         def counted_post_init(self):
             calls["Character"] += 1
             post_init(self)
 
+        def counted_characters(self):
+            # the table is built without __post_init__
+            for chi in characters(self):
+                calls["Character"] += 1
+                yield chi
+
         monkeypatch.setattr(Character, "__post_init__", counted_post_init)
+        monkeypatch.setattr(FiniteAbelianGroup, "characters", counted_characters)
         return calls
 
     @pytest.mark.parametrize("action", INDEXED_ACTIONS, ids=INDEXED_IDS)

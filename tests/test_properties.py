@@ -12,7 +12,7 @@ import ghilb_kit.monomial_algebra as monomial_module
 from conftest import assert_orbit_matches_oracle, product_action
 from ghilb_kit.cli import render_json
 from ghilb_kit.cluster import enumerate_torus_fixed_clusters, subspace_rows_of_monomial_cluster
-from ghilb_kit.cyclotomic import CyclotomicNumber, euler_phi
+from ghilb_kit.cyclotomic import CyclotomicNumber, embed_to_conductor, euler_phi
 from ghilb_kit.group_rep import character_index, weight_of_monomial
 from ghilb_kit.monomial_algebra import Monomial, MonomialIdeal, coinvariant_algebra, colength, quotient_staircase
 from ghilb_kit.tangent import eq8_map, relative_tangent_space, stratification_rep
@@ -200,6 +200,38 @@ def test_product_equals_schoolbook_oracle_and_associates(abc):
     a, b, c = abc
     assert a * b == oracle_cyclo_mul(a, b)
     assert (a * b) * c == a * (b * c)
+
+
+def lowest_terms(x):
+    """x's coefficients as integer numerators over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in x.coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in x.coeffs), den
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(conductors.flatmap(lambda m: st.tuples(dense_elements(m), dense_elements(m), sparse_elements(m))))
+def test_every_route_stores_one_canonical_form(abc):
+    # equal values are equal integers: sums, products and quotients divide
+    # out the gcd of numerators and denominator, so no route leaves a factor
+    a, b, c = abc
+    m = a.conductor
+    half = CyclotomicNumber.from_rational(Fraction(1, 2), m)
+    a2, b2 = embed_to_conductor(a, 2 * m), embed_to_conductor(b, 2 * m)
+    ab = oracle_cyclo_mul(a, b)
+    routes = [  # (values built by different routes, the oracle's value)
+        ((a * b) * c, a * (b * c), oracle_cyclo_mul(ab, c)),
+        (a + (-a), a - a, CyclotomicNumber.from_rational(0, m)),
+        (a * Fraction(2, 4), (a * 2) / 4, a / 2, oracle_cyclo_mul(a, half)),
+        (embed_to_conductor(a * b, 2 * m), a2 * b2, ab),
+        (a2, a),
+    ]
+    if b:
+        routes.append(((a / b) * b, a))
+    for *values, want in routes:
+        for x in values:
+            assert x == want and hash(x) == hash(want)
+            assert x.coeffs == embed_to_conductor(want, x.conductor).coeffs
+            assert (x.numerators, x.denominator) == lowest_terms(x)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
