@@ -17,14 +17,14 @@ from typing import Optional, Sequence
 
 from ghilb_kit.cluster import (
     ClusterReport,
-    enumerate_torus_fixed_clusters,
+    _torus_fixed_indices,
     orbit_cluster,
     tau_support,
     verify_cluster,
 )
 from ghilb_kit.cyclotomic import CyclotomicNumber, parse_cyclotomic, to_text as cyclo_text
 from ghilb_kit.group_rep import ActionData, Character, DomainError, FiniteAbelianGroup, character_index
-from ghilb_kit.monomial_algebra import MonomialIdeal, coinvariant_algebra, parse_monomial
+from ghilb_kit.monomial_algebra import MonomialIdeal, coinvariant_algebra, monomial_text, parse_monomial
 from ghilb_kit.tangent import _staircase_relative, mckay_table
 
 
@@ -314,7 +314,7 @@ def cmd_coinv(action: ActionData, args) -> int:
         "num_variables": action.num_variables,
         "invariant_generators": [g.to_text() for g in coinv.invariant_gens],
         "dimension": coinv.dim,
-        "staircase": [m.to_text() for m in coinv.basis],
+        "staircase": list(map(monomial_text, coinv.basis_exponents)),
         "characters": _indices_json(action.group.elementary_divisors, coinv.weight_indices),
     }
     _write_report(report, args)
@@ -323,18 +323,20 @@ def cmd_coinv(action: ActionData, args) -> int:
 
 def cmd_clusters(action: ActionData, args) -> int:
     coinv = coinvariant_algebra(action)
-    clusters = enumerate_torus_fixed_clusters(action, coinv)
+    clusters = _torus_fixed_indices(action, coinv)
     # every enumerated cluster carries each character once by construction,
     # so it is a cluster and one characters list serves them all
     characters = _indices_json(action.group.elementary_divisors, range(action.group.order))
-    # their generators and staircases are basis monomials and invariant generators
-    text = {m.exponents: m.to_text() for m in coinv.basis + coinv.invariant_gens}
+    # the indices point into the basis and the invariant generators; each
+    # one printed is rendered once
+    exponents = coinv.basis_exponents + tuple(g.exponents for g in coinv.invariant_gens)
+    printed = set().union(*(gens for gens, _ in clusters), *(stair for _, stair in clusters))
+    text = {k: monomial_text(exponents[k]) for k in printed}.__getitem__
     # a staircase inside the coinvariant basis leaves every invariant
     # generator in the ideal, so tau is the origin for each cluster
     tau = ["0"] * len(coinv.invariant_gens)
-    report = [_cluster_fields(True, None, [text[g.exponents] for g in c.ideal.min_gens],
-                              [text[m.exponents] for m in c.staircase], characters, tau)
-              for c in clusters]
+    report = [_cluster_fields(True, None, list(map(text, gens)), list(map(text, stair)), characters, tau)
+              for gens, stair in clusters]
     _write_report(report, args)
     return 0
 

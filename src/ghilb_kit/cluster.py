@@ -18,6 +18,7 @@ cluster ideal.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -319,16 +320,20 @@ def _bits(mask: int):
         yield low.bit_length() - 1
 
 
-def enumerate_torus_fixed_clusters(action: ActionData,
-                                   coinv: Optional[CoinvariantAlgebra] = None) -> list[GCluster]:
-    """All monomial G-clusters supported at the origin, canonically sorted.
+def _torus_fixed_indices(action: ActionData, coinv: CoinvariantAlgebra) -> list[tuple[list[int], list[int]]]:
+    """The monomial G-clusters at the origin as index lists, canonically sorted.
+
+    Each cluster is (generators, staircase): its minimal generators as
+    indices into basis + invariant_gens of coinv, in graded-lex order, and
+    its staircase as ascending basis indices.  The clusters are sorted by
+    the graded-lex order of their generator lists.  coinv must be the
+    action's coinvariant algebra.
 
     The staircase of such a cluster avoids every invariant monomial, so it is
     a downward-closed subset of the coinvariant basis hitting each character
     exactly once.  The search extends staircases in ascending graded-lex
-    order, which visits every staircase exactly once; output is sorted by the
-    graded-lex keys of the minimal generator lists.  Pass the action's
-    coinvariant algebra as coinv to reuse it; otherwise it is built here.
+    order, which visits every staircase exactly once, and reaches them in
+    ascending lexicographic order of their index lists.
 
     The search state is Python int bit masks, passed by value down the
     recursion: bit i of a basis mask stands for basis[i], bit c of a
@@ -343,24 +348,20 @@ def enumerate_torus_fixed_clusters(action: ActionData,
     Backtracking restores only the counts of divisors still off the
     staircase, which tell when an index joins the frontier.
 
-    Each leaf builds its cluster finished.  A minimal generator of its ideal
-    is a monomial off the staircase whose divisors m/x_i all lie on it: a
-    frontier monomial, or else an invariant generator g whose divisors g/x_i
-    (basis monomials, masked once per call) are all on the staircase.  The
-    two graded-lex lists are merged, and MonomialIdeal takes the result as
-    it is, without minimalizing it again.  A coinv of another action raises
-    ValueError.
+    A minimal generator of a leaf's ideal is a monomial off the staircase
+    whose divisors m/x_i all lie on it: a frontier monomial, or else an
+    invariant generator g whose divisors g/x_i (basis monomials, masked once
+    per call) are all on the staircase.  Both lists are ordered by one
+    integer graded-lex rank over basis + invariant_gens, computed once per
+    call, so the merge of each leaf and the final sort compare ints.
     """
-    if coinv is None:
-        coinv = coinvariant_algebra(action)
-    else:
-        _admit(action, coinv)
     order = action.group.order
+    basis, gens = coinv.basis_exponents, [g.exponents for g in coinv.invariant_gens]
 
     # missing[i] counts the divisors m/x_i of basis[i] not yet in the staircase;
     # the basis is closed under division, so it starts at the nonzero exponents
     ups = [[k for k in row if k is not None] for row in coinv.variable_steps()]
-    missing = [action.num_variables - m.exponents.count(0) for m in coinv.basis]
+    missing = [action.num_variables - e.count(0) for e in basis]
     chars = coinv.weight_indices
     # of_char[c] masks the indices of character c; ahead[i] masks the characters at indices >= i
     of_char = [0] * order
@@ -395,25 +396,46 @@ def enumerate_torus_fixed_clusters(action: ActionData,
     first = sum(1 << i for i, k in enumerate(missing) if not k)
     extend(0, 0, first, (1 << order) - 1, (1 << len(chars)) - 1)
 
-    basis, gens = coinv.basis, coinv.invariant_gens
+    dim, step = len(basis), len(gens) + 1
+    # both lists are in graded-lex order: basis[i] ranks step*i + len(gens), and
+    # gens[j], with p basis monomials below it, ranks step*p + j, just under basis[p]
+    grlex = lambda e: (sum(e), e)
+    rank = list(range(len(gens), step * dim, step))
+    rank += [step * bisect.bisect_left(basis, grlex(g), key=grlex) + j for j, g in enumerate(gens)]
     # the divisors g/x_v of an invariant generator are basis monomials
-    gen_divisors = [sum(1 << coinv.index_of(Monomial._unchecked(e[:v] + (e[v] - 1,) + e[v + 1:]))
-                        for v, a in enumerate(e) if a)
-                    for e in (g.exponents for g in gens)]
-    clusters = []
+    find = coinv._index.__getitem__
+    gen_divisors = [sum(1 << find(g[:v] + (a - 1,) + g[v + 1:]) for v, a in enumerate(g) if a)
+                    for g in gens]
+    found = []
     for stair, frontier in leaves:
-        # both lists are in graded-lex order, so the sort merges two runs
-        min_gens = sorted([basis[i] for i in _bits(frontier)]
-                          + [g for g, divisors in zip(gens, gen_divisors) if stair & divisors == divisors],
-                          key=_grlex_key)
-        clusters.append(GCluster(
-            kind="monomial",
-            action=action,
-            ideal=MonomialIdeal._unchecked(action.num_variables, tuple(min_gens)),
-            staircase=tuple(basis[i] for i in _bits(stair)),
-        ))
-    clusters.sort(key=lambda c: tuple(map(_grlex_key, c.ideal.min_gens)))
-    return clusters
+        min_gens = [*_bits(frontier), *(dim + j for j, divisors in enumerate(gen_divisors)
+                                         if stair & divisors == divisors)]
+        min_gens.sort(key=rank.__getitem__)
+        found.append((min_gens, list(_bits(stair))))
+    found.sort(key=lambda cluster: list(map(rank.__getitem__, cluster[0])))
+    return found
+
+
+def enumerate_torus_fixed_clusters(action: ActionData,
+                                   coinv: Optional[CoinvariantAlgebra] = None) -> list[GCluster]:
+    """All monomial G-clusters supported at the origin, canonically sorted.
+
+    Output is sorted by the graded-lex keys of the minimal generator lists;
+    the search is _torus_fixed_indices, and each cluster is built on the
+    Monomials of coinv.  Pass the action's coinvariant algebra as coinv to
+    reuse it; otherwise it is built here.  A coinv of another action raises
+    ValueError.
+    """
+    if coinv is None:
+        coinv = coinvariant_algebra(action)
+    else:
+        _admit(action, coinv)
+    monomials = coinv.basis + coinv.invariant_gens
+    at = monomials.__getitem__
+    return [GCluster(kind="monomial", action=action,
+                     ideal=MonomialIdeal._unchecked(action.num_variables, tuple(map(at, gens))),
+                     staircase=tuple(map(at, stair)))
+            for gens, stair in _torus_fixed_indices(action, coinv)]
 
 
 def subspace_rows_of_monomial_cluster(coinv: CoinvariantAlgebra, cluster) -> tuple[tuple[Fraction, ...], ...]:

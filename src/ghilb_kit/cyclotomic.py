@@ -158,8 +158,9 @@ class CyclotomicNumber:
     def _from_ints(cls, m: int, nums: Sequence[int], den: int) -> "CyclotomicNumber":
         """nums / den in Q(zeta_m), den > 0 and nums of length phi(m), put in lowest terms.
 
-        Only for integers that this module's own arithmetic made; everything
-        else goes through CyclotomicNumber(...) or a public constructor.
+        Only for integers that this module's own arithmetic or parser made;
+        everything else goes through CyclotomicNumber(...) or a public
+        constructor.
         """
         g = math.gcd(den, *nums)
         if g != 1:
@@ -407,11 +408,12 @@ def parse_cyclotomic(text: str) -> CyclotomicNumber:
         raise ValueError(f"invalid conductor in {text!r}")
     if not text:
         raise ValueError("empty cyclotomic literal")
-    # split into signed terms
+    # split into signed terms, each read as integers p/q at an exponent of z
     norm = text.replace("-", "+-")
     terms = [t.strip() for t in norm.split("+")]
     terms = [t for t in terms if t]
-    coeffs: list[Fraction] = []
+    read: list[tuple[int, int, int]] = []
+    den = 1
     for term in terms:
         negative = term.startswith("-")
         if negative:
@@ -422,18 +424,20 @@ def parse_cyclotomic(text: str) -> CyclotomicNumber:
         if not tag and "z" in term:
             raise ValueError(f"a literal in z needs its cyclo(m) tag: {text!r}")
         if match.group("pow2") is not None:
-            coef = Q1
+            p = q = 1
             exp = int(match.group("exp2") or 1)
         else:
-            coef = Fraction(match.group("coef"))
+            numerator, _, denominator = match.group("coef").partition("/")
+            p, q = int(numerator), int(denominator or 1)
+            if not q:
+                raise ZeroDivisionError(f"Fraction({p}, 0)")
             if match.group("pow1") is not None:
                 exp = int(match.group("exp1") or 1)
             else:
                 exp = 0
-        exp %= m  # z^m = 1
-        if negative:
-            coef = -coef
-        if len(coeffs) <= exp:
-            coeffs += [Q0] * (exp + 1 - len(coeffs))
-        coeffs[exp] += coef
-    return CyclotomicNumber.from_polynomial(coeffs, m)
+        read.append((-p if negative else p, q, exp % m))  # z^m = 1
+        den = math.lcm(den, q)
+    nums = [0] * (max((exp for _, _, exp in read), default=-1) + 1)
+    for p, q, exp in read:
+        nums[exp] += p * (den // q)
+    return CyclotomicNumber._from_ints(m, _reduce_mod_phi(nums, m), den)

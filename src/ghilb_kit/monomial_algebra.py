@@ -90,17 +90,16 @@ class Monomial:
         return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
     def to_text(self) -> str:
-        """Canonical text form `x1^a1*x2^a2*...`; the unit monomial is `1`."""
-        parts = []
-        for i, a in enumerate(self.exponents):
-            if a == 0:
-                continue
-            name = f"x{i + 1}"
-            parts.append(name if a == 1 else f"{name}^{a}")
-        return "*".join(parts) if parts else "1"
+        """Canonical text form `x1^a1*x2^a2*...`; the unit monomial is `1` (monomial_text)."""
+        return monomial_text(self.exponents)
 
     def __repr__(self) -> str:
         return f"Monomial({self.to_text()!r})"
+
+
+def monomial_text(exponents: tuple[int, ...]) -> str:
+    """Canonical text form `x1^a1*x2^a2*...` of an exponent tuple; the unit is `1`."""
+    return "*".join([f"x{i}" if a == 1 else f"x{i}^{a}" for i, a in enumerate(exponents, 1) if a]) or "1"
 
 
 _FACTOR_RE = re.compile(r"^(?:x(?P<idx>\d+)|(?P<alias>[xyzw]))(?:\^(?P<exp>\d+))?$")
@@ -404,10 +403,13 @@ class CoinvariantAlgebra:
     stays in the basis, zero when it falls into the ideal.  The one index
     table is that of the products by the variables (variable_steps).
 
-    weight_indices[i] is the index of the character of basis[i] (its
-    position in group.characters()), as the walk of the basis computed it;
-    weights[i] is that character, taken from group.indexed_characters on
-    first use.
+    The algebra keeps what the walk of the basis computed: basis_exponents
+    lists the exponent tuples of the basis, and weight_indices[i] is the
+    index of the character of basis[i] (its position in
+    group.characters()).  Everything else is built on first use: the basis
+    Monomials, the index of each basis exponent tuple (_index) and weights[i],
+    the character of basis[i], taken from group.indexed_characters.  The
+    dimension and the commands that print the basis read only the tuples.
 
     A correct walk misses a character exactly when the action is not
     faithful; only then is action.is_faithful() asked, to tell a
@@ -418,12 +420,11 @@ class CoinvariantAlgebra:
         self.action = action
         gen_exps, basis_exps, indices = _invariant_staircase(action)
         self.invariant_gens: tuple[Monomial, ...] = tuple(map(Monomial._unchecked, gen_exps))
-        self.basis: tuple[Monomial, ...] = tuple(map(Monomial._unchecked, basis_exps))
+        self.basis_exponents: tuple[tuple[int, ...], ...] = tuple(basis_exps)
         self.weight_indices: tuple[int, ...] = tuple(indices)
-        self._index = {e: i for i, e in enumerate(basis_exps)}
         self._steps: Optional[list[list[Optional[int]]]] = None
 
-        if not self.basis or not self.basis[0].is_one:
+        if not basis_exps or any(basis_exps[0]):
             raise IntegrityError("coinvariant basis must contain the unit monomial")
         present = set(indices)
         if len(present) < action.group.order:
@@ -436,12 +437,20 @@ class CoinvariantAlgebra:
             raise IntegrityError(f"characters missing from the basis: {missing}")
 
     @cached_property
+    def basis(self) -> tuple[Monomial, ...]:
+        return tuple(map(Monomial._unchecked, self.basis_exponents))
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {e: i for i, e in enumerate(self.basis_exponents)}
+
+    @cached_property
     def weights(self) -> tuple[Character, ...]:
         return tuple(map(self.action.group.indexed_characters.__getitem__, self.weight_indices))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.basis_exponents)
 
     def index_of(self, m: Monomial) -> int:
         try:
@@ -457,9 +466,9 @@ class CoinvariantAlgebra:
         """
         if self._steps is None:
             n = self.action.num_variables
-            # _index lists the basis exponents in basis order
-            self._steps = [[self._index.get(e[:v] + (e[v] + 1,) + e[v + 1:]) for v in range(n)]
-                           for e in self._index]
+            find = self._index.get
+            self._steps = [[find(e[:v] + (e[v] + 1,) + e[v + 1:]) for v in range(n)]
+                           for e in self.basis_exponents]
         return self._steps
 
     def variables(self) -> list[Monomial]:

@@ -721,6 +721,21 @@ class TestEachQueryOnce:
         capsys.readouterr()
         assert {name: calls[name] for name in expected} == expected
 
+    @pytest.mark.parametrize("cmd", ["clusters", "coinv"])
+    def test_clusters_and_coinv_read_no_basis_monomial(self, cmd, monkeypatch, capsys):
+        # both print text rendered from the walk's exponent tuples, so their
+        # output does not change when CoinvariantAlgebra.basis cannot be read
+        argvs = [[cmd, canonical_action_text(action), "--format", fmt]
+                 for action in sweep_actions() for fmt in ("json", "tsv")]
+        expected = [run(*argv, capsys=capsys) for argv in argvs]
+
+        def no_basis(self):
+            raise AssertionError("CoinvariantAlgebra.basis was read")
+
+        monkeypatch.setattr(monomial_module.CoinvariantAlgebra, "basis", property(no_basis))
+        assert [run(*argv, capsys=capsys) for argv in argvs] == expected
+        assert all(code == 0 for code, _, _ in expected)
+
 
 class TestCharacterConstructions:
     """A query builds the n parsed weights, and at most one table of the |G|
@@ -850,6 +865,63 @@ def _load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+_TOP_USAGE = (
+    "usage: ghilb [-h]\n"
+    "             {coinv,clusters,verify,tau,orbit,tangent,fiber-tangent,stratify,eq8-check,mckay}\n"
+    "             ...\n"
+)
+_COMMAND_CHOICES = ("'coinv', 'clusters', 'verify', 'tau', 'orbit', 'tangent', 'fiber-tangent', "
+                    "'stratify', 'eq8-check', 'mckay'")
+_TOP_HELP = _TOP_USAGE + """
+Exact cluster data for finite abelian diagonal actions on affine space.
+
+positional arguments:
+  {coinv,clusters,verify,tau,orbit,tangent,fiber-tangent,stratify,eq8-check,mckay}
+    coinv               invariant generators and the coinvariant-algebra
+                        staircase
+    clusters            enumerate all torus-fixed clusters
+    verify              check the cluster conditions for a monomial ideal
+    tau                 quotient-space support of a cluster (from --ideal or
+                        --point)
+    orbit               orbit cluster and freeness report of a point
+    tangent (fiber-tangent, stratify, eq8-check)
+                        tangent report of a monomial cluster
+    mckay               stratification characters across all torus-fixed
+                        clusters
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+class TestTopLevelArgv:
+    """argv that the top-level parser answers, pinned byte for byte.
+
+    The top-level parser, not a subparser, reports leftover arguments and an
+    unknown or missing command, under its own usage line; -h prints its
+    help.  Help and usage are wrapped at the width COLUMNS sets, here 80.
+    """
+
+    @pytest.mark.parametrize("argv,code,out,err", [
+        (["clusters", "cyclic:3:1,2", "extra"], 2, "",
+         _TOP_USAGE + "ghilb: error: unrecognized arguments: extra\n"),
+        (["clusters", "cyclic:3:1,2", "--foo"], 2, "",
+         _TOP_USAGE + "ghilb: error: unrecognized arguments: --foo\n"),
+        (["frobnicate", "cyclic:3:1,2"], 2, "",
+         _TOP_USAGE + f"ghilb: error: argument command: invalid choice: 'frobnicate' (choose from {_COMMAND_CHOICES})\n"),
+        ([], 2, "", _TOP_USAGE + "ghilb: error: the following arguments are required: command\n"),
+        (["-h"], 0, _TOP_HELP, ""),
+        (["--help"], 0, _TOP_HELP, ""),
+        # an option before the command is left over, and its value is read as the command
+        (["--format", "json", "clusters", "cyclic:3:1,2"], 2, "",
+         _TOP_USAGE + f"ghilb: error: argument command: invalid choice: 'json' (choose from {_COMMAND_CHOICES})\n"),
+    ], ids=["extra-positional", "unknown-option", "unknown-command", "empty", "h", "help",
+            "option-first"])
+    def test_pinned(self, argv, code, out, err, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(*argv, capsys=capsys) == (code, out, err)
 
 
 class TestCachedParser:

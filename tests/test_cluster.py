@@ -356,22 +356,41 @@ class TestEnumerate:
     def test_search_reaches_its_leaves_in_lexicographic_index_order(self, monkeypatch):
         # each node walks its candidates in ascending index order, so the
         # staircases leave the search (before the final sort) in ascending
-        # lexicographic order of their basis index lists
-        built = []
+        # lexicographic order of their basis index lists.  The leaf assembly
+        # reads each leaf's staircase mask through _bits once, in leaf order;
+        # a staircase holds the unit, index 0, and a frontier never does
+        stairs = []
+        bits = cluster_module._bits
 
-        def recording(**fields):
-            built.append(fields["staircase"])
-            return GCluster(**fields)
+        def recording(mask):
+            if mask & 1:
+                stairs.append(list(bits(mask)))
+            return bits(mask)
 
-        monkeypatch.setattr(cluster_module, "GCluster", recording)
+        monkeypatch.setattr(cluster_module, "_bits", recording)
         for action in sweep_actions():
             coinv = coinvariant_algebra(action)
-            built.clear()
-            clusters = enumerate_torus_fixed_clusters(action, coinv)
-            assert len(built) == len(clusters)
-            paths = [[coinv.index_of(m) for m in stair] for stair in built]
-            assert all(path == sorted(path) for path in paths), action
-            assert all(a < b for a, b in zip(paths, paths[1:])), action
+            stairs.clear()
+            found = cluster_module._torus_fixed_indices(action, coinv)
+            assert sorted(stairs) == sorted(stair for _, stair in found), action
+            assert all(path == sorted(path) for path in stairs), action
+            assert all(a < b for a, b in zip(stairs, stairs[1:])), action
+
+    def test_index_lists_map_to_the_enumerated_clusters(self):
+        # generators index basis + invariant_gens and staircases the basis; the
+        # generators are a minimal antichain in graded-lex order, as the checked
+        # MonomialIdeal constructor leaves them
+        for action in sweep_actions():
+            coinv = coinvariant_algebra(action)
+            monomials = coinv.basis + coinv.invariant_gens
+            mapped = []
+            for gens, stair in cluster_module._torus_fixed_indices(action, coinv):
+                min_gens = tuple(monomials[k] for k in gens)
+                assert MonomialIdeal(action.num_variables, min_gens).min_gens == min_gens, action
+                assert stair == sorted(stair) and max(stair) < coinv.dim, action
+                mapped.append((min_gens, tuple(coinv.basis[i] for i in stair)))
+            clusters = enumerate_torus_fixed_clusters(action)
+            assert mapped == [(c.ideal.min_gens, c.staircase) for c in clusters], action
 
     def test_tau_of_every_enumerated_cluster_is_the_origin(self):
         # the clusters command prints this constant instead of calling tau_support

@@ -12,9 +12,17 @@ import ghilb_kit.monomial_algebra as monomial_module
 from conftest import assert_orbit_matches_oracle, product_action
 from ghilb_kit.cli import render_json
 from ghilb_kit.cluster import enumerate_torus_fixed_clusters, subspace_rows_of_monomial_cluster
-from ghilb_kit.cyclotomic import CyclotomicNumber, embed_to_conductor, euler_phi
+from ghilb_kit.cyclotomic import CyclotomicNumber, embed_to_conductor, euler_phi, parse_cyclotomic
 from ghilb_kit.group_rep import character_index, weight_of_monomial
-from ghilb_kit.monomial_algebra import Monomial, MonomialIdeal, coinvariant_algebra, colength, quotient_staircase
+from ghilb_kit.monomial_algebra import (
+    Monomial,
+    MonomialIdeal,
+    coinvariant_algebra,
+    colength,
+    monomial_text,
+    parse_monomial,
+    quotient_staircase,
+)
 from ghilb_kit.tangent import eq8_map, relative_tangent_space, stratification_rep
 from oracles import (
     oracle_coinvariant_staircase,
@@ -250,6 +258,60 @@ def test_inverse_equals_euclid_oracle(a):
     inv = a.inverse()
     assert a * inv == 1
     assert inv == oracle_inverse(a)
+
+
+# one term of a literal: a sign, p/q or p (q = None), and a power of z (None for
+# none, 1 written as z or z^1), written as c, c*z^e or z^e
+literal_terms = st.tuples(
+    st.booleans(),
+    st.integers(0, 40),
+    st.none() | st.integers(1, 12),
+    st.none() | st.integers(0, 200),
+    st.booleans(),
+    st.sampled_from(["", " "]),
+)
+
+
+def literal_term(term) -> tuple[str, Fraction, int]:
+    """The text of a term, its coefficient and its exponent of z."""
+    negative, p, q, exp, bare, space = term
+    power = "" if exp is None else "z" if exp == 1 and bare else f"z^{exp}"
+    coef = f"{p}/{q}" if q is not None else str(p)
+    if power and bare:
+        coef, value = "", Fraction(1)
+    else:
+        value = Fraction(p, q or 1)
+    text = f"{coef}{space}*{space}{power}" if coef and power else coef or power
+    return ("-" if negative else "+") + space + text, -value if negative else value, exp or 0
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 60), st.lists(literal_terms, min_size=1, max_size=6))
+def test_parse_cyclotomic_equals_fraction_sums(m, terms):
+    # the parser reads integer numerators over one denominator; the sums of
+    # the coefficients as Fractions, reduced by from_polynomial, are its oracle
+    # (m = 0 writes an untagged rational literal, read in Q)
+    if not m:
+        terms = [(negative, p, q, None, bare, space) for negative, p, q, _, bare, space in terms]
+    parts = [literal_term(term) for term in terms]
+    body = " ".join(text for text, _, _ in parts).lstrip("+ ")
+    text = f"cyclo({m}): {body}" if m else body
+    coeffs = [Fraction(0)] * max(m, 1)
+    for _, value, exp in parts:
+        coeffs[exp % max(m, 1)] += value
+    want = CyclotomicNumber.from_polynomial(coeffs, max(m, 1))
+    got = parse_cyclotomic(text)
+    assert (got.conductor, got.numerators, got.denominator) == \
+        (want.conductor, want.numerators, want.denominator), text
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(*[st.integers(0, 12)] * n)))
+def test_monomial_text_round_trips(exponents):
+    text = monomial_text(exponents)
+    assert parse_monomial(text, len(exponents)).exponents == exponents
+    assert (text == "1") == (not any(exponents))
+    assert Monomial(exponents).to_text() == text
 
 
 # quotes, backslashes, control characters and non-ASCII text, as well as any text
