@@ -475,13 +475,44 @@ _COMMANDS = {
 }
 
 
+class _DispatchingParser(argparse.ArgumentParser):
+    """The top-level parser, dispatching as build_parser describes."""
+
+    commands: dict  # each command and alias to its subparser, set by build_parser
+
+    def parse_known_args(self, args=None, namespace=None):
+        argv = sys.argv[1:] if args is None else list(args)
+        sub = self.commands.get(argv[0]) if argv else None
+        if sub is not None:
+            parsed, extras = sub.parse_known_args(argv[1:])
+            if not extras:
+                # the namespace the full parse builds: the command, then the subparser's values
+                namespace = argparse.Namespace() if namespace is None else namespace
+                namespace.command = argv[0]
+                for key, value in vars(parsed).items():
+                    setattr(namespace, key, value)
+                return namespace, extras
+        return super().parse_known_args(argv, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser on every call; main builds one and reuses it."""
-    parser = argparse.ArgumentParser(
+    """A fresh parser on every call; main builds one and reuses it.
+
+    The parser answers an argv whose first word is a command or an alias
+    with that command's parser alone, in one pass instead of two.  An argv
+    the subparser does not use up, and one not led by a command (an empty
+    argv, an unknown command, -h, an option before the command), goes
+    through the full two-level parse, so the top-level parser still reports
+    it under its own usage line.  Both routes give the same namespace,
+    output and exit status.
+    """
+    parser = _DispatchingParser(
         prog="ghilb",
         description="Exact cluster data for finite abelian diagonal actions on affine space.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # plain subparsers: they parse their own argv and do not dispatch
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
+    parser.commands = sub.choices
 
     helps = {
         "coinv": "invariant generators and the coinvariant-algebra staircase",

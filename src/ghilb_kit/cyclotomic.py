@@ -362,11 +362,13 @@ def common_conductor(values: Sequence[Union[CyclotomicNumber, Rational]]) -> int
 
 _TERM_RE = re.compile(
     r"""^\s*(?:
-        (?P<coef>-?\d+(?:/\d+)?)\s*(?:\*\s*(?P<pow1>z(?:\^(?P<exp1>\d+))?))?
+        (?P<coef>\d+(?:/\d+)?)\s*(?:\*\s*(?P<pow1>z(?:\^(?P<exp1>\d+))?))?
         | (?P<pow2>z(?:\^(?P<exp2>\d+))?)
     )\s*$""",
     re.VERBOSE,
 )
+# the join before a term, captured: +, - or + -; a sign after ^, / or * belongs to its term
+_JOIN_RE = re.compile(r"(?<![\^/*])\s*(\+\s*-|[+-])\s*")
 
 
 def to_text(a: CyclotomicNumber) -> str:
@@ -395,8 +397,13 @@ def to_text(a: CyclotomicNumber) -> str:
 
 
 def parse_cyclotomic(text: str) -> CyclotomicNumber:
-    """Parse the text form; a bare rational is read in Q = Q(zeta_1), so z needs a cyclo(m) tag."""
-    text = text.strip()
+    """Parse the text form; a bare rational is read in Q = Q(zeta_1), so z needs a cyclo(m) tag.
+
+    Terms are joined by + or -, or by + - ("1 + -2"); the first may carry a
+    sign of its own.  Any other run of signs, and a sign with no term after
+    it, is an error.
+    """
+    text = literal = text.strip()
     m = 1
     tag = re.match(r"^cyclo\((\d+)\)\s*:\s*(.*)$", text)
     if tag:
@@ -408,16 +415,19 @@ def parse_cyclotomic(text: str) -> CyclotomicNumber:
         raise ValueError(f"invalid conductor in {text!r}")
     if not text:
         raise ValueError("empty cyclotomic literal")
-    # split into signed terms, each read as integers p/q at an exponent of z
-    norm = text.replace("-", "+-")
-    terms = [t.strip() for t in norm.split("+")]
-    terms = [t for t in terms if t]
+    # split into signed terms, each read as integers p/q at an exponent of z;
+    # the pieces alternate term, join, term, ...; the first term is empty when
+    # the literal starts with a sign, and any later empty one follows a sign
+    # with no term after it ("1 +", "1 ++ 2")
+    pieces = _JOIN_RE.split(text)
+    if not all(pieces[2::2]):
+        raise ValueError(f"sign with no term after it in cyclotomic literal {literal!r}")
     read: list[tuple[int, int, int]] = []
     den = 1
-    for term in terms:
-        negative = term.startswith("-")
-        if negative:
-            term = term[1:].strip()
+    for join, term in zip(["+", *pieces[1::2]], pieces[::2]):
+        if not term:
+            continue
+        negative = join.endswith("-")
         match = _TERM_RE.match(term)
         if not match:
             raise ValueError(f"cannot parse term {term!r} of cyclotomic literal")

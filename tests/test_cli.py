@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -176,6 +177,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"ghilb: error: bad --point value: invalid conductor in {literal!r}\n"
+
+    @pytest.mark.parametrize("cmd", ["orbit", "tau"])
+    def test_usage_dangling_sign_point(self, cmd, capsys):
+        # "1 +" was read as 1, and the point (1, 1) got an answer
+        code, out, err = run(cmd, "cyclic:2:1,1", "--point", "1 +, 1", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("ghilb: error: bad --point value: "
+                       "sign with no term after it in cyclotomic literal '1 +'\n")
 
     def test_usage_unwritable_out(self, tmp_path, capsys):
         target = tmp_path / "missing" / "r.json"
@@ -812,9 +822,14 @@ def _child_env() -> dict:
 
 def _cached_parser_argvs(tmp_path) -> list:
     """Every subcommand and alias, both formats, --out, both tau inputs, every
-    usage error above (a --cap among them), and --help."""
+    usage error above (a --cap among them), --help, and each form the parser
+    answers with the command's parser alone: an --opt=value, an abbreviated
+    option and -h after a command."""
     return [
         ["coinv", "cyclic:3:1,2"],
+        ["orbit", "cyclic:3:1,2", "--point=1,2"],
+        ["tau", "cyclic:3:1,2", "--id", "x2,x1^3", "--fo", "tsv"],
+        ["verify", "-h"],
         ["coinv", "2x2 ; 1,0 | 0,1", "--format", "tsv"],
         ["coinv", "cyclic:3:1,2", "--out", str(tmp_path / "report.json")],
         ["coinv", "cyclic:4:2,2"],
@@ -896,6 +911,22 @@ options:
 """
 
 
+_TOP_LEVEL_CASES = [
+    (["clusters", "cyclic:3:1,2", "extra"], 2, "",
+     _TOP_USAGE + "ghilb: error: unrecognized arguments: extra\n"),
+    (["clusters", "cyclic:3:1,2", "--foo"], 2, "",
+     _TOP_USAGE + "ghilb: error: unrecognized arguments: --foo\n"),
+    (["frobnicate", "cyclic:3:1,2"], 2, "",
+     _TOP_USAGE + f"ghilb: error: argument command: invalid choice: 'frobnicate' (choose from {_COMMAND_CHOICES})\n"),
+    ([], 2, "", _TOP_USAGE + "ghilb: error: the following arguments are required: command\n"),
+    (["-h"], 0, _TOP_HELP, ""),
+    (["--help"], 0, _TOP_HELP, ""),
+    # an option before the command is left over, and its value is read as the command
+    (["--format", "json", "clusters", "cyclic:3:1,2"], 2, "",
+     _TOP_USAGE + f"ghilb: error: argument command: invalid choice: 'json' (choose from {_COMMAND_CHOICES})\n"),
+]
+
+
 class TestTopLevelArgv:
     """argv that the top-level parser answers, pinned byte for byte.
 
@@ -904,24 +935,133 @@ class TestTopLevelArgv:
     help.  Help and usage are wrapped at the width COLUMNS sets, here 80.
     """
 
-    @pytest.mark.parametrize("argv,code,out,err", [
-        (["clusters", "cyclic:3:1,2", "extra"], 2, "",
-         _TOP_USAGE + "ghilb: error: unrecognized arguments: extra\n"),
-        (["clusters", "cyclic:3:1,2", "--foo"], 2, "",
-         _TOP_USAGE + "ghilb: error: unrecognized arguments: --foo\n"),
-        (["frobnicate", "cyclic:3:1,2"], 2, "",
-         _TOP_USAGE + f"ghilb: error: argument command: invalid choice: 'frobnicate' (choose from {_COMMAND_CHOICES})\n"),
-        ([], 2, "", _TOP_USAGE + "ghilb: error: the following arguments are required: command\n"),
-        (["-h"], 0, _TOP_HELP, ""),
-        (["--help"], 0, _TOP_HELP, ""),
-        # an option before the command is left over, and its value is read as the command
-        (["--format", "json", "clusters", "cyclic:3:1,2"], 2, "",
-         _TOP_USAGE + f"ghilb: error: argument command: invalid choice: 'json' (choose from {_COMMAND_CHOICES})\n"),
-    ], ids=["extra-positional", "unknown-option", "unknown-command", "empty", "h", "help",
-            "option-first"])
+    @pytest.mark.parametrize("argv,code,out,err", _TOP_LEVEL_CASES,
+                             ids=["extra-positional", "unknown-option", "unknown-command", "empty",
+                                  "h", "help", "option-first"])
     def test_pinned(self, argv, code, out, err, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")
         assert run(*argv, capsys=capsys) == (code, out, err)
+
+
+# argvs that reach the corners of argparse
+_DISPATCH_ARGVS = [
+    ["verify", "cyclic:3:1,2", "--ideal=x2,x1^3"],
+    ["tau", "cyclic:6:1,5", "--point=cyclo(3): z, 2", "--format=tsv"],
+    ["orbit", "cyclic:4:1,3", "--point=cyclo(4): z, 1"],
+    ["tangent", "cyclic:3:1,2", "--id", "x2,x1^3", "--fo", "tsv"],
+    ["tau", "cyclic:3:1,2", "--id=x2,x1^3"],
+    ["orbit", "cyclic:3:1,2", "--fo=tsv", "--po", "1,2"],
+    # an option before the action positional
+    ["verify", "--ideal", "x2,x1^3", "cyclic:3:1,2"],
+    ["stratify", "--format", "tsv", "cyclic:3:1,2", "--ideal", "x2,x1^3"],
+    # -- before the command, before the action, after everything
+    ["--", "coinv", "cyclic:3:1,2"],
+    ["coinv", "--", "cyclic:3:1,2"],
+    ["coinv", "cyclic:3:1,2", "--"],
+    ["verify", "cyclic:3:1,2", "--ideal", "x2,x1^3", "--"],
+    ["verify", "--ideal", "x2,x1^3", "--", "cyclic:3:1,2"],
+    ["verify", "cyclic:3:1,2", "--", "--ideal", "x2,x1^3"],
+    # help after a command
+    ["tau", "cyclic:3:1,2", "--help"],
+    ["eq8-check", "cyclic:3:1,2", "--ideal", "x2,x1^3", "-h"],
+    ["orbit", "--he"],
+    # repeated, valueless, out-of-range and unknown options
+    ["coinv", "cyclic:3:1,2", "--format", "tsv", "--format", "json"],
+    ["verify", "cyclic:3:1,2", "--ideal", "x2", "--ideal", "x2,x1^3"],
+    ["verify", "cyclic:3:1,2", "--ideal"],
+    ["orbit", "cyclic:3:1,2", "--point="],
+    ["coinv", "cyclic:3:1,2", "--format", "xml"],
+    ["coinv", "cyclic:3:1,2", "-x"],
+    ["coinv", "-x", "cyclic:3:1,2"],
+    ["tau", "cyclic:3:1,2", "--ideal", "x2,x1^3", "--foo=1"],
+    ["mckay", "cyclic:3:1,2", "--o"],
+    # extra and missing positionals
+    ["fiber-tangent", "cyclic:3:1,2", "extra", "--ideal", "x2,x1^3"],
+    ["coinv", "cyclic:3:1,2", "cyclic:2:1,1"],
+    ["coinv", "cyclic:3:1,2", "-x", "extra"],
+    ["verify"],
+    ["mckay"],
+    ["-h", "coinv", "cyclic:3:1,2"],
+    ["coinv", "cyclic:3:1,2", "coinv"],
+]
+
+
+class TestDispatch:
+    """The parser answers an argv led by a command with the command's parser
+    alone, and every argv as the full two-level parse does."""
+
+    @staticmethod
+    def parse(parse_known_args, parser, argv, capsys) -> tuple:
+        """(exit code, stdout, stderr, namespace items) of parse_args built on parse_known_args."""
+        code, items = None, None
+        try:
+            namespace, extras = parse_known_args(argv)
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            items = list(vars(namespace).items())
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr(), items)
+
+    def both(self, argv, capsys) -> tuple:
+        """The answers of the parser and of the full two-level parse on one argv."""
+        parser = cli_module.build_parser()
+        fast = self.parse(parser.parse_known_args, parser, argv, capsys)
+        full = self.parse(lambda a: argparse.ArgumentParser.parse_known_args(parser, a),
+                          parser, argv, capsys)
+        return fast, full
+
+    def test_every_argv_answers_as_the_full_parse(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        argvs = (_cached_parser_argvs(tmp_path) + [argv for argv, *_ in _TOP_LEVEL_CASES]
+                 + _DISPATCH_ARGVS)
+        answers = []
+        for argv in argvs:
+            fast, full = self.both(argv, capsys)
+            assert fast == full, argv
+            answers.append(fast)
+        # the argvs reach a namespace, help (exit 0) and a usage error (exit 2)
+        assert {a[0] for a in answers} == {None, 0, 2}
+
+    def test_a_given_namespace_is_filled_as_the_full_parse_fills_it(self):
+        parser = cli_module.build_parser()
+        argv = ["orbit", "cyclic:3:1,2", "--point", "1,2"]
+        fast, full = (argparse.Namespace(format="xml", seen=1) for _ in range(2))
+        assert parser.parse_args(argv, fast) is fast
+        argparse.ArgumentParser.parse_known_args(parser, argv, full)
+        assert list(vars(fast).items()) == list(vars(full).items())
+        assert (fast.format, fast.seen, fast.command) == ("json", 1, "orbit")
+
+    def test_fast_path_skips_the_top_level_pass(self, monkeypatch, capsys):
+        parser = cli_module.build_parser()
+        passes = []
+        base = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, args=None, namespace=None):
+            passes.append("top" if self is parser else "sub")
+            return base(self, args, namespace)
+
+        # the subparsers are plain parsers: they do not dispatch again
+        assert {type(sub) for sub in parser.commands.values()} == {argparse.ArgumentParser}
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        parser.parse_args(["verify", "cyclic:3:1,2", "--ideal", "x2,x1^3"])
+        assert passes == ["sub"]
+        passes.clear()
+        # leftovers go back through both levels
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", "cyclic:3:1,2", "--ideal", "x2,x1^3", "extra"])
+        capsys.readouterr()
+        assert passes == ["sub", "top", "sub"]
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        argv = ["tau", "cyclic:5:1,2", "--ideal", "x2,x1^5"]
+        want = run(*argv, capsys=capsys)
+        monkeypatch.setattr(sys, "argv", ["ghilb", *argv])
+        assert (main(), *capsys.readouterr()) == want
+        monkeypatch.setattr(sys, "argv", ["ghilb", *argv, "extra"])
+        fast, full = self.both(None, capsys)
+        assert fast == full
+        assert fast[0] == 2
 
 
 class TestCachedParser:

@@ -518,6 +518,26 @@ class TestText:
     def test_tagged_conductor_one_reads_z_as_one(self):
         assert parse_cyclotomic("cyclo(1): 2*z + 1") == 3
 
+    @pytest.mark.parametrize("text", ["+", "-", "1 ++ 2", "1 +", "3 -", "cyclo(3): z +",
+                                      "1 - -2", "-+3", "cyclo(4): z -- 1"])
+    def test_sign_without_a_term_rejected(self, text):
+        # "+" was read as 0, "1 ++ 2" as 3, "1 +" as 1 and "cyclo(3): z +" as z
+        with pytest.raises(ValueError, match=re.escape(
+                f"sign with no term after it in cyclotomic literal {text!r}")):
+            parse_cyclotomic(text)
+
+    @pytest.mark.parametrize("text,term", [("cyclo(3): z^-1", "z^-1"), ("1/-2", "1/-2"),
+                                           ("cyclo(4): 1 + 2*-z", "2*-z")])
+    def test_sign_inside_a_term_names_the_term(self, text, term):
+        # "z^-1" was reported as the term 'z^'
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse term {term!r}")):
+            parse_cyclotomic(text)
+
+    @pytest.mark.parametrize("text,value", [("1 + -2", -1), ("1 +- 2", -1), ("+ 3", 3),
+                                            ("+-3", -3), (" - 5", -5), ("1 - 2 + 3", 2)])
+    def test_sign_runs_that_join_terms(self, text, value):
+        assert parse_cyclotomic(text) == value
+
     def test_garbage_rejected(self):
         for bad in ("", "cyclo(4):", "z + q", "cyclo(x): 1"):
             with pytest.raises(ValueError):

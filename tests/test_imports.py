@@ -766,3 +766,44 @@ def test_detector_sees_caches():
     }
     assert module_caches(sources) == ["a: bare(m)", "a: plain(ms)", "a: rows(d, m)"]
     assert names_imported_from(sources["a"], "ghilb_kit.exact_linalg") == ["*", "rank", "solve"]
+
+
+# The command line supports Python 3.10 onwards, and argparse's private names
+# differ between those versions; its public API does not.
+
+
+def private_reads(source: str, module: str) -> list[str]:
+    """The private names a source reads off module: module._x (under any name
+    the module is imported as) and from module import _x."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == module}
+    reads = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and _is_private(node.attr)):
+            reads.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
+            reads += [f"line {node.lineno}: {alias.name}" for alias in node.names
+                      if _is_private(alias.name)]
+    return reads
+
+
+def test_cli_reads_no_private_argparse_name():
+    assert private_reads((PACKAGE / "cli.py").read_text(), "argparse") == []
+
+
+def test_detector_sees_private_reads():
+    source = (
+        "import argparse\n"
+        "import argparse as ap\n"
+        "from argparse import _SubParsersAction, ArgumentParser\n"
+        "p = argparse.ArgumentParser()\n"
+        "p._actions\n"
+        "argparse._UNRECOGNIZED_ARGS_ATTR\n"
+        "class P(ap._ActionsContainer):\n"
+        "    __doc__ = argparse.__doc__\n"
+    )
+    assert private_reads(source, "argparse") == [
+        "line 3: _SubParsersAction", "line 6: argparse._UNRECOGNIZED_ARGS_ATTR",
+        "line 7: ap._ActionsContainer"]
