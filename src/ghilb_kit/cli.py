@@ -260,50 +260,59 @@ def _write_report(report, args) -> None:
 # --- per-command report builders ---------------------------------------
 
 
-def _cluster_fields(is_cluster, reason, generators, staircase, characters, tau) -> dict:
-    return {
-        "generators": generators,
-        "staircase": staircase,
-        "characters": characters,
-        "tau": tau,
-        "is_cluster": is_cluster,
-        "reason": reason,
-    }
-
-
 def _cluster_json(action: ActionData, ideal: MonomialIdeal, report) -> dict:
     tau = None
     if report.is_cluster:
         tau = [_scalar_json(v) for v in tau_support(action, ideal).values]
     staircase = report.staircase
-    return _cluster_fields(
-        report.is_cluster,
-        report.failure_reason,
-        [g.to_text() for g in ideal.min_gens],
-        [m.to_text() for m in staircase] if staircase is not None else None,
-        _characters_json(report.characters) if report.characters is not None else None,
-        tau,
-    )
+    return {
+        "generators": [g.to_text() for g in ideal.min_gens],
+        "staircase": [m.to_text() for m in staircase] if staircase is not None else None,
+        "characters": _characters_json(report.characters) if report.characters is not None else None,
+        "tau": tau,
+        "is_cluster": report.is_cluster,
+        "reason": report.failure_reason,
+    }
 
 
-def _parse_ideal(action: ActionData, text: str) -> MonomialIdeal:
+def _cluster_verdict(action: ActionData, args) -> Optional[tuple]:
+    """The step from --ideal to a verdict, shared by verify, tau and tangent.
+
+    Parses the ideal (a bad one is a UsageError) and checks it with
+    verify_cluster.  Returns (ideal, report) for a cluster; for anything
+    else it writes verify's report and returns None, and the caller exits 1.
+    """
     try:
-        gens = [parse_monomial(tok.strip(), action.num_variables) for tok in text.split(",")]
-        return MonomialIdeal(action.num_variables, tuple(gens))
+        gens = [parse_monomial(tok.strip(), action.num_variables) for tok in args.ideal.split(",")]
+        ideal = MonomialIdeal(action.num_variables, tuple(gens))
     except ValueError as exc:
         raise UsageError(f"bad --ideal value: {exc}") from None
+    report = verify_cluster(action, ideal)
+    if not report.is_cluster:
+        _write_report(_cluster_json(action, ideal, report), args)
+        return None
+    return ideal, report
 
 
-def _parse_point(action: ActionData, text: str) -> list:
+def _orbit_verdict(action: ActionData, args) -> tuple:
+    """The step from --point to a verdict, shared by orbit and tau.
+
+    Parses the point (a bad literal or a wrong number of coordinates is a
+    UsageError) and returns (the coordinates as reports print them, the
+    orbit cluster, its freeness report, the orbit's ClusterReport).
+    """
     try:
-        coords = [parse_cyclotomic(tok.strip()) for tok in text.split(",")]
+        coords = [parse_cyclotomic(tok.strip()) for tok in args.point.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad --point value: {exc}") from None
     except ZeroDivisionError:
         raise UsageError("bad --point value: zero denominator") from None
     if len(coords) != action.num_variables:
         raise UsageError(f"point needs {action.num_variables} coordinates, got {len(coords)}")
-    return coords
+    cluster, freeness = orbit_cluster(action, coords)
+    report = ClusterReport.from_quotient(action.group, freeness.orbit_size,
+                                         map(character_index, freeness.characters))
+    return [_scalar_json(c) for c in coords], cluster, freeness, report
 
 
 def cmd_coinv(action: ActionData, args) -> int:
@@ -335,45 +344,39 @@ def cmd_clusters(action: ActionData, args) -> int:
     # a staircase inside the coinvariant basis leaves every invariant
     # generator in the ideal, so tau is the origin for each cluster
     tau = ["0"] * len(coinv.invariant_gens)
-    report = [_cluster_fields(True, None, list(map(text, gens)), list(map(text, stair)), characters, tau)
+    report = [{"generators": list(map(text, gens)), "staircase": list(map(text, stair)),
+               "characters": characters, "tau": tau, "is_cluster": True, "reason": None}
               for gens, stair in clusters]
     _write_report(report, args)
     return 0
 
 
 def cmd_verify(action: ActionData, args) -> int:
-    ideal = _parse_ideal(action, args.ideal)
-    report = verify_cluster(action, ideal)
-    _write_report(_cluster_json(action, ideal, report), args)
-    return 0 if report.is_cluster else 1
+    verdict = _cluster_verdict(action, args)
+    if verdict is None:
+        return 1
+    _write_report(_cluster_json(action, *verdict), args)
+    return 0
 
 
 def cmd_tau(action: ActionData, args) -> int:
     if (args.ideal is None) == (args.point is None):
         raise UsageError("tau needs exactly one of --ideal or --point")
     if args.ideal is not None:
-        ideal = _parse_ideal(action, args.ideal)
-        report = verify_cluster(action, ideal)
-        if not report.is_cluster:
-            _write_report(_cluster_json(action, ideal, report), args)
+        verdict = _cluster_verdict(action, args)
+        if verdict is None:
             return 1
+        ideal, _ = verdict
         point = tau_support(action, ideal)
         source = {"ideal": [g.to_text() for g in ideal.min_gens]}
     else:
-        coords = _parse_point(action, args.point)
-        cluster, freeness = orbit_cluster(action, coords)
+        coords, cluster, freeness, report = _orbit_verdict(action, args)
         if not freeness.is_free:
-            report = ClusterReport.from_quotient(action.group, freeness.orbit_size,
-                                                 map(character_index, freeness.characters))
-            _write_report({
-                "point": [_scalar_json(c) for c in coords],
-                "orbit_size": freeness.orbit_size,
-                "is_cluster": False,
-                "reason": report.failure_reason,
-            }, args)
+            _write_report({"point": coords, "orbit_size": freeness.orbit_size,
+                           "is_cluster": False, "reason": report.failure_reason}, args)
             return 1
         point = tau_support(action, cluster)
-        source = {"point": [_scalar_json(c) for c in coords]}
+        source = {"point": coords}
     report = {
         "action": canonical_action_text(action),
         **source,
@@ -385,16 +388,13 @@ def cmd_tau(action: ActionData, args) -> int:
 
 
 def cmd_orbit(action: ActionData, args) -> int:
-    coords = _parse_point(action, args.point)
-    cluster, freeness = orbit_cluster(action, coords)
-    report_check = ClusterReport.from_quotient(action.group, freeness.orbit_size,
-                                               map(character_index, freeness.characters))
+    coords, cluster, freeness, report_check = _orbit_verdict(action, args)
     tau = None
     if report_check.is_cluster:
         tau = [_scalar_json(v) for v in tau_support(action, cluster).values]
     report = {
         "action": canonical_action_text(action),
-        "point": [_scalar_json(c) for c in coords],
+        "point": coords,
         "orbit": [[_scalar_json(c) for c in p] for p in cluster.points],
         "orbit_size": freeness.orbit_size,
         "group_order": freeness.group_order,
@@ -413,11 +413,10 @@ def cmd_orbit(action: ActionData, args) -> int:
 
 
 def cmd_tangent_report(action: ActionData, args) -> int:
-    ideal = _parse_ideal(action, args.ideal)
-    report = verify_cluster(action, ideal)
-    if not report.is_cluster:
-        _write_report(_cluster_json(action, ideal, report), args)
+    verdict = _cluster_verdict(action, args)
+    if verdict is None:
         return 1
+    ideal, report = verdict
     # a rank loss in the restriction raises, so it is always injective here
     tangent_dim, relative_dim, strat, target_dim = _staircase_relative(action, ideal, report.staircase)
     combined = {
@@ -553,16 +552,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _PARSER[:] = [build_parser, build_parser()]
     try:
         args = _PARSER[1].parse_args(argv)
+        return _COMMANDS[args.command](parse_action_spec(args.action), args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        action = parse_action_spec(args.action)
-    except ValueError as exc:
-        print(f"ghilb: error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](action, args)
-    except UsageError as exc:
+    except (SpecParseError, UsageError) as exc:
         print(f"ghilb: error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -291,10 +291,6 @@ class RelativeData:
     def slots(self) -> list[tuple[int, int]]:
         return _slots(self.row_weights, self.qweights)
 
-    @cached_property
-    def slot_index(self) -> dict[tuple[int, int], int]:
-        return {s: i for i, s in enumerate(self.slots)}
-
 
 class _DenseRelative(RelativeData):
     """Relative data of a row span, by exact elimination over the rationals.
@@ -408,9 +404,10 @@ class _StaircaseRelative(RelativeData):
         up = coinv.variable_steps()
         entries = {p: starts[k] for p, k in generators.items()}  # pivot -> {column: class}
         members: list[list[int]] = [[] for _ in relative]
+        slot_index = {s: i for i, s in enumerate(self.slots)}
         for j, p in enumerate(self.pivots):
             for c, n in entries[p].items():
-                members[n].append(self.slot_index[(j, c)])
+                members[n].append(slot_index[(j, c)])
             for v, t in enumerate(up[p]):
                 if t is not None and t not in qpos and t not in entries:
                     entries[t] = {c2: n for c, n in entries[p].items()

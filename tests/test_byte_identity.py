@@ -185,6 +185,35 @@ def test_corpus_digest():
     assert digest(results) == DIGEST
 
 
+
+def test_each_input_kind_reaches_one_verdict():
+    # tau --ideal and every tangent name print verify's report, and exit 1,
+    # on each ideal of the corpus that is not a cluster
+    argvs = corpus()
+    verify = [(argv, run(argv)) for argv in argvs if argv[0] == "verify"]
+    failed = [(argv, answer) for argv, answer in verify if answer[0] == 1]
+    assert len(failed) > 100
+    for argv, answer in failed:
+        for cmd in ("tau", "tangent", "fiber-tangent", "stratify", "eq8-check"):
+            assert run([cmd, *argv[1:]]) == answer, (cmd, argv)
+    # tau --point prints orbit's orbit size and reason on each point that is not free
+    not_free = 0
+    for argv in argvs:
+        if argv[0] not in ("orbit", "tau") or not argv[-1].startswith("--point="):
+            continue
+        code, out, _ = run(["orbit", *argv[1:]])
+        if code != 1:
+            continue
+        orbit = json.loads(out)
+        code, out, _ = run(["tau", *argv[1:]])
+        assert code == 1, argv
+        tau = json.loads(out)
+        assert (tau["point"], tau["orbit_size"], tau["reason"]) == \
+            (orbit["point"], orbit["orbit_size"], orbit["reason"]), argv
+        not_free += 1
+    assert not_free > 10
+
+
 # every 40th argv, about 240 of them; the child processes build the corpus too
 SUBSET = slice(None, None, 40)
 

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from conftest import ABELIAN_N2_CORPUS, sweep_actions
 from ghilb_kit.cli import (
     SpecParseError,
+    UsageError,
     canonical_action_text,
     main,
     parse_action_spec,
@@ -27,9 +29,16 @@ import ghilb_kit.cluster as cluster_module
 import ghilb_kit.monomial_algebra as monomial_module
 import ghilb_kit.tangent as tangent_module
 from ghilb_kit.cluster import enumerate_torus_fixed_clusters
-from ghilb_kit.group_rep import ActionData, Character, FiniteAbelianGroup
-from ghilb_kit.monomial_algebra import coinvariant_algebra
+from ghilb_kit.group_rep import ActionData, Character, DomainError, FiniteAbelianGroup
+from ghilb_kit.monomial_algebra import MonomialIdeal, coinvariant_algebra, monomial_text, parse_monomial
 from ghilb_kit.tangent import eq8_map, relative_tangent_space, stratification_rep, tangent_space
+from oracles import (
+    oracle_coinvariant_staircase,
+    oracle_min_gens,
+    oracle_staircases,
+    oracle_strat,
+    oracle_tangent_dim,
+)
 
 
 def dense_basis_built(*args):
@@ -279,6 +288,21 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == "ghilb: internal error: a relative tangent vector vanishes on the minimal generators\n"
+
+    @pytest.mark.parametrize("exc,code,prefix", [
+        (SpecParseError("expected an integer", "cyclic:x", 7), 2, "error"),
+        (UsageError("unusable"), 2, "error"),
+        (DomainError("no answer"), 1, "error"),
+        (ValueError("a fault"), 3, "internal error"),
+        (TypeError("a fault"), 3, "internal error"),
+    ], ids=["spec", "usage", "domain", "value", "type"])
+    def test_action_parse_outcomes(self, exc, code, prefix, monkeypatch, capsys):
+        # main maps what parsing the action raises as it maps what a command raises
+        def fault(text):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "parse_action_spec", fault)
+        assert run("coinv", "cyclic:3:1,2", capsys=capsys) == (code, "", f"ghilb: {prefix}: {exc}\n")
 
     def test_bare_value_error_exits_three(self, monkeypatch, capsys):
         # only a DomainError is a negative answer; any other ValueError a
@@ -745,6 +769,62 @@ class TestEachQueryOnce:
         monkeypatch.setattr(monomial_module.CoinvariantAlgebra, "basis", property(no_basis))
         assert [run(*argv, capsys=capsys) for argv in argvs] == expected
         assert all(code == 0 for code, _, _ in expected)
+
+
+
+# actions with a variable of trivial weight, and the trivial group; sweep_actions()
+# has no weight 0, so the byte-identity corpus does not reach them
+TRIVIAL_WEIGHT_SPECS = ["cyclic:3:0,1", "cyclic:4:1,0,3", "cyclic:6:1,0,5",
+                        "2x2 ; 1,0 | 0,1 | 0,0", "cyclic:1:0,0"]
+
+
+class TestTrivialWeightActions:
+    """coinv, clusters, mckay and tangent agree with the brute-force oracles."""
+
+    @staticmethod
+    def report(argv, capsys) -> dict:
+        code, out, err = run(*argv, capsys=capsys)
+        assert (code, err) == (0, ""), argv
+        return json.loads(out)
+
+    @staticmethod
+    def characters(chars) -> list[str]:
+        return sorted(json.dumps(cli_module._character_json(chi)) for chi in chars)
+
+    @pytest.mark.parametrize("spec", TRIVIAL_WEIGHT_SPECS)
+    def test_answers_match_the_oracles(self, spec, capsys):
+        action = parse_action_spec(spec)
+        n = action.num_variables
+        gens, basis = oracle_coinvariant_staircase(action)
+        coinv_report = self.report(["coinv", spec], capsys)
+        assert coinv_report["invariant_generators"] == list(map(monomial_text, gens))
+        assert coinv_report["staircase"] == list(map(monomial_text, basis))
+
+        coinv = coinvariant_algebra(action)
+        staircases = oracle_staircases(action, coinv.basis)
+        clusters = self.report(["clusters", spec], capsys)
+        assert len(clusters) == len(staircases)
+        assert {frozenset(c["staircase"]) for c in clusters} == \
+            {frozenset(m.to_text() for m in stair) for stair in staircases}
+
+        mckay = self.report(["mckay", spec], capsys)
+        assert mckay["cluster_count"] == len(staircases)
+        mckay_strat = {frozenset(c["generators"]): sorted(map(json.dumps, c["strat_characters"]))
+                       for c in mckay["clusters"]}
+        for cluster in clusters:
+            staircase = tuple(parse_monomial(m, n) for m in cluster["staircase"])
+            assert cluster["generators"] == [g.to_text() for g in oracle_min_gens(staircase)]
+            ideal = MonomialIdeal(n, tuple(parse_monomial(g, n) for g in cluster["generators"]))
+            tangent = self.report(["tangent", spec, "--ideal", ",".join(cluster["generators"])],
+                                  capsys)
+            assert tangent["tangent_dim"] == oracle_tangent_dim(action, ideal, staircase)
+            # the basis monomials off the staircase span the ideal in the coinvariant algebra
+            rows = [[Fraction(int(i == j)) for j in range(coinv.dim)]
+                    for i, m in enumerate(coinv.basis) if m not in staircase]
+            _, strat = oracle_strat(coinv, rows)
+            want = self.characters(strat.elements())
+            assert sorted(map(json.dumps, tangent["strat_characters"])) == want
+            assert mckay_strat[frozenset(cluster["generators"])] == want
 
 
 class TestCharacterConstructions:

@@ -807,3 +807,62 @@ def test_detector_sees_private_reads():
     assert private_reads(source, "argparse") == [
         "line 3: _SubParsersAction", "line 6: argparse._UNRECOGNIZED_ARGS_ATTR",
         "line 7: ap._ActionsContainer"]
+
+
+# The command line reaches each verdict in one step per input kind: one
+# function parses --ideal and calls verify_cluster, one parses --point and
+# calls orbit_cluster, and main alone parses the action.
+
+
+def readers_by_function(source: str, names) -> dict[str, list[str]]:
+    """Each of names to the functions of the source that read it, by a Name or
+    an Attribute: the innermost enclosing def, or "<module>" outside every def.
+
+    A lambda belongs to the function that holds it; an import, an assignment
+    and a definition are not reads, and a local of the same name is read as
+    the module name would be.
+    """
+    found = {name: set() for name in names}
+
+    def visit(node, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            name = _read_name(child)
+            if name in found and not isinstance(child.ctx, ast.Store):
+                found[name].add(function)
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return {name: sorted(functions) for name, functions in found.items()}
+
+
+def test_each_cli_input_kind_has_one_step_to_its_verdict():
+    readers = readers_by_function((PACKAGE / "cli.py").read_text(),
+                                  ("verify_cluster", "orbit_cluster", "parse_action_spec"))
+    assert readers == {"verify_cluster": ["_cluster_verdict"], "orbit_cluster": ["_orbit_verdict"],
+                       "parse_action_spec": ["main"]}
+
+
+def test_detector_sees_readers_by_function():
+    source = (
+        "from lib import check, parse\n"
+        "import lib\n"
+        "def step(x):\n"
+        "    return check(x)\n"
+        "def other(xs):\n"
+        "    return list(map(lib.check, xs))\n"
+        "def main(argv):\n"
+        "    def inner():\n"
+        "        return parse(argv)\n"
+        "    run = lambda: check(argv)\n"
+        "    return inner, run\n"
+        "table = {'parse': parse}\n"
+        "def shadow():\n"
+        "    check = 1\n"
+        "    lib.parse = None\n"
+        "    return check\n"
+    )
+    assert readers_by_function(source, ("check", "parse", "unused")) == {
+        "check": ["main", "other", "shadow", "step"], "parse": ["<module>", "inner"], "unused": []}
